@@ -1,6 +1,6 @@
 """Riesz measures on the positive semidefinite cone.
 
-Exact Jordan-algebra identities, admissible-parameter arithmetic, exact
+Symmetric-matrix primitives, admissible-parameter arithmetic, exact
 samplers for the (possibly singular) measures, and verification oracles
 (closed-form Laplace transforms, low-rank profiles, adaptive quadrature).
 """
@@ -8,16 +8,10 @@ samplers for the (possibly singular) measures, and verification oracles
 from .algebra import (  # noqa: F401
     AlgebraShape,
     SymElement,
-    identity,
     inner,
-    jordan_product,
-    quadratic_rep,
     spectral,
     minors,
     generalized_power,
-    peirce_split,
-    alpha_map,
-    invert_alpha,
 )
 from .gindikin import (  # noqa: F401
     GindikinParam,
@@ -34,8 +28,6 @@ from .sampling import (  # noqa: F401
     SampleBatch,
     sample_stream,
     sample_gamma,
-    sample_ac_riesz,
-    sample_singular_block,
     sample_riesz,
     log_density_ac,
 )

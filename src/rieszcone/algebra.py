@@ -2,10 +2,10 @@
 
 The ambient space is Sym(r, R) with the symmetrized product
 ``x o y = (xy + yx) / 2`` and the trace inner product ``<x, y> = tr(xy)``.
-Everything downstream (Gindikin arithmetic, samplers, verification oracles)
-is phrased in terms of the primitives here: spectral decompositions, leading
-principal minors, generalized power functions, Peirce block splits at the
-diagonal idempotents, and the rank-deficient block embedding ``alpha_map``.
+The package needs only a few primitives on it: packed symmetric elements,
+the trace inner product, one LAPACK eigendecomposition that decides whether
+a tilt is negative definite, and the hand-rolled leading principal minors
+and generalized power functions that the closed-form transforms use.
 
 The diagonal Jordan frame c_1, ..., c_r (standard basis projectors, in index
 order) is fixed once and for all; every "leading block" below is leading with
@@ -24,38 +24,19 @@ __all__ = [
     "AlgebraError",
     "ShapeMismatchError",
     "NotSymmetricError",
-    "NotPositiveDefiniteError",
-    "SingularElementError",
-    "JacobiConvergenceError",
     "PowerDomainError",
     "AlgebraShape",
     "SymElement",
     "SpectralDecomp",
-    "PeirceSplit",
-    "identity",
-    "zero",
-    "unit_idempotent",
-    "sigma",
     "inner",
-    "jordan_product",
-    "quadratic_rep",
     "spectral",
-    "sqrt_psd",
-    "inverse",
+    "require_negative_definite",
     "minors",
     "generalized_power",
     "log_generalized_power",
-    "peirce_split",
-    "alpha_map",
-    "invert_alpha",
-    "half_space_element",
-    "half_space_op",
 ]
 
 SYMMETRY_TOL = 1e-12
-JACOBI_TOL = 1e-13
-JACOBI_MAX_SWEEPS = 50
-EIG_CLAMP_REL = 1e-12
 
 
 class AlgebraError(ValueError):
@@ -67,18 +48,6 @@ class ShapeMismatchError(AlgebraError):
 
 
 class NotSymmetricError(AlgebraError):
-    pass
-
-
-class NotPositiveDefiniteError(AlgebraError):
-    pass
-
-
-class SingularElementError(AlgebraError):
-    pass
-
-
-class JacobiConvergenceError(AlgebraError):
     pass
 
 
@@ -204,36 +173,7 @@ class SymElement:
         return f"SymElement(r={self.shape.r}, data={self.dense().tolist()})"
 
 
-# -- constant elements ----------------------------------------------------
-
-
-def identity(r: int) -> SymElement:
-    return SymElement._wrap(np.eye(r))
-
-
-def zero(r: int) -> SymElement:
-    return SymElement._wrap(np.zeros((r, r)))
-
-
-def unit_idempotent(r: int, i: int) -> SymElement:
-    """The frame idempotent c_i (1-based index i in 1..r)."""
-    if not 1 <= i <= r:
-        raise AlgebraError(f"idempotent index must lie in 1..{r}, got {i}")
-    a = np.zeros((r, r))
-    a[i - 1, i - 1] = 1.0
-    return SymElement._wrap(a)
-
-
-def sigma(r: int, l: int) -> SymElement:
-    """The partial sum c_1 + ... + c_l (projector onto the leading l axes)."""
-    if not 0 <= l <= r:
-        raise AlgebraError(f"sigma level must lie in 0..{r}, got {l}")
-    a = np.zeros((r, r))
-    a[:l, :l] = np.eye(l)
-    return SymElement._wrap(a)
-
-
-# -- bilinear operations ---------------------------------------------------
+# -- inner product ---------------------------------------------------------
 
 
 def _check_same_shape(x: SymElement, y: SymElement):
@@ -248,21 +188,7 @@ def inner(x: SymElement, y: SymElement) -> float:
     return float(np.dot(w * x.packed, y.packed))
 
 
-def jordan_product(x: SymElement, y: SymElement) -> SymElement:
-    """Symmetrized product (xy + yx) / 2."""
-    _check_same_shape(x, y)
-    a, b = x.dense(), y.dense()
-    return SymElement._wrap(0.5 * (a @ b + b @ a))
-
-
-def quadratic_rep(x: SymElement, y: SymElement) -> SymElement:
-    """Quadratic representation P(x) y = x y x."""
-    _check_same_shape(x, y)
-    a, b = x.dense(), y.dense()
-    return SymElement._wrap(a @ b @ a)
-
-
-# -- spectral decomposition (cyclic Jacobi) --------------------------------
+# -- spectral decomposition ------------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -276,111 +202,28 @@ class SpectralDecomp:
         return (self.basis * self.eigenvalues) @ self.basis.T
 
 
-def _jacobi_eigh(a: np.ndarray, tol: float, max_sweeps: int):
-    """Cyclic Jacobi diagonalization of a symmetric matrix (in place on a copy).
+def spectral(x: SymElement) -> SpectralDecomp:
+    """Full eigendecomposition (LAPACK ``eigh``), eigenvalues descending."""
+    evals, vecs = np.linalg.eigh(x.dense())
+    return SpectralDecomp(evals[::-1], vecs[:, ::-1])
 
-    Sweeps all (p, q) pairs in row order, rotating each off-diagonal entry to
-    zero, until the off-diagonal Frobenius mass drops below ``tol`` times the
-    Frobenius norm of the input.
+
+def require_negative_definite(x: SymElement, error: type, what: str,
+                              margin: float = 0.0) -> None:
+    """Raise ``error`` unless -x is positive definite with relative margin.
+
+    The largest eigenvalue of x must lie strictly below ``-margin`` times
+    the Frobenius norm of x, so the zero element never passes.  This is the
+    one place that decides whether a whole tilt is admissible; each caller
+    names the error type its own callers expect.
     """
-    a = np.array(a, dtype=float)
-    m = a.shape[0]
-    v = np.eye(m)
-    if m == 1:
-        return np.array([a[0, 0]]), v
-    norm = math.sqrt(float(np.sum(a * a)))
-    if norm == 0.0:
-        return np.zeros(m), v
-
-    def offdiag_mass():
-        strict = np.triu(a, 1)
-        return math.sqrt(2.0 * float(np.sum(strict * strict)))
-
-    for _ in range(max_sweeps):
-        if offdiag_mass() <= tol * norm:
-            break
-        for p in range(m - 1):
-            for q in range(p + 1, m):
-                apq = a[p, q]
-                if apq == 0.0:
-                    continue
-                theta = (a[q, q] - a[p, p]) / (2.0 * apq)
-                if theta == 0.0:
-                    t = 1.0
-                else:
-                    t = math.copysign(1.0, theta) / (abs(theta) + math.hypot(theta, 1.0))
-                c = 1.0 / math.sqrt(t * t + 1.0)
-                s = t * c
-                # two-sided rotation in the (p, q) plane: A <- G^T A G
-                cp, cq = a[:, p].copy(), a[:, q].copy()
-                a[:, p] = c * cp - s * cq
-                a[:, q] = s * cp + c * cq
-                rp, rq = a[p, :].copy(), a[q, :].copy()
-                a[p, :] = c * rp - s * rq
-                a[q, :] = s * rp + c * rq
-                a[p, q] = 0.0
-                a[q, p] = 0.0
-                vp, vq = v[:, p].copy(), v[:, q].copy()
-                v[:, p] = c * vp - s * vq
-                v[:, q] = s * vp + c * vq
-    else:
-        raise JacobiConvergenceError(
-            f"Jacobi sweep cap {max_sweeps} hit with off-diagonal mass "
-            f"{offdiag_mass():.3e} (norm {norm:.3e})"
+    top = float(spectral(x).eigenvalues[0])
+    bound = -margin * x.norm()
+    if not top < bound:
+        raise error(
+            f"{what} must be negative definite: largest eigenvalue {top:.3e} "
+            f"is not below {bound:.3e} (relative margin {margin:g})"
         )
-    return np.diag(a).copy(), v
-
-
-def spectral(x: SymElement, tol: float = JACOBI_TOL,
-             max_sweeps: int = JACOBI_MAX_SWEEPS) -> SpectralDecomp:
-    """Full eigendecomposition via cyclic Jacobi sweeps.
-
-    Returns eigenvalues sorted in descending order and the matching
-    orthonormal eigenvector columns.
-    """
-    evals, vecs = _jacobi_eigh(x.dense(), tol, max_sweeps)
-    order = np.argsort(-evals, kind="stable")
-    return SpectralDecomp(evals[order], vecs[:, order])
-
-
-def _clamped_sqrt_eigs(evals: np.ndarray, scale: float) -> np.ndarray:
-    """Square roots with tiny negative eigenvalues clamped to zero.
-
-    Values in [-EIG_CLAMP_REL * scale, 0) are treated as exact zeros
-    (roundoff from a nominally PSD construction); anything lower raises.
-    """
-    floor = -EIG_CLAMP_REL * max(scale, 1.0)
-    bad = evals < floor
-    if np.any(bad):
-        raise NotPositiveDefiniteError(
-            f"matrix is not positive semidefinite: eigenvalue {evals.min():.6e}"
-        )
-    return np.sqrt(np.clip(evals, 0.0, None))
-
-
-def sqrt_psd(x: SymElement) -> SymElement:
-    """Symmetric square root of a positive semidefinite element."""
-    dec = spectral(x)
-    scale = float(np.max(np.abs(dec.eigenvalues))) if dec.eigenvalues.size else 0.0
-    roots = _clamped_sqrt_eigs(dec.eigenvalues, scale)
-    return SymElement._wrap((dec.basis * roots) @ dec.basis.T)
-
-
-def inverse(x: SymElement, tol: float = 1e-12) -> SymElement:
-    """Spectral inverse; raises if any eigenvalue is negligible."""
-    dec = spectral(x)
-    scale = float(np.max(np.abs(dec.eigenvalues)))
-    if scale == 0.0 or np.any(np.abs(dec.eigenvalues) <= tol * scale):
-        raise SingularElementError("element is numerically singular")
-    return SymElement._wrap((dec.basis / dec.eigenvalues) @ dec.basis.T)
-
-
-def _sqrt_psd_dense(a: np.ndarray) -> np.ndarray:
-    """Square root for raw symmetric ndarrays via the same Jacobi machinery."""
-    evals, vecs = _jacobi_eigh(a, JACOBI_TOL, JACOBI_MAX_SWEEPS)
-    scale = float(np.max(np.abs(evals))) if evals.size else 0.0
-    roots = _clamped_sqrt_eigs(evals, scale)
-    return (vecs * roots) @ vecs.T
 
 
 # -- minors and power functions --------------------------------------------
@@ -469,163 +312,3 @@ def log_generalized_power(x: SymElement, s) -> float:
             )
         out += e[k] * math.log(m[k])
     return out
-
-
-# -- Peirce splitting and the block embedding ------------------------------
-
-
-@dataclass(frozen=True)
-class PeirceSplit:
-    """Blocks of x at the frame projector sigma_l.
-
-    x1 is the leading l x l block (Peirce 1-eigenspace), x12 the l x (r-l)
-    off-diagonal block (1/2-eigenspace, stored rectangularly), x0 the
-    trailing (r-l) x (r-l) block (0-eigenspace).
-    """
-
-    l: int
-    x1: np.ndarray
-    x12: np.ndarray
-    x0: np.ndarray
-
-    def assemble(self) -> SymElement:
-        l = self.l
-        m = l + self.x0.shape[0]
-        out = np.zeros((m, m))
-        out[:l, :l] = self.x1
-        out[:l, l:] = self.x12
-        out[l:, :l] = self.x12.T
-        out[l:, l:] = self.x0
-        return SymElement._wrap(out)
-
-
-def peirce_split(x: SymElement, l: int) -> PeirceSplit:
-    r = x.shape.r
-    if not 1 <= l <= r - 1:
-        raise AlgebraError(f"split level must lie in 1..{r - 1}, got {l}")
-    a = x.dense()
-    return PeirceSplit(l, a[:l, :l].copy(), a[:l, l:].copy(), a[l:, l:].copy())
-
-
-def half_space_element(b, r: int, l: int | None = None) -> SymElement:
-    """Embed an l x (r-l) block B into the off-diagonal half-space of Sym(r)."""
-    b = np.atleast_2d(np.asarray(b, dtype=float))
-    if l is None:
-        l = b.shape[0]
-    if b.shape != (l, r - l):
-        raise ShapeMismatchError(f"block must be {l} x {r - l}, got {b.shape}")
-    out = np.zeros((r, r))
-    out[:l, l:] = b
-    out[l:, :l] = b.T
-    return SymElement._wrap(out)
-
-
-def _check_spd_block(a: np.ndarray, what: str):
-    evals, _ = _jacobi_eigh(a, JACOBI_TOL, JACOBI_MAX_SWEEPS)
-    scale = float(np.max(np.abs(evals))) if evals.size else 0.0
-    if scale == 0.0 or float(np.min(evals)) <= EIG_CLAMP_REL * scale:
-        raise NotPositiveDefiniteError(
-            f"{what} must be positive definite (min eigenvalue "
-            f"{float(np.min(evals)) if evals.size else 0.0:.6e})"
-        )
-
-
-def alpha_map(x1, v) -> SymElement:
-    """Assemble the rank-l cone boundary point from a PD block and a coupling.
-
-    Given a positive definite l x l block A and an l x (r-l) block B, returns
-    the symmetric matrix with blocks ``[[A, sqrt(A) B], [B^T sqrt(A), B^T B]]``.
-    The result is positive semidefinite of rank l: it equals M M^T for
-    M = [[sqrt(A)], [B^T]] ... stacked columns [sqrt(A); B^T].
-    """
-    a = np.asarray(x1, dtype=float)
-    b = np.atleast_2d(np.asarray(v, dtype=float))
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ShapeMismatchError(f"leading block must be square, got {a.shape}")
-    l = a.shape[0]
-    if b.shape[0] != l:
-        raise ShapeMismatchError(
-            f"coupling block must have {l} rows, got shape {b.shape}"
-        )
-    if np.max(np.abs(a - a.T), initial=0.0) > SYMMETRY_TOL:
-        raise NotSymmetricError("leading block is not symmetric")
-    _check_spd_block(a, "leading block")
-    root = _sqrt_psd_dense(a)
-    r = l + b.shape[1]
-    out = np.zeros((r, r))
-    out[:l, :l] = a
-    out[:l, l:] = root @ b
-    out[l:, :l] = out[:l, l:].T
-    out[l:, l:] = b.T @ b
-    return SymElement._wrap(out)
-
-
-def invert_alpha(x: SymElement, l: int, tol: float = 1e-9):
-    """Recover (A, B) from a rank-l point assembled by ``alpha_map``.
-
-    Requires the leading l x l block to be positive definite and the trailing
-    block to close up as x0 = x12^T A^{-1} x12 within ``tol`` (relative to
-    max(1, Frobenius norm of x)); otherwise the point is not in the image.
-    """
-    split = peirce_split(x, l)
-    a = split.x1
-    lead_minors = minors(x)
-    if not lead_minors[l - 1] > 0.0:
-        raise NotPositiveDefiniteError(
-            f"leading minor Delta_{l} = {lead_minors[l - 1]:.6e} is not positive"
-        )
-    _check_spd_block(a, "leading block")
-    evals, vecs = _jacobi_eigh(a, JACOBI_TOL, JACOBI_MAX_SWEEPS)
-    inv_a = (vecs / evals) @ vecs.T
-    closure = split.x12.T @ inv_a @ split.x12
-    resid = float(np.max(np.abs(split.x0 - closure), initial=0.0))
-    scale = max(1.0, x.norm())
-    if resid > tol * scale:
-        raise AlgebraError(
-            f"trailing block does not close over the leading block: "
-            f"residual {resid:.3e} > {tol:.1e} * {scale:.3e}"
-        )
-    root_inv = (vecs / np.sqrt(evals)) @ vecs.T
-    return a, root_inv @ split.x12
-
-
-def half_space_op(z, side: str, l: int, r: int):
-    """One-sided multiplication on l x (r-l) blocks, with its determinant.
-
-    ``side="leading"`` takes an l x l matrix A and returns B |-> A B;
-    ``side="trailing"`` takes an (r-l) x (r-l) matrix Z and returns
-    B |-> B Z.  The determinant is that of the operator on the l(r-l)
-    dimensional block space, computed from its full matrix (Kronecker
-    form) rather than from a closed form, so it can serve as one route of
-    a two-route check.
-    """
-    if not 1 <= l <= r - 1:
-        raise AlgebraError(f"split level must lie in 1..{r - 1}, got {l}")
-    z = np.asarray(z, dtype=float)
-    m = r - l
-    if side == "leading":
-        if z.shape != (l, l):
-            raise ShapeMismatchError(f"leading factor must be {l} x {l}, got {z.shape}")
-        op_matrix = np.kron(z, np.eye(m))
-
-        def apply(b):
-            b = np.asarray(b, dtype=float)
-            if b.shape != (l, m):
-                raise ShapeMismatchError(f"block must be {l} x {m}, got {b.shape}")
-            return z @ b
-
-    elif side == "trailing":
-        if z.shape != (m, m):
-            raise ShapeMismatchError(f"trailing factor must be {m} x {m}, got {z.shape}")
-        op_matrix = np.kron(np.eye(l), z.T)
-
-        def apply(b):
-            b = np.asarray(b, dtype=float)
-            if b.shape != (l, m):
-                raise ShapeMismatchError(f"block must be {l} x {m}, got {b.shape}")
-            return b @ z
-
-    else:
-        raise AlgebraError(f'side must be "leading" or "trailing", got {side!r}')
-    det = float(np.linalg.det(op_matrix))
-    return apply, det

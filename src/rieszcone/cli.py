@@ -61,6 +61,12 @@ def _float_list(text: str):
     return values
 
 
+def _positive_int(text: str) -> int:
+    if not text.isdigit() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return int(text)
+
+
 def _load_sym(arg: str) -> SymElement:
     """Symmetric matrix from inline JSON (leading '{') or a JSON file path."""
     text = arg.strip()
@@ -121,7 +127,7 @@ def _build_parser() -> _Parser:
                     help="tilt matrix (default: minus the identity)")
     sp.add_argument("--n", type=int, default=100, help="number of samples")
     sp.add_argument("--seed", type=int, default=0, help="stream seed")
-    sp.add_argument("--workers", type=int, default=1,
+    sp.add_argument("--workers", type=_positive_int, default=1,
                     help="draw-collection threads (output is identical for any value)")
     sp.add_argument("--format", choices=("ndjson", "json", "csv"),
                     default="ndjson")
@@ -136,7 +142,7 @@ def _build_parser() -> _Parser:
                     help="probe point for the transform ratio")
     sp.add_argument("--n", type=int, default=100000, help="number of samples")
     sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--workers", type=int, default=1)
+    sp.add_argument("--workers", type=_positive_int, default=1)
 
     sp = sub.add_parser("density", help="log density at a cone point (AC case only)")
     add_param_flags(sp, with_u=False)
@@ -243,10 +249,7 @@ def cmd_sample(cfg: CliConfig, parser: _Parser) -> int:
     spec = _build_spec(cfg, parser)
     if isinstance(spec, int):
         return spec
-    try:
-        batch = sample_riesz(spec, workers=cfg.workers)
-    except SamplerError as err:
-        parser.error(str(err))
+    batch = sample_riesz(spec, workers=cfg.workers)
     if cfg.out is None:
         _write_samples(cfg, batch, sys.stdout)
     else:

@@ -18,7 +18,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
 __all__ = [
     "GindikinError",
@@ -30,7 +29,6 @@ __all__ = [
     "u_from_s",
     "param_from_u",
     "build_partition",
-    "block_params",
     "log_gamma_omega",
     "membership_report",
 ]
@@ -227,11 +225,6 @@ def build_partition(param: GindikinParam) -> BlockPartition:
     )
 
 
-def block_params(partition: BlockPartition):
-    """Per-run (u_block, s_block) pairs in run order."""
-    return list(zip(partition.u_blocks, partition.s_blocks))
-
-
 def log_gamma_omega(s, r: int, d: float = 1.0) -> float:
     """Log of the cone gamma integral at parameter s.
 
@@ -250,7 +243,7 @@ def log_gamma_omega(s, r: int, d: float = 1.0) -> float:
             f"gamma argument s_{bad + 1} - {bad}*d/2 = {args[bad]:.6g} is not positive"
         )
     half_dim = 0.25 * d * r * (r - 1)  # (n - r) / 2
-    return half_dim * math.log(2.0 * math.pi) + float(np.sum(gammaln(args)))
+    return half_dim * math.log(2.0 * math.pi) + sum(math.lgamma(a) for a in args)
 
 
 def membership_report(s=None, u=None, d: float = 1.0, zero_tol: float = 0.0) -> dict:

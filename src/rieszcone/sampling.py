@@ -34,10 +34,12 @@ consumes a gamma array and then a uniform array), (2) one normal array for
 the triangular subdiagonals, (3) one normal array for the coupling block.
 A full chunk is always drawn and assembled, then truncated to the requested
 count.  Repeat runs and any worker count therefore give identical bits, and
-a longer run extends a shorter one.  The scalar samplers
-(``sample_ac_riesz``, ``sample_singular_block``) draw from the same law
-through the same assembly, but with their own stream use, so they do not
-reproduce ``sample_riesz``'s bits.
+a longer run extends a shorter one.  ``sample_riesz`` is the only sampler:
+every draw, whatever its support, goes through the chunk above.
+
+The per-run constants (Cholesky factors and coupling map, ``_BlockPlan``)
+are derived from the tilt once, when a ``RieszSpec`` is constructed, so a
+tilt the sampler cannot factor is rejected there and never mid-run.
 """
 
 from __future__ import annotations
@@ -61,15 +63,11 @@ __all__ = [
     "SampleBatch",
     "sample_stream",
     "sample_gamma",
-    "sample_ac_riesz",
-    "sample_singular_block",
     "sample_riesz",
     "log_density_ac",
     "write_ndjson",
 ]
 
-_U64 = np.uint64
-_SEED_MASK = (1 << 64) - 1
 TILT_MARGIN = 1e-10
 CHUNK = 512  # draws per counter-based stream in sample_riesz
 
@@ -86,13 +84,17 @@ class NonSamplableError(SamplerError):
     """The parameter is admissible but outside the sampled family (d != 1)."""
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def sample_stream(seed: int, index: int) -> np.random.Generator:
     """Counter-based stream: Philox keyed by (seed, index).
 
-    ``sample_riesz`` keys one stream per chunk of ``CHUNK`` draws, with the
-    chunk number as the index.
+    Both must lie in [0, 2**64).  ``sample_riesz`` keys one stream per chunk
+    of ``CHUNK`` draws, with the chunk number as the index.
     """
-    key = np.array([seed & _SEED_MASK, index], dtype=_U64)
+    key = np.array([seed, index], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
 
@@ -116,18 +118,14 @@ def sample_gamma(shape: float, rng: np.random.Generator, size=None):
     return float(x) if size is None else x
 
 
-def _chol_of_neg_inverse(a: np.ndarray, what: str) -> np.ndarray:
-    """Lower Cholesky factor C with C C^T = (-a)^{-1}; a must be neg. definite."""
+def _neg_inverse(a: np.ndarray, what: str) -> np.ndarray:
+    """Symmetrized (-a)^{-1}; raises TiltError unless Cholesky accepts -a."""
     try:
         np.linalg.cholesky(-a)
         inv = np.linalg.inv(-a)
     except np.linalg.LinAlgError as err:
         raise TiltError(f"{what} is not negative definite") from err
-    inv = 0.5 * (inv + inv.T)
-    try:
-        return np.linalg.cholesky(inv)
-    except np.linalg.LinAlgError as err:  # pragma: no cover - inv of PD is PD
-        raise TiltError(f"{what} inverse lost definiteness") from err
+    return 0.5 * (inv + inv.T)
 
 
 def _gamma_shapes(u_block: np.ndarray) -> np.ndarray:
@@ -167,13 +165,7 @@ def _plan_block(theta_dense: np.ndarray, start: int, width: int,
     t1 = sub[:width, :width]
     if tail > 0:
         t12 = sub[:width, width:]
-        t0 = sub[width:, width:]
-        try:
-            np.linalg.cholesky(-t0)
-            neg_t0_inv = np.linalg.inv(-t0)
-        except np.linalg.LinAlgError as err:
-            raise TiltError("trailing tilt block is not negative definite") from err
-        neg_t0_inv = 0.5 * (neg_t0_inv + neg_t0_inv.T)
+        neg_t0_inv = _neg_inverse(sub[width:, width:], "trailing tilt block")
         eta = t1 + t12 @ neg_t0_inv @ t12.T  # Schur complement t1 - t12 t0^{-1} t12^T
         coupling = t12 @ neg_t0_inv
         noise_chol = np.linalg.cholesky(0.5 * neg_t0_inv)
@@ -181,7 +173,7 @@ def _plan_block(theta_dense: np.ndarray, start: int, width: int,
         eta = t1
         coupling = np.zeros((width, 0))
         noise_chol = np.zeros((0, 0))
-    core_chol = _chol_of_neg_inverse(eta, "tilt Schur complement")
+    core_chol = np.linalg.cholesky(_neg_inverse(eta, "tilt Schur complement"))
     return _BlockPlan(start, width, tail, _gamma_shapes(u_block),
                       core_chol, coupling, noise_chol)
 
@@ -214,7 +206,7 @@ def _gram_factor(plan: _BlockPlan, g, o, z) -> np.ndarray:
     return m
 
 
-def _draw_sum(plans, rng: np.random.Generator, out: np.ndarray) -> np.ndarray:
+def _draw_sum(plans, rng: np.random.Generator, out: np.ndarray) -> None:
     """Fill ``out`` (size, r, r) with draws of the sum of the runs' factors."""
     out[...] = 0.0
     for plan in plans:
@@ -225,48 +217,6 @@ def _draw_sum(plans, rng: np.random.Generator, out: np.ndarray) -> np.ndarray:
     # makes every stored draw symmetric bit for bit
     rows, cols = np.triu_indices(out.shape[-1], 1)
     out[:, cols, rows] = out[:, rows, cols]
-    return out
-
-
-def sample_ac_riesz(u, eta, rng: np.random.Generator) -> np.ndarray:
-    """One draw of the absolutely continuous law with parameter u, tilt eta.
-
-    Parameters
-    ----------
-    u : sequence of length l with u_p > (p-1)/2
-    eta : l x l matrix with -eta positive definite
-    rng : the stream to draw from
-
-    Returns the l x l sample as a plain ndarray (positive definite a.s.).
-    """
-    u = np.asarray(u, dtype=float)
-    eta = np.asarray(eta, dtype=float)
-    l = len(u)
-    if eta.shape != (l, l):
-        raise SamplerError(f"tilt must be {l} x {l}, got {eta.shape}")
-    plan = _BlockPlan(0, l, 0, _gamma_shapes(u), _chol_of_neg_inverse(eta, "tilt"),
-                      np.zeros((l, 0)), np.zeros((0, 0)))
-    return _draw_sum([plan], rng, np.empty((1, l, l)))[0]
-
-
-def sample_singular_block(start: int, width: int, u_block, theta: SymElement,
-                          rng: np.random.Generator) -> SymElement:
-    """One draw of a single support-run factor, embedded in Sym(r).
-
-    The factor is supported on the trailing principal block of size
-    r - start; its core occupies the first ``width`` coordinates of that
-    block and the draw has rank ``width`` almost surely.
-    """
-    r = theta.shape.r
-    if not (0 <= start and width >= 1 and start + width <= r):
-        raise SamplerError(
-            f"invalid run: start {start}, width {width} for rank {r}"
-        )
-    u_block = np.asarray(u_block, dtype=float)
-    if u_block.shape != (width,):
-        raise SamplerError(f"core parameter must have length {width}")
-    plan = _plan_block(theta.dense(), start, width, u_block)
-    return SymElement._wrap(_draw_sum([plan], rng, np.empty((1, r, r)))[0])
 
 
 # -- batched sampling -------------------------------------------------------
@@ -277,37 +227,40 @@ class RieszSpec:
     """A fully validated sampling request.
 
     ``param`` must be admissible with multiplicity d = 1; ``theta`` must be
-    negative definite with margin (smallest eigenvalue of -theta at least
+    negative definite with margin (smallest eigenvalue of -theta above
     1e-10 times the Frobenius norm); ``count`` is the number of samples and
-    ``seed`` keys every per-sample stream.
+    ``seed``, in [0, 2**64), keys every per-chunk stream.  Construction also
+    derives ``plans``, the per-run sampling constants, so every tilt error
+    surfaces here.
     """
 
     param: GindikinParam
     theta: SymElement
     seed: int = 0
     count: int = 1
+    plans: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.param.d != 1.0:
             raise NonSamplableError(
                 f"only multiplicity d = 1 is samplable, got d = {self.param.d}"
             )
-        if not isinstance(self.count, int) or self.count < 1:
+        if not _is_int(self.count) or self.count < 1:
             raise SamplerError(f"count must be a positive integer, got {self.count!r}")
-        if not isinstance(self.seed, int):
-            raise SamplerError(f"seed must be an integer, got {self.seed!r}")
+        if not _is_int(self.seed) or not 0 <= self.seed < 1 << 64:
+            raise SamplerError(f"seed must be an integer in [0, 2**64), got {self.seed!r}")
         if self.theta.shape.r != self.param.r:
             raise SamplerError(
                 f"tilt rank {self.theta.shape.r} does not match parameter rank {self.param.r}"
             )
-        dec = algebra.spectral(self.theta)
-        top = float(dec.eigenvalues[0])
-        scale = self.theta.norm()
-        if scale == 0.0 or top > -TILT_MARGIN * scale:
-            raise TiltError(
-                f"-theta must be positive definite with margin: largest theta "
-                f"eigenvalue {top:.3e} vs bound {-TILT_MARGIN * scale:.3e}"
-            )
+        algebra.require_negative_definite(self.theta, TiltError, "theta",
+                                          margin=TILT_MARGIN)
+        part = self.partition
+        theta_dense = self.theta.dense()
+        object.__setattr__(self, "plans", tuple(
+            _plan_block(theta_dense, start, width, np.asarray(ub))
+            for start, width, ub in zip(part.starts, part.lengths, part.u_blocks)
+        ))
 
     @property
     def shape(self) -> AlgebraShape:
@@ -345,30 +298,28 @@ class RieszSpec:
         if not isinstance(obj, dict) or "s" not in obj:
             raise SamplerError('spec JSON must be an object with at least "s"')
         theta = obj.get("theta")
+        # seed and n go through unconverted, so that construction rejects
+        # anything but a JSON integer instead of truncating it
         return cls.build(
             s=obj["s"],
             theta=None if theta is None else SymElement.from_json_dict(theta),
-            seed=int(obj.get("seed", 0)),
-            count=int(obj.get("n", 1)),
+            seed=obj.get("seed", 0),
+            count=obj.get("n", 1),
             d=float(obj.get("d", 1.0)),
         )
 
 
 class SampleBatch:
-    """A stack of draws plus their draw indices.
+    """The ``spec.count`` draws of a spec, stacked in draw order.
 
-    ``stream_indices`` is ``arange(count)``: the index of each draw in the
-    run.  It is not a stream key; draw i comes from the stream of chunk
-    ``i // CHUNK``.
+    Draw i came from the stream of chunk ``i // CHUNK``.
     """
 
-    def __init__(self, spec: RieszSpec, matrices: np.ndarray,
-                 stream_indices: np.ndarray):
+    def __init__(self, spec: RieszSpec, matrices: np.ndarray):
         if matrices.shape != (spec.count, spec.param.r, spec.param.r):
             raise SamplerError(f"matrix stack has shape {matrices.shape}")
         self.spec = spec
         self.matrices = matrices
-        self.stream_indices = stream_indices
 
     def __len__(self) -> int:
         return self.matrices.shape[0]
@@ -403,23 +354,14 @@ def sample_riesz(spec: RieszSpec, workers: int = 1) -> SampleBatch:
         raise SamplerError(f"workers must be a positive integer, got {workers!r}")
     n = spec.count
     r = spec.param.r
-    indices = np.arange(n, dtype=_U64)
-    partition = spec.partition
-    if partition.k == 0:
-        return SampleBatch(spec, np.zeros((n, r, r)), indices)
-
-    theta_dense = spec.theta.dense()
-    plans = [
-        _plan_block(theta_dense, start, width, np.asarray(ub))
-        for start, width, ub in zip(partition.starts, partition.lengths,
-                                    partition.u_blocks)
-    ]
+    if not spec.plans:
+        return SampleBatch(spec, np.zeros((n, r, r)))
     # whole chunks, each assembled in place; the batch keeps the first n rows
     n_chunks = -(-n // CHUNK)
     out = np.empty((n_chunks * CHUNK, r, r))
 
     def fill(c: int):
-        _draw_sum(plans, sample_stream(spec.seed, c), out[c * CHUNK:(c + 1) * CHUNK])
+        _draw_sum(spec.plans, sample_stream(spec.seed, c), out[c * CHUNK:(c + 1) * CHUNK])
 
     if workers == 1 or n_chunks == 1:
         for c in range(n_chunks):
@@ -427,7 +369,7 @@ def sample_riesz(spec: RieszSpec, workers: int = 1) -> SampleBatch:
     else:
         with ThreadPoolExecutor(max_workers=min(workers, n_chunks)) as pool:
             list(pool.map(fill, range(n_chunks)))
-    return SampleBatch(spec, out[:n], indices)
+    return SampleBatch(spec, out[:n])
 
 
 # -- densities and serialization -------------------------------------------

@@ -3,8 +3,9 @@
 Every check here runs two genuinely independent routes and compares them:
 
 * ``laplace_exact`` evaluates the closed-form transform (a generalized power
-  of the negated inverse tilt) while ``laplace_mc`` re-estimates the same
-  ratio from sampler output by importance reweighting.
+  of the negated inverse tilt, through the package's one-pass minors) while
+  ``laplace_mc`` re-estimates the same ratio from sampler output by
+  importance reweighting.
 * ``quadrature_check_r2`` integrates the rank-2 density over the cone with
   an adaptive Gauss-Jacobi tensor rule and compares against the closed form.
 * ``identity_suite`` realizes the structural identities behind the sampler
@@ -12,9 +13,14 @@ Every check here runs two genuinely independent routes and compares them:
   minor/Schur complements) as numeric two-route checks on random batches.
 * ``rank_profile`` checks the almost-sure rank of singular draws.
 
-The suite holds the routes apart on purpose: one side goes through this
-package's hand-rolled primitives (Jordan products, one-pass minors, packed
-elements), the other through stock LAPACK calls on raw arrays.
+The suite holds the routes apart on purpose: the two minor identities put
+this package's hand-rolled one-pass minors against stock LAPACK
+determinants; the other seven compare two numpy routes on raw arrays
+(Kronecker determinants, composed symmetrized products, eigenvalue signs).
+
+Every whole-tilt check (the tilt of ``laplace_exact`` and
+``quadrature_integral_r2``, the variance guard of ``laplace_mc``) goes
+through ``algebra.require_negative_definite``.
 """
 
 from __future__ import annotations
@@ -24,7 +30,6 @@ import time
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.special import roots_jacobi
 
 from . import algebra
 from .algebra import SymElement
@@ -77,10 +82,8 @@ def laplace_exact(s, theta: SymElement) -> float:
         raise VerifyError(
             f"parameter length {param.r} does not match tilt rank {theta.shape.r}"
         )
-    dec = algebra.spectral(theta)
-    if float(dec.eigenvalues[0]) >= 0.0:
-        raise TiltError("tilt must be negative definite")
-    neg_inv = algebra.inverse(SymElement._wrap(-theta.dense()))
+    algebra.require_negative_definite(theta, TiltError, "tilt")
+    neg_inv = SymElement._wrap(np.linalg.inv(-theta.dense()))
     return algebra.generalized_power(neg_inv, param.s)
 
 
@@ -120,10 +123,8 @@ def laplace_mc(batch: SampleBatch, zeta: SymElement,
     if zeta.shape.r != theta.shape.r:
         raise VerifyError("zeta rank does not match the batch")
     guard = SymElement._wrap(2.0 * zeta.dense() - theta.dense())
-    if float(algebra.spectral(guard).eigenvalues[0]) >= 0.0:
-        raise VarianceGuardError(
-            "need -(2 zeta - theta) positive definite for finite weight variance"
-        )
+    algebra.require_negative_definite(
+        guard, VarianceGuardError, "2 zeta - theta (finite weight variance)")
     exact = laplace_exact(spec.param.s, zeta) / laplace_exact(spec.param.s, theta)
     diff = zeta.dense() - theta.dense()
     logw = np.einsum("nij,ij->n", batch.matrices, diff)
@@ -145,6 +146,9 @@ def laplace_mc(batch: SampleBatch, zeta: SymElement,
 
 def _jacobi_rule_01(n: int, alpha: float, beta: float):
     """Nodes/weights on [0, 1] for the weight t^beta (1-t)^alpha."""
+    # imported here so that importing the package does not load scipy
+    from scipy.special import roots_jacobi
+
     x, w = roots_jacobi(n, alpha, beta)
     return 0.5 * (x + 1.0), w * 0.5 ** (alpha + beta + 1.0)
 
@@ -171,8 +175,7 @@ def quadrature_integral_r2(s, theta: SymElement, moment=None,
             f"need s1 > 0 and s2 > 1/2 for an integrable density, got {s.tolist()}"
         )
     td = theta.dense()
-    if float(algebra.spectral(theta).eigenvalues[0]) >= 0.0:
-        raise TiltError("tilt must be negative definite")
+    algebra.require_negative_definite(theta, TiltError, "tilt")
     t11, t22, t12 = td[0, 0], td[1, 1], td[0, 1]
     alpha = s2 - 1.5
     prefactor = math.sqrt(2.0) * 2.0 * 4.0 ** alpha

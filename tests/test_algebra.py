@@ -2,8 +2,6 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from rieszcone import algebra as al
@@ -62,16 +60,6 @@ def test_shape_dimension():
         al.AlgebraShape(0)
 
 
-def test_constant_elements():
-    assert np.array_equal(al.identity(3).dense(), np.eye(3))
-    assert np.array_equal(al.zero(2).dense(), np.zeros((2, 2)))
-    c2 = al.unit_idempotent(3, 2).dense()
-    assert c2[1, 1] == 1.0 and c2.sum() == 1.0
-    assert np.array_equal(al.sigma(4, 2).dense(), np.diag([1.0, 1.0, 0.0, 0.0]))
-    with pytest.raises(al.AlgebraError):
-        al.unit_idempotent(3, 4)
-
-
 # ---------------------------------------------------------------- products
 
 
@@ -96,49 +84,6 @@ def test_inner_norm_is_frobenius():
     assert_allclose(x.norm(), np.linalg.norm(x.dense()), rtol=1e-13)
 
 
-def test_jordan_product_annihilating_pair():
-    # the reflection and the signature matrix anticommute, so the
-    # symmetrized product vanishes identically
-    x = sym([[0, 1], [1, 0]])
-    y = sym([[1, 0], [0, -1]])
-    assert np.array_equal(al.jordan_product(x, y).dense(), np.zeros((2, 2)))
-
-
-@settings(deadline=None, max_examples=40)
-@given(st.integers(2, 5), st.integers(0, 10**9))
-def test_jordan_axioms(r, seed):
-    """Commutativity and the weak-associativity substitute."""
-    rng = np.random.default_rng(seed)
-    x, y = random_sym(rng, r), random_sym(rng, r)
-    xy = al.jordan_product(x, y)
-    yx = al.jordan_product(y, x)
-    assert np.array_equal(xy.dense(), yx.dense())
-    xsq = al.jordan_product(x, x)
-    lhs = al.jordan_product(x, al.jordan_product(xsq, y))
-    rhs = al.jordan_product(xsq, al.jordan_product(x, y))
-    assert_allclose(lhs.dense(), rhs.dense(), atol=1e-10 * max(1.0, x.norm()) ** 3)
-
-
-def test_quadratic_rep_composition_formula():
-    # P(x)y = 2 x o (x o y) - x^2 o y
-    rng = np.random.default_rng(11)
-    for r in (2, 4):
-        x, y = random_sym(rng, r), random_sym(rng, r)
-        direct = al.quadratic_rep(x, y).dense()
-        xsq = al.jordan_product(x, x)
-        composed = (2.0 * al.jordan_product(x, al.jordan_product(x, y)).dense()
-                    - al.jordan_product(xsq, y).dense())
-        assert_allclose(direct, composed, atol=1e-12 * max(1.0, x.norm() ** 2))
-
-
-def test_quadratic_rep_of_projector_truncates():
-    x = sym([[1, 2, 3], [2, 4, 5], [3, 5, 6]])
-    got = al.quadratic_rep(al.sigma(3, 2), x).dense()
-    want = np.zeros((3, 3))
-    want[:2, :2] = x.dense()[:2, :2]
-    assert np.array_equal(got, want)
-
-
 # ---------------------------------------------------------------- spectral
 
 
@@ -161,33 +106,22 @@ def test_spectral_invariants(r):
         assert np.all(np.diff(dec.eigenvalues) <= 1e-12 * scale)
 
 
-def test_spectral_sweep_cap_raises():
-    with pytest.raises(al.JacobiConvergenceError):
-        al.spectral(sym([[0, 1], [1, 0]]), max_sweeps=0)
+class _Refused(Exception):
+    pass
 
 
-def test_sqrt_psd_and_inverse():
-    rng = np.random.default_rng(17)
-    x = random_cone(rng, 4)
-    root = al.sqrt_psd(x)
-    assert_allclose(root.dense() @ root.dense(), x.dense(),
-                    atol=1e-11 * x.norm())
-    inv = al.inverse(x)
-    assert_allclose(inv.dense() @ x.dense(), np.eye(4), atol=1e-9)
-    with pytest.raises(al.NotPositiveDefiniteError):
-        al.sqrt_psd(sym([[1, 0], [0, -1]]))
-    with pytest.raises(al.SingularElementError):
-        al.inverse(sym([[1, 0], [0, 0]]))
-
-
-def test_sqrt_psd_clamps_roundoff_negatives():
-    # a rank-1 projector built from a rotation has one eigenvalue that lands
-    # within roundoff of zero; the root must not choke on it
-    c, s = math.cos(0.3), math.sin(0.3)
-    v = np.array([c, s])
-    x = sym(np.outer(v, v))
-    root = al.sqrt_psd(x)
-    assert_allclose(root.dense(), np.outer(v, v), atol=1e-12)
+def test_require_negative_definite_margin():
+    # the caller picks the error type; the zero element and a zero
+    # eigenvalue fail even at margin 0, and the margin is relative to the
+    # Frobenius norm
+    al.require_negative_definite(sym([[-1, 0.5], [0.5, -1]]), _Refused, "x")
+    for bad in ([[0, 0], [0, 0]], [[-1, 0], [0, 0]], [[-1, 0], [0, 1]]):
+        with pytest.raises(_Refused, match="largest eigenvalue"):
+            al.require_negative_definite(sym(bad), _Refused, "x")
+    thin = sym(np.diag([-1.0, -1e-3]))
+    al.require_negative_definite(thin, _Refused, "x", margin=1e-4)
+    with pytest.raises(_Refused):
+        al.require_negative_definite(thin, _Refused, "x", margin=1e-3)
 
 
 # ---------------------------------------------------------------- minors
@@ -263,109 +197,3 @@ def test_log_generalized_power_consistency():
                     math.log(al.generalized_power(x, s)), rtol=1e-12)
 
 
-# ------------------------------------------------------- blocks and embeds
-
-
-def test_peirce_split_reassembles():
-    x = sym([[1, 2, 3], [2, 4, 5], [3, 5, 6]])
-    split = al.peirce_split(x, 1)
-    assert split.x1.shape == (1, 1)
-    assert split.x12.shape == (1, 2)
-    assert np.array_equal(split.assemble().dense(), x.dense())
-    with pytest.raises(al.AlgebraError):
-        al.peirce_split(x, 3)
-
-
-def test_half_space_element_embedding():
-    b = np.array([[1.0, 2.0]])
-    v = al.half_space_element(b, 3)
-    want = np.array([[0, 1, 2], [1, 0, 0], [2, 0, 0]], dtype=float)
-    assert np.array_equal(v.dense(), want)
-    # the trace pairing of two embeddings doubles the flat block pairing
-    c = np.array([[3.0, -1.0]])
-    w = al.half_space_element(c, 3)
-    assert al.inner(v, w) == pytest.approx(2.0 * np.sum(b * c))
-
-
-def test_alpha_map_frozen_value():
-    # A = [4], B = [1]: sqrt(A) B = 2, B^T B = 1
-    got = al.alpha_map(np.array([[4.0]]), np.array([[1.0]]))
-    assert_allclose(got.dense(), [[4, 2], [2, 1]], atol=1e-14)
-
-
-def test_alpha_map_is_low_rank_psd():
-    rng = np.random.default_rng(31)
-    a = random_cone(rng, 2).dense()
-    b = rng.standard_normal((2, 3))
-    x = al.alpha_map(a, b)
-    ev = np.linalg.eigvalsh(x.dense())
-    assert ev[0] > -1e-10
-    assert np.sum(ev > 1e-10) == 2
-
-
-def test_alpha_map_requires_positive_definite_core():
-    with pytest.raises(al.NotPositiveDefiniteError):
-        al.alpha_map(np.array([[0.0]]), np.array([[1.0]]))
-
-
-def test_invert_alpha_roundtrip():
-    rng = np.random.default_rng(37)
-    a = random_cone(rng, 2).dense()
-    b = rng.standard_normal((2, 2))
-    x = al.alpha_map(a, b)
-    a2, b2 = al.invert_alpha(x, 2)
-    assert_allclose(a2, a, atol=1e-12)
-    assert_allclose(b2, b, atol=1e-10)
-
-
-def test_invert_alpha_frozen_value():
-    a, b = al.invert_alpha(SymElement.from_dense([[4.0, 2.0], [2.0, 1.0]]), 1)
-    assert_allclose(a, [[4.0]])
-    assert_allclose(b, [[1.0]])
-
-
-def test_invert_alpha_rejects_points_off_the_orbit():
-    # perturbing the trailing block breaks the closure x0 = x12^T A^-1 x12
-    x = SymElement.from_dense([[4.0, 2.0], [2.0, 1.5]])
-    with pytest.raises(al.AlgebraError):
-        al.invert_alpha(x, 1)
-
-
-def test_half_space_op_leading():
-    # operator B -> A B on 2x1 blocks, A = diag(2,3): determinant 2*3 = 6
-    op, det = al.half_space_op(np.diag([2.0, 3.0]), "leading", 2, 3)
-    assert det == pytest.approx(6.0)
-    assert_allclose(op(np.array([[1.0], [1.0]])), [[2.0], [3.0]])
-
-
-def test_half_space_op_trailing():
-    rng = np.random.default_rng(41)
-    z = random_cone(rng, 2).dense()
-    op, det = al.half_space_op(z, "trailing", 1, 3)
-    b = rng.standard_normal((1, 2))
-    assert_allclose(op(b), b @ z, atol=1e-13)
-    assert_allclose(det, np.linalg.det(z), rtol=1e-12)
-
-
-def test_half_space_op_determinant_power_law():
-    rng = np.random.default_rng(43)
-    for r, l in [(3, 1), (4, 2), (5, 3)]:
-        a = random_cone(rng, l).dense()
-        _, det = al.half_space_op(a, "leading", l, r)
-        assert_allclose(det, np.linalg.det(a) ** (r - l), rtol=1e-10)
-
-
-def test_half_space_op_inverse_composition():
-    rng = np.random.default_rng(47)
-    a = random_cone(rng, 2).dense()
-    fwd, _ = al.half_space_op(a, "leading", 2, 4)
-    back, _ = al.half_space_op(np.linalg.inv(a), "leading", 2, 4)
-    b = rng.standard_normal((2, 2))
-    assert_allclose(back(fwd(b)), b, atol=1e-11)
-
-
-def test_half_space_op_validates():
-    with pytest.raises(al.AlgebraError):
-        al.half_space_op(np.eye(2), "sideways", 2, 3)
-    with pytest.raises(al.ShapeMismatchError):
-        al.half_space_op(np.eye(3), "leading", 2, 3)

@@ -68,6 +68,12 @@ def test_check_zero_tol_flag(capsys):
     ("sample", "--s", "1,1", "--format", "tsv"),
     ("frobnicate",),
     (),
+    ("sample", "--s", "1,1", "--workers", "0"),
+    ("sample", "--s", "1,1", "--workers", "2.5"),
+    ("verify", "--s", "1,1", "--zeta", THETA_2, "--workers", "0"),
+    ("verify", "--s", "1,1", "--zeta", THETA_2, "--workers", "-1"),
+    ("sample", "--s", "1,1", "--seed", "-1"),
+    ("sample", "--s", "1,1", "--seed", str(1 << 64)),
 ])
 def test_usage_errors_exit_64(capsys, argv):
     with pytest.raises(SystemExit) as exc:
@@ -167,6 +173,14 @@ def test_sample_spec_file_errors(capsys, tmp_path):
         cli.main(["sample", "--spec", str(rejected), "--s", "1,1"])
     assert exc.value.code == 64
 
+    # seed and n must be JSON integers in range, never truncated or masked
+    for key, value in (("n", 2.9), ("seed", 1.7), ("seed", -1), ("seed", 1 << 64)):
+        odd = tmp_path / "odd.json"
+        odd.write_text(json.dumps({"s": [1.0, 1.0], key: value}))
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["sample", "--spec", str(odd)])
+        assert exc.value.code == 64, (key, value)
+
 
 def test_sample_theta_from_file(capsys, tmp_path):
     theta_file = tmp_path / "theta.json"
@@ -189,6 +203,21 @@ def test_sample_rejections(capsys):
     code, _, err = run(capsys, "sample", "--s", "1,1",
                        "--theta", '{"r":2,"data":[[0.0,0],[0,0.0]]}')
     assert code == 3
+
+
+def test_tilt_the_sampler_cannot_factor_exits_3(capsys, tmp_path):
+    # passes the eigenvalue margin, but its Schur complement is not
+    # numerically negative definite (see the sampling tests)
+    q = np.linalg.qr(np.random.default_rng(26).standard_normal((8, 8)))[0]
+    n = q @ np.diag(np.logspace(-9.7, 0, 8)) @ q.T
+    theta = tmp_path / "theta.json"
+    theta.write_text(json.dumps({"r": 8, "data": (-0.5 * (n + n.T)).tolist()}))
+    u = "1,0,1,0,1,0,1,0"
+    code, out, err = run(capsys, "sample", "--u", u, "--theta", str(theta), "--n", "3")
+    assert code == 3 and out == "" and "Schur complement" in err
+    code, out, err = run(capsys, "verify", "--u", u, "--theta", str(theta),
+                         "--zeta", str(theta), "--n", "3")
+    assert code == 3 and out == "" and "Schur complement" in err
 
 
 # -------------------------------------------------------------------- verify
@@ -279,6 +308,15 @@ def test_selftest_smoke(capsys):
 
 
 # ------------------------------------------------------------- console script
+
+
+def test_import_does_not_load_scipy():
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, rieszcone; print('scipy' in sys.modules)"],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 0 and proc.stdout.strip() == "False"
 
 
 def test_console_script_is_wired():

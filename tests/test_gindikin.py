@@ -175,7 +175,7 @@ def test_index_and_gap_sets_tile_everything():
 
 def test_block_params_hand_traced():
     part = gk.build_partition(gk.param_from_u([0, 1, 2, 0, 0, 3, 0]))
-    pairs = gk.block_params(part)
+    pairs = list(zip(part.u_blocks, part.s_blocks))
     assert pairs == [
         ((1.0, 2.5), (0, 1, 2.5, 1, 1, 1, 1)),
         ((3.0,), (0, 0, 0, 0, 0, 3, 0.5)),
@@ -183,14 +183,15 @@ def test_block_params_hand_traced():
 
 
 def test_block_params_trailing_run_has_no_constant_tail():
-    pairs = gk.block_params(gk.build_partition(gk.param_from_u([1.0, 0.0])))
+    part = gk.build_partition(gk.param_from_u([1.0, 0.0]))
+    pairs = list(zip(part.u_blocks, part.s_blocks))
     assert pairs == [((1.0,), (1.0, 0.5))]
 
 
 def test_block_params_full_run_reproduces_s():
     u = [2.0, 0.25, 1.0, 3.0]
     part = gk.build_partition(gk.param_from_u(u))
-    ((ub, sb),) = gk.block_params(part)
+    ((ub, sb),) = zip(part.u_blocks, part.s_blocks)
     assert ub == tuple(np.asarray(u) + 0.5 * np.arange(4))
     assert sb == part.param.s
 

@@ -68,64 +68,58 @@ def test_sample_gamma_rejects_nonpositive_shape():
         sp.sample_gamma(0.0, rng)
 
 
-# ------------------------------------------------------------------ one block
+# ------------------------------------------------------------------ one run
 
 
 def test_ac_block_is_positive_definite():
-    rng = sp.sample_stream(5, 0)
-    for _ in range(50):
-        x = sp.sample_ac_riesz([0.8, 1.4, 2.0], -np.eye(3), rng)
+    # u = (0.8, 0.9, 1.0) is one full-width run, core parameter (0.8, 1.4, 2.0)
+    spec = sp.RieszSpec.build(u=[0.8, 0.9, 1.0], seed=5, count=50)
+    assert spec.partition.u_blocks == ((0.8, 1.4, 2.0),)
+    for x in sp.sample_riesz(spec).matrices:
         assert np.array_equal(x, x.T)
         assert np.linalg.eigvalsh(x)[0] > 0
 
 
 def test_ac_block_validates_inputs():
-    rng = sp.sample_stream(0, 0)
+    # the core parameters of a run are validated when the spec is built:
+    # u = (1, 1e-300) passes admissibility, but its second gamma shape
+    # (1e-300 + 1/2) - 1/2 rounds to zero
+    with pytest.raises(sp.SamplerError, match="gamma shape"):
+        sp.RieszSpec.build(u=[1.0, 1e-300])
     with pytest.raises(sp.SamplerError):
-        sp.sample_ac_riesz([0.5, 0.5], -np.eye(2), rng)  # u_2 <= 1/2
-    with pytest.raises(sp.SamplerError):
-        sp.sample_ac_riesz([1.0], -np.eye(2), rng)
+        sp.RieszSpec.build(u=[1.0], theta=SymElement.from_dense(-np.eye(2)))
     with pytest.raises(sp.TiltError):
-        sp.sample_ac_riesz([1.0, 1.0], np.eye(2), rng)
+        sp.RieszSpec.build(u=[1.0, 1.0], theta=SymElement.from_dense(np.eye(2)))
 
 
 def test_ac_block_determinant_is_product_of_gammas():
-    # with tilt -I/ the Cholesky construction gives det X = prod of the
-    # squared diagonal, i.e. a product of independent gamma variates; check
-    # the log-determinant mean against sum of digamma values
+    # with tilt -I the Cholesky construction gives det X = prod of the
+    # squared diagonal, i.e. a product of independent gamma variates whose
+    # shapes are the u coordinates; check the log-determinant mean against
+    # the sum of digamma values
     u = np.array([1.0, 1.5])
-    shapes = u - 0.5 * np.arange(2)
-    rng = sp.sample_stream(17, 0)
     n = 4000
-    logdets = np.empty(n)
-    for i in range(n):
-        logdets[i] = math.log(np.linalg.det(sp.sample_ac_riesz(u, -np.eye(2), rng)))
+    spec = sp.RieszSpec.build(u=u, seed=17, count=n)
+    logdets = np.linalg.slogdet(sp.sample_riesz(spec).matrices)[1]
     from scipy.special import psi
 
-    want = psi(shapes).sum()
+    want = psi(u).sum()
     se = logdets.std(ddof=1) / math.sqrt(n)
     assert abs(logdets.mean() - want) < 5 * se
 
 
 def test_singular_block_support_and_rank():
-    theta = nd_tilt(5, seed=2)
-    rng = sp.sample_stream(9, 0)
-    for _ in range(25):
-        x = sp.sample_singular_block(1, 2, [1.0, 1.7], theta, rng).dense()
-        # rows before the run start stay identically zero
+    # one run of width 2 with core parameter (1.0, 1.7), starting at index 1
+    spec = sp.RieszSpec.build(u=[0.0, 1.0, 1.2, 0.0, 0.0], theta=nd_tilt(5, seed=2),
+                              seed=9, count=25)
+    assert spec.partition.starts == (1,)
+    assert spec.partition.u_blocks == ((1.0, 1.7),)
+    for x in sp.sample_riesz(spec).matrices:
+        # the row and column before the run start stay identically zero
         assert np.all(x[0, :] == 0.0) and np.all(x[:, 0] == 0.0)
         ev = np.linalg.eigvalsh(x)
         assert ev[0] > -1e-10 * ev[-1]
         assert np.sum(ev > 1e-10 * ev[-1]) == 2
-
-
-def test_singular_block_validates_run():
-    theta = nd_tilt(3)
-    rng = sp.sample_stream(0, 0)
-    with pytest.raises(sp.SamplerError):
-        sp.sample_singular_block(2, 2, [1.0, 1.0], theta, rng)
-    with pytest.raises(sp.SamplerError):
-        sp.sample_singular_block(0, 2, [1.0], theta, rng)
 
 
 # --------------------------------------------------------- sampling request
@@ -169,6 +163,37 @@ def test_spec_validation():
             sp.RieszSpec.build(u=[1.0, 1.0], theta=SymElement.from_dense(bad))
 
 
+def test_spec_rejects_a_tilt_the_sampler_cannot_factor():
+    # -theta passes the 1e-10 relative eigenvalue margin, but its Schur
+    # complement loses definiteness to roundoff; construction must refuse
+    # it instead of sample_riesz failing later
+    q = np.linalg.qr(np.random.default_rng(26).standard_normal((8, 8)))[0]
+    n = q @ np.diag(np.logspace(-9.7, 0, 8)) @ q.T
+    theta = SymElement.from_dense(-0.5 * (n + n.T))
+    with pytest.raises(sp.TiltError, match="Schur complement"):
+        sp.RieszSpec.build(u=[1, 0, 1, 0, 1, 0, 1, 0], theta=theta)
+
+
+def test_spec_seed_range():
+    # seeds key Philox directly, so values outside [0, 2**64) would alias
+    for bad in (-1, 1 << 64):
+        with pytest.raises(sp.SamplerError, match="seed"):
+            sp.RieszSpec.build(u=[1.0], seed=bad)
+    top = sp.RieszSpec.build(u=[1.0], seed=(1 << 64) - 1, count=3)
+    zero = sp.RieszSpec.build(u=[1.0], seed=0, count=3)
+    assert not np.array_equal(sp.sample_riesz(top).matrices,
+                              sp.sample_riesz(zero).matrices)
+
+
+def test_spec_json_requires_integers():
+    base = {"s": [1.0, 1.0], "seed": 3, "n": 2}
+    assert sp.RieszSpec.from_json_dict(base).count == 2
+    for key, value in (("n", 2.9), ("n", 2.0), ("n", "2"), ("n", True),
+                       ("seed", 1.7), ("seed", "3"), ("seed", -1)):
+        with pytest.raises(sp.SamplerError):
+            sp.RieszSpec.from_json_dict({**base, key: value})
+
+
 # ------------------------------------------------------------ batch sampling
 
 
@@ -198,7 +223,6 @@ def test_sample_riesz_streams_are_per_index():
     short = sp.sample_riesz(sp.RieszSpec.build(u=[1.1, 0.6], seed=8, count=n_short))
     long = sp.sample_riesz(sp.RieszSpec.build(u=[1.1, 0.6], seed=8, count=n_long))
     assert np.array_equal(short.matrices, long.matrices[:n_short])
-    assert np.array_equal(short.stream_indices, np.arange(n_short))
     other = sp.sample_riesz(sp.RieszSpec.build(u=[1.1, 0.6], seed=9, count=n_short))
     assert not np.array_equal(short.matrices, other.matrices)
 

@@ -187,8 +187,7 @@ def test_psd_check():
     ok, worst = vf.psd_check(batch)
     assert ok and worst <= 1e-9
     tampered = sp.SampleBatch(RieszSpec.build(u=[1.0, 0.5], count=1),
-                              np.array([[[1.0, 0.0], [0.0, -0.5]]]),
-                              np.arange(1))
+                              np.array([[[1.0, 0.0], [0.0, -0.5]]]))
     ok, worst = vf.psd_check(tampered)
     assert not ok and worst > 0.1
 
