@@ -1,3 +1,4 @@
+import csv
 import io
 import json
 import math
@@ -8,6 +9,7 @@ from numpy.testing import assert_allclose
 from scipy import stats
 from scipy.special import gammaln
 
+from rieszcone import cli
 from rieszcone import sampling as sp
 from rieszcone.algebra import SymElement
 from rieszcone.gindikin import param_from_u
@@ -354,3 +356,82 @@ def test_write_ndjson_layout():
     for i, line in enumerate(lines[1:]):
         el = SymElement.from_json_dict(json.loads(line))
         assert np.array_equal(el.dense(), batch.matrices[i])
+
+
+# The writers as they were before output was streamed, kept as the reference:
+# one SymElement, dense() and json.dumps per draw, and csv.writer with one
+# repr per value.  The streamed writers must reproduce their bytes exactly.
+
+
+def _ref_header(spec):
+    return {"spec": spec.to_json_dict(), "partition": spec.partition.to_json_dict()}
+
+
+def ref_ndjson(spec, matrices):
+    lines = [json.dumps(_ref_header(spec), separators=(",", ":"))]
+    for m in matrices:
+        el = SymElement._wrap(m)
+        lines.append(json.dumps(el.to_json_dict(), separators=(",", ":")))
+    return "".join(line + "\n" for line in lines)
+
+
+def ref_json(spec, matrices):
+    doc = dict(_ref_header(spec),
+               samples=[SymElement._wrap(m).to_json_dict() for m in matrices])
+    return json.dumps(doc, indent=2) + "\n"
+
+
+def ref_csv(spec, matrices):
+    rows, cols = np.triu_indices(spec.param.r)
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow([f"x_{i + 1}_{j + 1}" for i, j in zip(rows, cols)])
+    for row in matrices[:, rows, cols]:
+        writer.writerow([repr(float(v)) for v in row])
+    return buf.getvalue()
+
+
+REF_WRITERS = {"ndjson": ref_ndjson, "json": ref_json, "csv": ref_csv}
+
+
+def rotated_tilt(r, seed, lo=0.5, hi=5.0):
+    """Dense tilt whose -theta has eigenvalues spread over [lo, hi]."""
+    rng = np.random.default_rng(seed)
+    q, _ = np.linalg.qr(rng.standard_normal((r, r)))
+    lam = np.sort(rng.uniform(lo, hi, r))
+    lam[0], lam[-1] = lo, hi
+    neg = (q * lam) @ q.T
+    return -0.5 * (neg + neg.T)
+
+
+WIDE_R8_U = [1.5, 0.8, 0.0, 1.2, 0.6, 0.9, 0.0, 0.0]
+WIDE_R8_THETA = json.dumps({"r": 8, "data": rotated_tilt(8, 5).tolist()})
+
+# (u, theta as CLI JSON or None, seed, workers): r = 1, the README law and a
+# wide r = 8 law under a rotated tilt, each over two chunk boundaries
+WRITER_CASES = {
+    "r1": ([0.7], None, 3, 1),
+    "readme": ([1.2, 0.0, 0.7, 0.0], None, 42, 1),
+    "wide_r8_w1": (WIDE_R8_U, WIDE_R8_THETA, 9, 1),
+    "wide_r8_w2": (WIDE_R8_U, WIDE_R8_THETA, 9, 2),
+}
+
+
+@pytest.mark.parametrize("fmt", sorted(REF_WRITERS))
+@pytest.mark.parametrize("case", sorted(WRITER_CASES))
+def test_cli_output_matches_reference_writers(tmp_path, capsys, case, fmt):
+    u, theta, seed, workers = WRITER_CASES[case]
+    n = 2 * sp.CHUNK + 7
+    path = tmp_path / f"draws.{fmt}"
+    argv = ["sample", "--u", ",".join(map(repr, u)), "--n", str(n),
+            "--seed", str(seed), "--workers", str(workers),
+            "--format", fmt, "--out", str(path)]
+    if theta is not None:
+        argv += ["--theta", theta]
+    assert cli.main(argv) == 0
+    capsys.readouterr()
+    spec = sp.RieszSpec.build(
+        u=u, theta=None if theta is None else SymElement.from_json_dict(json.loads(theta)),
+        seed=seed, count=n)
+    want = REF_WRITERS[fmt](spec, sp.sample_riesz(spec).matrices)
+    assert path.read_bytes() == want.encode()
