@@ -28,6 +28,7 @@ from .sampling import (  # noqa: F401
     SampleBatch,
     sample_stream,
     sample_gamma,
+    sample_chunks,
     sample_riesz,
     log_density_ac,
 )

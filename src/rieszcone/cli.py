@@ -4,7 +4,7 @@ Machine-readable output (JSON / NDJSON / CSV) goes to stdout or ``--out``;
 human prose goes to stderr.  Exit codes are scripting-stable:
 
 * 0  success
-* 1  a check or verification failed
+* 1  a check or verification failed, or a draw had a non-finite entry
 * 2  parameter outside the admissible set (or no density exists for it)
 * 3  bad tilt: theta/zeta unreadable, not negative definite, or the
      variance guard rejected the requested reweighting
@@ -14,22 +14,24 @@ human prose goes to stderr.  Exit codes are scripting-stable:
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import sys
+import time
 from dataclasses import dataclass
-
-import numpy as np
 
 from .algebra import SymElement
 from .gindikin import GindikinError, NotInGindikinSetError, membership_report, u_from_s
 from .sampling import (
+    CHUNK,
     NonSamplableError,
     RieszSpec,
     SamplerError,
     TiltError,
     log_density_ac,
+    sample_chunks,
     sample_riesz,
+    write_csv,
+    write_json,
     write_ndjson,
 )
 from .verify import VerifyError, laplace_mc, run_selftest
@@ -92,6 +94,7 @@ class CliConfig:
     workers: int = 1
     out: str | None = None
     format: str = "ndjson"
+    stats: bool = False
     trials: int = 500
     r: int | None = None
 
@@ -132,6 +135,8 @@ def _build_parser() -> _Parser:
     sp.add_argument("--format", choices=("ndjson", "json", "csv"),
                     default="ndjson")
     sp.add_argument("--out", metavar="PATH", help="write here instead of stdout")
+    sp.add_argument("--stats", action="store_true",
+                    help="print one JSON line of run statistics to stderr")
 
     sp = sub.add_parser("verify",
                         help="Monte Carlo transform check against the closed form")
@@ -226,36 +231,49 @@ def _build_spec(cfg: CliConfig, parser: _Parser) -> RieszSpec | int:
         parser.error(str(err))
 
 
-def _write_samples(cfg: CliConfig, batch, fp) -> None:
-    if cfg.format == "ndjson":
-        write_ndjson(batch, fp)
-    elif cfg.format == "json":
-        doc = {
-            "spec": batch.spec.to_json_dict(),
-            "partition": batch.spec.partition.to_json_dict(),
-            "samples": [el.to_json_dict() for el in batch.elements()],
-        }
-        fp.write(json.dumps(doc, indent=2) + "\n")
-    else:
-        r = batch.spec.param.r
-        rows, cols = np.triu_indices(r)
-        writer = csv.writer(fp, lineterminator="\n")
-        writer.writerow([f"x_{i + 1}_{j + 1}" for i, j in zip(rows, cols)])
-        for row in batch.packed():
-            writer.writerow([repr(float(v)) for v in row])
-
-
 def cmd_sample(cfg: CliConfig, parser: _Parser) -> int:
     spec = _build_spec(cfg, parser)
     if isinstance(spec, int):
         return spec
-    batch = sample_riesz(spec, workers=cfg.workers)
-    if cfg.out is None:
-        _write_samples(cfg, batch, sys.stdout)
-    else:
-        with open(cfg.out, "w") as fh:
-            _write_samples(cfg, batch, fh)
-        print(f"wrote {len(batch)} samples to {cfg.out}", file=sys.stderr)
+    write = {"ndjson": write_ndjson, "json": write_json, "csv": write_csv}[cfg.format]
+    draw_s, n_chunks = 0.0, 0
+
+    def timed_chunks():
+        nonlocal draw_s, n_chunks
+        chunks = sample_chunks(spec, workers=cfg.workers)
+        while True:
+            t0 = time.perf_counter()
+            chunk = next(chunks, None)
+            draw_s += time.perf_counter() - t0
+            if chunk is None:
+                return
+            n_chunks += 1
+            yield chunk
+
+    t0 = time.perf_counter()
+    try:
+        if cfg.out is None:
+            write(spec, timed_chunks(), sys.stdout)
+        else:
+            with open(cfg.out, "w") as fh:
+                write(spec, timed_chunks(), fh)
+    except SamplerError as err:
+        print(f"rieszcone sample: {err}", file=sys.stderr)
+        return EXIT_FAIL
+    total_s = time.perf_counter() - t0
+    if cfg.out is not None:
+        print(f"wrote {spec.count} samples to {cfg.out}", file=sys.stderr)
+    if cfg.stats:
+        print(json.dumps({
+            "spec_digest": spec.digest(),
+            "n": spec.count,
+            "chunk": CHUNK,
+            "chunks": n_chunks,
+            "workers": cfg.workers,
+            "draw_s": draw_s,
+            "write_s": total_s - draw_s,
+            "draws_per_s": spec.count / total_s,
+        }), file=sys.stderr)
     return EXIT_OK
 
 

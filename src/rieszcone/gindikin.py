@@ -58,17 +58,23 @@ class GammaPoleError(GindikinError):
     pass
 
 
-def _as_float_vector(x, name: str) -> np.ndarray:
+def _as_float_vector(x, name: str) -> list:
+    """``x`` as a nonempty list of finite Python floats.
+
+    The recursions below run on Python floats: on 1 to 8 entries, numpy's
+    per-call and per-scalar costs outweigh the arithmetic.
+    """
     arr = np.asarray(x, dtype=float)
     if arr.ndim != 1 or arr.size == 0:
         raise GindikinError(f"{name} must be a nonempty 1-d sequence, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
+    values = arr.tolist()
+    if not all(map(math.isfinite, values)):
         raise GindikinError(f"{name} must be finite")
-    return arr
+    return values
 
 
 def _check_d(d: float):
-    if not (np.isfinite(d) and d > 0):
+    if not (math.isfinite(d) and d > 0):
         raise GindikinError(f"multiplicity d must be a positive real, got {d!r}")
 
 
@@ -76,11 +82,16 @@ def s_from_u(u, d: float = 1.0) -> np.ndarray:
     """Forward map: s_i = u_i + (d/2) * (number of positive u before i)."""
     uu = _as_float_vector(u, "u")
     _check_d(d)
-    if np.any(uu < 0):
-        bad = int(np.argmax(uu < 0))
-        raise GindikinError(f"u must be nonnegative, got u_{bad + 1} = {uu[bad]}")
-    count = np.concatenate([[0], np.cumsum(uu > 0)[:-1]])
-    return uu + 0.5 * d * count
+    half_d = 0.5 * float(d)
+    s = []
+    count = 0
+    for i, ui in enumerate(uu):
+        if ui < 0:
+            raise GindikinError(f"u must be nonnegative, got u_{i + 1} = {ui}")
+        s.append(ui + half_d * count)
+        if ui > 0:
+            count += 1
+    return np.array(s)
 
 
 @dataclass(frozen=True)
@@ -118,25 +129,26 @@ def u_from_s(s, d: float = 1.0, zero_tol: float = 0.0) -> GindikinParam:
     _check_d(d)
     if zero_tol < 0:
         raise GindikinError(f"zero_tol must be nonnegative, got {zero_tol}")
-    u = np.empty_like(ss)
+    half_d = 0.5 * float(d)
+    u = []
     count = 0
     for i, si in enumerate(ss):
-        ui = si - 0.5 * d * count
+        ui = si - half_d * count
         if abs(ui) <= zero_tol:
             ui = 0.0
         if ui < 0:
-            raise NotInGindikinSetError(i + 1, float(ui), ss)
-        u[i] = ui
+            raise NotInGindikinSetError(i + 1, ui, ss)
+        u.append(ui)
         if ui > 0:
             count += 1
-    return GindikinParam(r=len(ss), d=float(d), s=tuple(map(float, ss)), u=tuple(map(float, u)))
+    return GindikinParam(r=len(ss), d=float(d), s=tuple(ss), u=tuple(u))
 
 
 def param_from_u(u, d: float = 1.0) -> GindikinParam:
     """Build an admissible parameter directly from nonnegative u."""
     ss = s_from_u(u, d)
     uu = _as_float_vector(u, "u")
-    return GindikinParam(r=len(uu), d=float(d), s=tuple(map(float, ss)), u=tuple(map(float, uu)))
+    return GindikinParam(r=len(uu), d=float(d), s=tuple(ss.tolist()), u=tuple(uu))
 
 
 @dataclass(frozen=True)
@@ -236,7 +248,7 @@ def log_gamma_omega(s, r: int, d: float = 1.0) -> float:
     _check_d(d)
     if len(ss) != r:
         raise GindikinError(f"s must have length r = {r}, got {len(ss)}")
-    args = ss - 0.5 * d * np.arange(r)
+    args = np.asarray(ss) - 0.5 * d * np.arange(r)
     if np.any(args <= 0):
         bad = int(np.argmax(args <= 0))
         raise GammaPoleError(

@@ -34,8 +34,19 @@ consumes a gamma array and then a uniform array), (2) one normal array for
 the triangular subdiagonals, (3) one normal array for the coupling block.
 A full chunk is always drawn and assembled, then truncated to the requested
 count.  Repeat runs and any worker count therefore give identical bits, and
-a longer run extends a shorter one.  ``sample_riesz`` is the only sampler:
-every draw, whatever its support, goes through the chunk above.
+a longer run extends a shorter one.  ``sample_chunks`` is the only sampler:
+every draw, whatever its support, goes through the chunk above.  It yields
+the chunks in draw order, with at most ``workers`` of them in flight, and
+``sample_riesz`` has the same chunks drawn in place into one batch.
+
+The writers (``write_ndjson``, ``write_json``, ``write_csv``) consume the
+chunks as they come, so a run of any length holds O(workers * CHUNK * r^2)
+floats.  Each draw's distinct entries (its packed upper triangle) are
+formatted once with ``repr``, and the mirrored lower triangle reuses those
+strings, which is exact because draws are symmetric bit for bit.  The bytes
+written therefore depend on the spec alone, not on the worker count.  A
+non-finite entry is never a correct draw: the writers raise ``SamplerError``
+on the first chunk that holds one.
 
 The per-run constants (Cholesky factors and coupling map, ``_BlockPlan``)
 are derived from the tilt once, when a ``RieszSpec`` is constructed, so a
@@ -44,7 +55,10 @@ tilt the sampler cannot factor is rejected there and never mid-run.
 
 from __future__ import annotations
 
+import functools
+import hashlib
 import json
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -63,9 +77,12 @@ __all__ = [
     "SampleBatch",
     "sample_stream",
     "sample_gamma",
+    "sample_chunks",
     "sample_riesz",
     "log_density_ac",
     "write_ndjson",
+    "write_json",
+    "write_csv",
 ]
 
 TILT_MARGIN = 1e-10
@@ -293,6 +310,11 @@ class RieszSpec:
             "n": self.count,
         }
 
+    def digest(self) -> str:
+        """sha256 of the canonical (sorted-key, compact) spec JSON."""
+        text = json.dumps(self.to_json_dict(), sort_keys=True, separators=(",", ":"))
+        return hashlib.sha256(text.encode()).hexdigest()
+
     @classmethod
     def from_json_dict(cls, obj: dict) -> "RieszSpec":
         if not isinstance(obj, dict) or "s" not in obj:
@@ -327,49 +349,71 @@ class SampleBatch:
     def element(self, i: int) -> SymElement:
         return SymElement._wrap(self.matrices[i])
 
-    def elements(self):
-        for i in range(len(self)):
-            yield self.element(i)
-
-    def packed(self) -> np.ndarray:
-        """Packed upper triangles, shape (count, r(r+1)/2), row-major."""
-        r = self.spec.param.r
-        rows, cols = np.triu_indices(r)
-        return self.matrices[:, rows, cols]
-
     def mean(self) -> np.ndarray:
         return self.matrices.mean(axis=0)
+
+
+def _chunks(spec: RieszSpec, workers: int, buffer):
+    """Yield the draws in order, chunk c drawn into ``buffer(c)``, (CHUNK, r, r).
+
+    With ``workers`` > 1 that many threads draw ahead, with at most
+    ``workers`` chunks in flight.
+    """
+    n = spec.count
+    n_chunks = -(-n // CHUNK)
+
+    def draw(c: int) -> np.ndarray:
+        out = buffer(c)
+        _draw_sum(spec.plans, sample_stream(spec.seed, c), out)
+        return out[:n - c * CHUNK]
+
+    if workers == 1 or n_chunks == 1:
+        for c in range(n_chunks):
+            yield draw(c)
+        return
+    with ThreadPoolExecutor(max_workers=min(workers, n_chunks)) as pool:
+        pending = deque(pool.submit(draw, c) for c in range(min(workers, n_chunks)))
+        for c in range(len(pending), n_chunks):
+            chunk = pending.popleft().result()
+            pending.append(pool.submit(draw, c))
+            yield chunk
+        while pending:
+            yield pending.popleft().result()
+
+
+def _check_workers(workers) -> None:
+    if not isinstance(workers, int) or workers < 1:
+        raise SamplerError(f"workers must be a positive integer, got {workers!r}")
+
+
+def sample_chunks(spec: RieszSpec, workers: int = 1):
+    """Iterator over the ``spec.count`` draws in order, as (k, r, r) arrays, k <= CHUNK.
+
+    Chunk c holds draws c*CHUNK onwards and comes from its own stream keyed
+    by (seed, c); the last chunk is drawn in full and truncated.  With
+    ``workers`` > 1 that many threads draw ahead, with at most ``workers``
+    chunks in flight, so memory stays O(workers * CHUNK * r^2) for any
+    count.  The chunks are bitwise independent of the worker count, and a
+    longer run extends a shorter one (see the module's determinism contract).
+    """
+    _check_workers(workers)
+    r = spec.param.r
+    return _chunks(spec, workers, lambda c: np.empty((CHUNK, r, r)))
 
 
 def sample_riesz(spec: RieszSpec, workers: int = 1) -> SampleBatch:
     """Draw ``spec.count`` independent samples of the tilted Riesz law.
 
-    Draws are made a chunk of ``CHUNK`` at a time, each chunk from its own
-    stream keyed by (seed, chunk number); the last chunk is drawn in full
-    and truncated.  ``workers`` threads share out the chunks.  The result is
-    bitwise independent of the worker count, and a longer run extends a
-    shorter one (see the module's determinism contract).
+    The chunks of ``sample_chunks`` are drawn in place into one preallocated
+    stack of whole chunks, and the batch keeps its first ``spec.count``
+    rows; it has the same bits for any ``workers``.
     """
-    if not isinstance(workers, int) or workers < 1:
-        raise SamplerError(f"workers must be a positive integer, got {workers!r}")
-    n = spec.count
+    _check_workers(workers)
     r = spec.param.r
-    if not spec.plans:
-        return SampleBatch(spec, np.zeros((n, r, r)))
-    # whole chunks, each assembled in place; the batch keeps the first n rows
-    n_chunks = -(-n // CHUNK)
-    out = np.empty((n_chunks * CHUNK, r, r))
-
-    def fill(c: int):
-        _draw_sum(spec.plans, sample_stream(spec.seed, c), out[c * CHUNK:(c + 1) * CHUNK])
-
-    if workers == 1 or n_chunks == 1:
-        for c in range(n_chunks):
-            fill(c)
-    else:
-        with ThreadPoolExecutor(max_workers=min(workers, n_chunks)) as pool:
-            list(pool.map(fill, range(n_chunks)))
-    return SampleBatch(spec, out[:n])
+    stack = np.empty((-(-spec.count // CHUNK) * CHUNK, r, r))
+    for _ in _chunks(spec, workers, lambda c: stack[c * CHUNK:(c + 1) * CHUNK]):
+        pass
+    return SampleBatch(spec, stack[:spec.count])
 
 
 # -- densities and serialization -------------------------------------------
@@ -405,12 +449,69 @@ def log_density_ac(s, x: SymElement) -> float:
     return log_power - log_gamma_omega(param.s, x_r, 1.0)
 
 
-def write_ndjson(batch: SampleBatch, fp) -> None:
+def _header(spec: RieszSpec) -> dict:
+    return {"spec": spec.to_json_dict(), "partition": spec.partition.to_json_dict()}
+
+
+def _draw_template(r: int, dumps) -> str:
+    """``dumps`` of an r x r draw, as a ``str.format`` template.
+
+    Field k stands for the k-th entry of the packed upper triangle, and the
+    mirrored lower triangle names the same fields, so each distinct entry is
+    formatted once (draws are symmetric bit for bit).
+    """
+    rows, cols = np.triu_indices(r)
+    field = {(int(i), int(j)): k for k, (i, j) in enumerate(zip(rows, cols))}
+    marks = [[f"@{field[min(i, j), max(i, j)]}@" for j in range(r)] for i in range(r)]
+    text = dumps({"r": r, "data": marks}).replace("{", "{{").replace("}", "}}")
+    for k in range(len(field)):
+        text = text.replace(f'"@{k}@"', f"{{{k}}}")
+    return text
+
+
+def _write_chunks(fp, head: str, chunks, r: int, line: str, sep: str, tail: str) -> None:
+    """Write ``head``, each draw as ``line`` over its packed entries, ``tail``.
+
+    Draws are joined by ``sep``; each chunk is formatted in one pass, with
+    one ``repr`` per distinct entry, and written in one call.  A non-finite
+    entry is never a correct draw, so it raises ``SamplerError``.
+    """
+    rows, cols = np.triu_indices(r)
+    fmt = line.format
+    fp.write(head)
+    lead, done = "", 0
+    for chunk in chunks:
+        packed = chunk[:, rows, cols]
+        finite = np.isfinite(packed).all(axis=1)
+        if not finite.all():
+            raise SamplerError(f"draw {done + int(np.argmin(finite))} has a non-finite entry")
+        # float.__repr__ is what repr() and json.dumps call for a float
+        fp.write(lead + sep.join([fmt(*map(float.__repr__, row)) for row in packed.tolist()]))
+        lead = sep
+        done += len(packed)
+    fp.write(tail)
+
+
+def write_ndjson(spec: RieszSpec, chunks, fp) -> None:
     """Header line (spec + partition echo) then one JSON matrix per line."""
-    header = {
-        "spec": batch.spec.to_json_dict(),
-        "partition": batch.spec.partition.to_json_dict(),
-    }
-    fp.write(json.dumps(header, separators=(",", ":")) + "\n")
-    for el in batch.elements():
-        fp.write(json.dumps(el.to_json_dict(), separators=(",", ":")) + "\n")
+    compact = functools.partial(json.dumps, separators=(",", ":"))
+    r = spec.param.r
+    _write_chunks(fp, compact(_header(spec)) + "\n", chunks, r,
+                  _draw_template(r, compact) + "\n", "", "")
+
+
+def write_json(spec: RieszSpec, chunks, fp) -> None:
+    """One indented JSON document: the header's fields plus ``"samples"``."""
+    head, tail = json.dumps(dict(_header(spec), samples=["@S@"]), indent=2).split('"@S@"')
+    r = spec.param.r
+    line = _draw_template(r, functools.partial(json.dumps, indent=2)).replace("\n", "\n    ")
+    _write_chunks(fp, head, chunks, r, line, ",\n    ", tail + "\n")
+
+
+def write_csv(spec: RieszSpec, chunks, fp) -> None:
+    """Header row ``x_i_j`` then each draw's packed upper triangle as repr floats."""
+    r = spec.param.r
+    rows, cols = np.triu_indices(r)
+    head = ",".join(f"x_{i + 1}_{j + 1}" for i, j in zip(rows, cols)) + "\n"
+    line = ",".join(f"{{{k}}}" for k in range(len(rows))) + "\n"
+    _write_chunks(fp, head, chunks, r, line, "", "")

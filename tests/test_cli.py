@@ -1,13 +1,15 @@
+import hashlib
 import json
 import math
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from rieszcone import cli
-from rieszcone.sampling import CHUNK
+from rieszcone.sampling import CHUNK, RieszSpec
 
 
 def run(capsys, *argv):
@@ -203,6 +205,62 @@ def test_sample_rejections(capsys):
     code, _, err = run(capsys, "sample", "--s", "1,1",
                        "--theta", '{"r":2,"data":[[0.0,0],[0,0.0]]}')
     assert code == 3
+
+
+@pytest.mark.parametrize("fmt", ["ndjson", "json", "csv"])
+def test_sample_memory_does_not_grow_with_n(capsys, tmp_path, fmt):
+    # output is streamed a chunk at a time, so ten times the draws may not
+    # need more than half again the memory
+    def peak(n):
+        tracemalloc.start()
+        try:
+            code = cli.main(["sample", "--u", "1.2,0,0.7,0", "--n", str(n), "--seed", "5",
+                             "--format", fmt, "--out", str(tmp_path / f"draws.{fmt}")])
+            return code, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(4 * CHUNK)  # the first run in a process also allocates lazy set-up
+    code_small, small = peak(4 * CHUNK)
+    code_large, large = peak(40 * CHUNK)
+    capsys.readouterr()
+    assert code_small == code_large == 0
+    assert large <= 1.5 * small, f"peak {large} B at n={40 * CHUNK}, {small} B at n={4 * CHUNK}"
+
+
+def test_sample_stats_line_leaves_output_unchanged(capsys, tmp_path):
+    n = 2 * CHUNK + 7
+    args = ["sample", "--u", "1.2,0,0.7,0", "--n", str(n), "--seed", "11", "--workers", "2"]
+    code, plain, _ = run(capsys, *args)
+    assert code == 0
+    code, with_stats, err = run(capsys, *args, "--stats")
+    assert code == 0 and with_stats == plain
+    stats = json.loads(err.strip().splitlines()[-1])
+    spec = RieszSpec.build(u=[1.2, 0.0, 0.7, 0.0], seed=11, count=n)
+    canonical = json.dumps(spec.to_json_dict(), sort_keys=True, separators=(",", ":"))
+    assert stats["spec_digest"] == hashlib.sha256(canonical.encode()).hexdigest()
+    assert (stats["n"], stats["chunk"], stats["chunks"], stats["workers"]) == (n, CHUNK, 3, 2)
+    assert stats["draw_s"] >= 0 and stats["write_s"] >= 0 and stats["draws_per_s"] > 0
+
+    files = []
+    for extra in ([], ["--stats"]):
+        path = tmp_path / f"out{len(files)}.csv"
+        code, out, _ = run(capsys, *args, "--format", "csv", "--out", str(path), *extra)
+        assert code == 0 and out == ""
+        files.append(path.read_bytes())
+    assert files[0] == files[1]
+
+
+def test_sample_non_finite_draw_exits_1(capsys, monkeypatch):
+    def bad_chunks(spec, workers=1):
+        chunk = np.ones((spec.count, spec.param.r, spec.param.r))
+        chunk[-1, 0, 0] = np.nan
+        yield chunk
+
+    monkeypatch.setattr(cli, "sample_chunks", bad_chunks)
+    code, _, err = run(capsys, "sample", "--s", "1,1", "--n", "3")
+    assert code == 1
+    assert "draw 2 has a non-finite entry" in err
 
 
 def test_tilt_the_sampler_cannot_factor_exits_3(capsys, tmp_path):

@@ -271,3 +271,99 @@ def test_membership_report_wants_exactly_one_input():
         gk.membership_report()
     with pytest.raises(gk.GindikinError):
         gk.membership_report(s=[1.0], u=[1.0])
+
+
+# ---------------------------------------------------- reference u <-> s maps
+# The maps as they were on numpy arrays, kept as the reference for the
+# Python-float recursions: same values, same value types, same errors.
+
+
+def _ref_vector(x, name):
+    arr = np.asarray(x, dtype=float)
+    if arr.ndim != 1 or arr.size == 0:
+        raise gk.GindikinError(f"{name} must be a nonempty 1-d sequence, got shape {arr.shape}")
+    if not np.all(np.isfinite(arr)):
+        raise gk.GindikinError(f"{name} must be finite")
+    return arr
+
+
+def _ref_check_d(d):
+    if not (np.isfinite(d) and d > 0):
+        raise gk.GindikinError(f"multiplicity d must be a positive real, got {d!r}")
+
+
+def ref_s_from_u(u, d=1.0):
+    uu = _ref_vector(u, "u")
+    _ref_check_d(d)
+    if np.any(uu < 0):
+        bad = int(np.argmax(uu < 0))
+        raise gk.GindikinError(f"u must be nonnegative, got u_{bad + 1} = {uu[bad]}")
+    count = np.concatenate([[0], np.cumsum(uu > 0)[:-1]])
+    return uu + 0.5 * d * count
+
+
+def ref_u_from_s(s, d=1.0, zero_tol=0.0):
+    ss = _ref_vector(s, "s")
+    _ref_check_d(d)
+    if zero_tol < 0:
+        raise gk.GindikinError(f"zero_tol must be nonnegative, got {zero_tol}")
+    u = np.empty_like(ss)
+    count = 0
+    for i, si in enumerate(ss):
+        ui = si - 0.5 * d * count
+        if abs(ui) <= zero_tol:
+            ui = 0.0
+        if ui < 0:
+            raise gk.NotInGindikinSetError(i + 1, float(ui), ss)
+        u[i] = ui
+        if ui > 0:
+            count += 1
+    return gk.GindikinParam(r=len(ss), d=float(d), s=tuple(map(float, ss)),
+                            u=tuple(map(float, u)))
+
+
+def _outcome(fn, *args):
+    """A comparable record of a call: the value's repr, or the error raised."""
+    try:
+        value = fn(*args)
+    except gk.GindikinError as err:
+        return (type(err), str(err), getattr(err, "index", None),
+                repr(getattr(err, "value", None)), repr(getattr(err, "s", None)))
+    if isinstance(value, np.ndarray):
+        return (type(value), value.dtype, value.shape, value.tobytes())
+    return (type(value), repr(value))
+
+
+def _random_vector(rng, r):
+    """Dyadic, generic, tiny, huge, zero and (sometimes) negative entries."""
+    pick = rng.integers(0, 6, size=r)
+    v = np.where(pick == 0, rng.integers(0, 161, size=r) / 32.0, rng.uniform(0.0, 4.0, size=r))
+    v = np.where(pick == 1, 0.0, v)
+    v = np.where(pick == 2, rng.uniform(0.0, 1e-12, size=r), v)
+    v = np.where(pick == 3, 10.0 ** rng.uniform(10, 300, size=r), v)
+    if rng.random() < 0.2:
+        v[rng.integers(r)] = -rng.uniform(1e-17, 3.0)
+    return v
+
+
+def test_maps_match_numpy_reference():
+    rng = np.random.default_rng(77)
+    ds = (1.0, 2.0, 0.5, 1, 4.0, 0.37)
+    for _ in range(3000):
+        r = int(rng.integers(1, 9))
+        d = ds[int(rng.integers(len(ds)))]
+        u = _random_vector(rng, r)
+        assert _outcome(gk.s_from_u, u, d) == _outcome(ref_s_from_u, u, d)
+        assert _outcome(gk.s_from_u, list(u), d) == _outcome(ref_s_from_u, list(u), d)
+        # s near the admissible boundary, so some are rejected at each index
+        s = np.abs(ref_s_from_u(np.abs(u), d)) - rng.choice([0.0, 1e-13, 0.25], size=r)
+        tol = float(rng.choice([0.0, 1e-12, 0.3]))
+        assert _outcome(gk.u_from_s, s, d, tol) == _outcome(ref_u_from_s, s, d, tol)
+        assert _outcome(gk.u_from_s, list(s), d, tol) == _outcome(ref_u_from_s, list(s), d, tol)
+    for bad in ([], [[1.0]], [1.0, np.inf], [np.nan]):
+        assert _outcome(gk.s_from_u, bad) == _outcome(ref_s_from_u, bad)
+        assert _outcome(gk.u_from_s, bad) == _outcome(ref_u_from_s, bad)
+    for d in (0.0, -1.0, np.inf, np.nan, np.float64(2.0)):
+        assert _outcome(gk.s_from_u, [1.0, 0.5], d) == _outcome(ref_s_from_u, [1.0, 0.5], d)
+        assert _outcome(gk.u_from_s, [1.0, 0.5], d) == _outcome(ref_u_from_s, [1.0, 0.5], d)
+    assert _outcome(gk.u_from_s, [1.0], 1.0, -1.0) == _outcome(ref_u_from_s, [1.0], 1.0, -1.0)
