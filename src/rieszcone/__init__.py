@@ -6,9 +6,7 @@ samplers for the (possibly singular) measures, and verification oracles
 """
 
 from .algebra import (  # noqa: F401
-    AlgebraShape,
     SymElement,
-    inner,
     spectral,
     minors,
     generalized_power,

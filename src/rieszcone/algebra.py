@@ -2,10 +2,10 @@
 
 The ambient space is Sym(r, R) with the symmetrized product
 ``x o y = (xy + yx) / 2`` and the trace inner product ``<x, y> = tr(xy)``.
-The package needs only a few primitives on it: packed symmetric elements,
-the trace inner product, one LAPACK eigendecomposition that decides whether
-a tilt is negative definite, and the hand-rolled leading principal minors
-and generalized power functions that the closed-form transforms use.
+The package needs only a few primitives on it: validated symmetric matrices
+that are symmetric bit for bit, one LAPACK eigendecomposition that decides
+whether a tilt is negative definite, and the hand-rolled leading principal
+minors and generalized power functions that the closed-form transforms use.
 
 The diagonal Jordan frame c_1, ..., c_r (standard basis projectors, in index
 order) is fixed once and for all; every "leading block" below is leading with
@@ -25,10 +25,8 @@ __all__ = [
     "ShapeMismatchError",
     "NotSymmetricError",
     "PowerDomainError",
-    "AlgebraShape",
     "SymElement",
     "SpectralDecomp",
-    "inner",
     "spectral",
     "require_negative_definite",
     "minors",
@@ -55,86 +53,52 @@ class PowerDomainError(AlgebraError):
     """Generalized power requested outside its real-valued domain."""
 
 
-@dataclass(frozen=True)
-class AlgebraShape:
-    """Dimensions of the algebra: rank ``r`` and Peirce multiplicity ``d``.
-
-    For Sym(r, R) the multiplicity is d = 1 and the flat dimension is
-    n = r + (d/2) r (r - 1) = r (r + 1) / 2.
-    """
-
-    r: int
-    d: float = 1.0
-
-    def __post_init__(self):
-        if not isinstance(self.r, int) or self.r < 1:
-            raise AlgebraError(f"rank must be a positive integer, got {self.r!r}")
-        if not self.d > 0:
-            raise AlgebraError(f"Peirce multiplicity must be positive, got {self.d!r}")
-
-    @property
-    def n(self) -> float:
-        """Flat dimension r + (d/2) r (r-1); an integer when d is."""
-        value = self.r + 0.5 * self.d * self.r * (self.r - 1)
-        return int(value) if float(value).is_integer() else value
-
-
 @lru_cache(maxsize=None)
-def _packed_indices(r: int):
-    """Row/column indices of the packed upper triangle, row-major."""
-    iu = np.triu_indices(r)
-    return iu
-
-
-@lru_cache(maxsize=None)
-def _packed_weights(r: int) -> np.ndarray:
-    """Inner-product weights for packed storage: 1 on the diagonal, 2 off."""
-    rows, cols = _packed_indices(r)
-    return np.where(rows == cols, 1.0, 2.0)
+def _strict_lower(r: int) -> np.ndarray:
+    """Read-only boolean mask of the entries below the diagonal, r x r."""
+    mask = np.tri(r, r, -1, dtype=bool)
+    mask.flags.writeable = False
+    return mask
 
 
 @dataclass(frozen=True, eq=False)
 class SymElement:
-    """A symmetric r x r matrix stored as its packed upper triangle.
+    """A symmetric r x r matrix, held as one read-only float array.
 
-    Packing makes the symmetry invariant exact by construction: the (i, j)
-    and (j, i) entries are literally the same float.  Use ``from_dense`` to
-    validate and ingest an arbitrary square array and ``dense`` to expand
-    back to a full ndarray.
+    The constructor keeps the upper triangle of the square array it is given
+    and mirrors it into the lower one, so the (i, j) and (j, i) entries of
+    ``matrix`` are literally the same float; it does not check symmetry.  Use
+    ``from_dense`` to validate and ingest an arbitrary square array and
+    ``dense`` for a writable copy.
     """
 
-    shape: AlgebraShape
-    packed: np.ndarray
+    matrix: np.ndarray
 
     def __post_init__(self):
-        expect = self.shape.r * (self.shape.r + 1) // 2
-        if self.packed.shape != (expect,):
-            raise ShapeMismatchError(
-                f"packed storage has length {self.packed.shape}, expected ({expect},)"
-            )
+        a = np.asarray(self.matrix, dtype=float)
+        if a.ndim != 2 or a.shape[0] != a.shape[1]:
+            raise ShapeMismatchError(f"expected a square matrix, got shape {a.shape}")
+        m = np.where(_strict_lower(a.shape[0]), a.T, a)
+        m.flags.writeable = False
+        object.__setattr__(self, "matrix", m)
 
     # -- construction --------------------------------------------------
 
     @staticmethod
-    def from_dense(arr, tol: float = SYMMETRY_TOL) -> "SymElement":
+    def from_dense(arr) -> "SymElement":
         a = np.asarray(arr, dtype=float)
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise ShapeMismatchError(f"expected a square matrix, got shape {a.shape}")
+        if a.size == 0:
+            raise AlgebraError("rank must be a positive integer, got 0")
         if not np.all(np.isfinite(a)):
             raise AlgebraError("matrix entries must be finite")
-        asym = np.max(np.abs(a - a.T)) if a.size else 0.0
-        if asym > tol:
+        asym = np.max(np.abs(a - a.T))
+        if asym > SYMMETRY_TOL:
             raise NotSymmetricError(
-                f"matrix is not symmetric: max |a - a^T| = {asym:.3e} > {tol:.1e}"
+                f"matrix is not symmetric: max |a - a^T| = {asym:.3e} > {SYMMETRY_TOL:.1e}"
             )
-        return SymElement._wrap(a)
-
-    @staticmethod
-    def _wrap(a: np.ndarray) -> "SymElement":
-        """Pack a matrix that is symmetric by construction (no validation)."""
-        r = a.shape[0]
-        rows, cols = _packed_indices(r)
-        return SymElement(AlgebraShape(r), np.ascontiguousarray(a[rows, cols], dtype=float))
+        return SymElement(a)
 
     @staticmethod
     def from_json_dict(obj) -> "SymElement":
@@ -152,40 +116,21 @@ class SymElement:
 
     @property
     def r(self) -> int:
-        return self.shape.r
+        return self.matrix.shape[0]
 
     def dense(self) -> np.ndarray:
-        r = self.shape.r
-        rows, cols = _packed_indices(r)
-        out = np.zeros((r, r))
-        out[rows, cols] = self.packed
-        out[cols, rows] = self.packed
-        return out
+        """A fresh, writable copy of the matrix."""
+        return self.matrix.copy()
 
     def to_json_dict(self) -> dict:
-        return {"r": self.shape.r, "data": self.dense().tolist()}
+        return {"r": self.r, "data": self.matrix.tolist()}
 
     def norm(self) -> float:
         """Frobenius norm (induced by the trace inner product)."""
-        return math.sqrt(max(inner(self, self), 0.0))
+        return float(np.linalg.norm(self.matrix))
 
     def __repr__(self):
-        return f"SymElement(r={self.shape.r}, data={self.dense().tolist()})"
-
-
-# -- inner product ---------------------------------------------------------
-
-
-def _check_same_shape(x: SymElement, y: SymElement):
-    if x.shape.r != y.shape.r:
-        raise ShapeMismatchError(f"rank mismatch: {x.shape.r} vs {y.shape.r}")
-
-
-def inner(x: SymElement, y: SymElement) -> float:
-    """Trace inner product tr(xy), evaluated on packed storage."""
-    _check_same_shape(x, y)
-    w = _packed_weights(x.shape.r)
-    return float(np.dot(w * x.packed, y.packed))
+        return f"SymElement(r={self.r}, data={self.matrix.tolist()})"
 
 
 # -- spectral decomposition ------------------------------------------------
@@ -204,7 +149,7 @@ class SpectralDecomp:
 
 def spectral(x: SymElement) -> SpectralDecomp:
     """Full eigendecomposition (LAPACK ``eigh``), eigenvalues descending."""
-    evals, vecs = np.linalg.eigh(x.dense())
+    evals, vecs = np.linalg.eigh(x.matrix)
     return SpectralDecomp(evals[::-1], vecs[:, ::-1])
 
 
@@ -237,7 +182,7 @@ def minors(x: SymElement) -> np.ndarray:
     If a pivot is exactly zero the recursion is undefined past it and the
     remaining minors fall back to direct determinants of the leading blocks.
     """
-    r = x.shape.r
+    r = x.r
     a = x.dense()
     out = np.empty(r)
     prefix = 1.0
@@ -252,7 +197,7 @@ def minors(x: SymElement) -> np.ndarray:
                 break
             a[k + 1:, k + 1:] -= np.outer(a[k + 1:, k], a[k, k + 1:]) / piv
     if fallback_from is not None:
-        d0 = x.dense()
+        d0 = x.matrix
         for k in range(fallback_from, r):
             out[k] = float(np.linalg.det(d0[: k + 1, : k + 1]))
     return out
@@ -275,7 +220,7 @@ def generalized_power(x: SymElement, s) -> float:
     when its exponent is a nonnegative integer (exact power), otherwise the
     value is not a real number and ``PowerDomainError`` is raised.
     """
-    r = x.shape.r
+    r = x.r
     e = _power_exponents(s, r)
     m = minors(x)
     log_acc = 0.0
@@ -299,7 +244,7 @@ def generalized_power(x: SymElement, s) -> float:
 
 def log_generalized_power(x: SymElement, s) -> float:
     """log Delta_s(x) for x with positive leading minors wherever s matters."""
-    r = x.shape.r
+    r = x.r
     e = _power_exponents(s, r)
     m = minors(x)
     out = 0.0

@@ -14,10 +14,12 @@ human prose goes to stderr.  Exit codes are scripting-stable:
 from __future__ import annotations
 
 import argparse
+import errno
 import json
+import os
+import stat
 import sys
 import time
-from dataclasses import dataclass
 
 from .algebra import SymElement
 from .gindikin import GindikinError, NotInGindikinSetError, membership_report, u_from_s
@@ -63,10 +65,20 @@ def _float_list(text: str):
     return values
 
 
-def _positive_int(text: str) -> int:
-    if not text.isdigit() or int(text) < 1:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
-    return int(text)
+def _int_type(what: str, ok):
+    """argparse type: a decimal integer for which ``ok`` holds."""
+
+    def parse(text: str) -> int:
+        if not text.isdigit() or not ok(int(text)):
+            raise argparse.ArgumentTypeError(f"expected {what}, got {text!r}")
+        return int(text)
+
+    return parse
+
+
+_positive_int = _int_type("a positive integer", lambda v: v >= 1)
+_rank = _int_type("an integer of at least 2", lambda v: v >= 2)
+_seed = _int_type("an integer in [0, 2**64)", lambda v: v < 1 << 64)
 
 
 def _load_sym(arg: str) -> SymElement:
@@ -76,27 +88,6 @@ def _load_sym(arg: str) -> SymElement:
         with open(arg, "r") as fh:
             text = fh.read()
     return SymElement.from_json_dict(json.loads(text))
-
-
-@dataclass
-class CliConfig:
-    command: str
-    s: list | None = None
-    u: list | None = None
-    d: float = 1.0
-    theta: str | None = None
-    zeta: str | None = None
-    x: str | None = None
-    spec: str | None = None
-    n: int = 100
-    seed: int = 0
-    zero_tol: float = 0.0
-    workers: int = 1
-    out: str | None = None
-    format: str = "ndjson"
-    stats: bool = False
-    trials: int = 500
-    r: int | None = None
 
 
 def _build_parser() -> _Parser:
@@ -148,6 +139,7 @@ def _build_parser() -> _Parser:
     sp.add_argument("--n", type=int, default=100000, help="number of samples")
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--workers", type=_positive_int, default=1)
+    sp.set_defaults(spec=None)
 
     sp = sub.add_parser("density", help="log density at a cone point (AC case only)")
     add_param_flags(sp, with_u=False)
@@ -155,10 +147,10 @@ def _build_parser() -> _Parser:
                     help="evaluation point")
 
     sp = sub.add_parser("selftest", help="run the verification suite")
-    sp.add_argument("--r", type=int, help="restrict the identity sweep to one rank")
-    sp.add_argument("--trials", type=int, default=500,
+    sp.add_argument("--r", type=_rank, help="restrict the identity sweep to one rank")
+    sp.add_argument("--trials", type=_positive_int, default=500,
                     help="trials per identity; below 500 switches to smoke scale")
-    sp.add_argument("--seed", type=int, default=0)
+    sp.add_argument("--seed", type=_seed, default=0)
 
     return p
 
@@ -167,17 +159,17 @@ def _emit(obj: dict, indent: int | None = 2):
     print(json.dumps(obj, indent=indent))
 
 
-def _require_s_xor_u(cfg: CliConfig, parser: _Parser):
-    if (cfg.s is None) == (cfg.u is None):
+def _require_s_xor_u(args: argparse.Namespace, parser: _Parser):
+    if (args.s is None) == (args.u is None):
         parser.error("give exactly one of --s or --u")
 
 
 # -- commands ----------------------------------------------------------------
 
 
-def cmd_check(cfg: CliConfig) -> int:
+def cmd_check(args: argparse.Namespace) -> int:
     try:
-        report = membership_report(s=cfg.s, u=cfg.u, d=cfg.d, zero_tol=cfg.zero_tol)
+        report = membership_report(s=args.s, u=args.u, d=args.d, zero_tol=args.zero_tol)
     except GindikinError as err:
         print(f"rieszcone check: {err}", file=sys.stderr)
         return EXIT_NOT_ADMISSIBLE
@@ -185,39 +177,37 @@ def cmd_check(cfg: CliConfig) -> int:
     return EXIT_OK if report["in_xi"] else EXIT_NOT_ADMISSIBLE
 
 
-def _build_spec(cfg: CliConfig, parser: _Parser) -> RieszSpec | int:
-    """RieszSpec from flags, or an exit code on rejection."""
-    if cfg.spec is not None:
-        if cfg.s is not None or cfg.u is not None:
-            parser.error("--spec is mutually exclusive with --s/--u")
-        try:
-            with open(cfg.spec, "r") as fh:
-                obj = json.load(fh)
-        except (OSError, json.JSONDecodeError) as err:
-            parser.error(f"cannot read spec file: {err}")
-        try:
-            return RieszSpec.from_json_dict(obj)
-        except NotInGindikinSetError as err:
-            print(f"rieszcone: {err}", file=sys.stderr)
-            return EXIT_NOT_ADMISSIBLE
-        except TiltError as err:
-            print(f"rieszcone: {err}", file=sys.stderr)
-            return EXIT_BAD_TILT
-        except (NonSamplableError, GindikinError) as err:
-            print(f"rieszcone: {err}", file=sys.stderr)
-            return EXIT_NOT_ADMISSIBLE
-        except (SamplerError, ValueError) as err:
-            parser.error(f"bad spec file: {err}")
+def _spec_from_file(path: str, parser: _Parser) -> RieszSpec:
+    """RieszSpec from a ``--spec`` file; a malformed file is a usage error."""
+    try:
+        with open(path, "r") as fh:
+            obj = json.load(fh)
+    except (OSError, json.JSONDecodeError) as err:
+        parser.error(f"cannot read spec file: {err}")
+    try:
+        return RieszSpec.from_json_dict(obj)
+    except (TiltError, NonSamplableError, GindikinError):
+        raise
+    except ValueError as err:
+        parser.error(f"bad spec file: {err}")
+
+
+def _build_spec(args: argparse.Namespace, parser: _Parser) -> RieszSpec | int:
+    """RieszSpec from ``--spec`` or from flags, or an exit code on rejection."""
+    if args.spec is not None and (args.s is not None or args.u is not None):
+        parser.error("--spec is mutually exclusive with --s/--u")
     theta = None
-    if cfg.theta is not None:
+    if args.spec is None and args.theta is not None:
         try:
-            theta = _load_sym(cfg.theta)
+            theta = _load_sym(args.theta)
         except Exception as err:
             print(f"rieszcone: cannot load theta: {err}", file=sys.stderr)
             return EXIT_BAD_TILT
     try:
-        return RieszSpec.build(s=cfg.s, u=cfg.u, theta=theta, seed=cfg.seed,
-                               count=cfg.n, d=cfg.d, zero_tol=cfg.zero_tol)
+        if args.spec is not None:
+            return _spec_from_file(args.spec, parser)
+        return RieszSpec.build(s=args.s, u=args.u, theta=theta, seed=args.seed,
+                               count=args.n, d=args.d, zero_tol=args.zero_tol)
     except NotInGindikinSetError as err:
         print(f"rieszcone: {err}", file=sys.stderr)
         return EXIT_NOT_ADMISSIBLE
@@ -231,16 +221,66 @@ def _build_spec(cfg: CliConfig, parser: _Parser) -> RieszSpec | int:
         parser.error(str(err))
 
 
-def cmd_sample(cfg: CliConfig, parser: _Parser) -> int:
-    spec = _build_spec(cfg, parser)
+def _write_out(path: str, write, parser: _Parser) -> None:
+    """Call ``write(fh)`` on the file ``path`` names, all or nothing.
+
+    A new file, or an existing regular file that this process owns and that
+    has no other hard link, is written under a temporary name beside it and
+    renamed into place on success, keeping the old file's mode; on any
+    failure the temporary file is removed and ``path`` is left as it was.
+    A symlink is followed, so the link stays and its target is replaced.
+    Any other existing target (a device such as /dev/null, a FIFO, a file
+    owned by someone else or not writable) is opened and written in place,
+    as a plain ``open`` would.  A directory is refused before anything is
+    drawn.
+    """
+    target = os.path.realpath(path)
+    try:
+        st = os.stat(target)
+    except FileNotFoundError:
+        st = None
+    except OSError as err:
+        parser.error(f"cannot open --out {path}: {err.strerror}")
+    if st is not None and stat.S_ISDIR(st.st_mode):
+        parser.error(f"cannot open --out {path}: {os.strerror(errno.EISDIR)}")
+    replace = st is None or (
+        stat.S_ISREG(st.st_mode) and st.st_nlink == 1
+        and (st.st_uid, st.st_gid) == (os.geteuid(), os.getegid())
+        and os.access(target, os.W_OK))
+    tmp = f"{target}.tmp-{os.getpid()}" if replace else path
+    try:
+        fh = open(tmp, "w")
+    except OSError as err:
+        parser.error(f"cannot open --out {path}: {err.strerror}")
+    if not replace:
+        with fh:
+            write(fh)
+        return
+    try:
+        with fh:
+            if st is not None:
+                os.chmod(tmp, stat.S_IMODE(st.st_mode))
+            write(fh)
+    except BaseException:
+        os.remove(tmp)
+        raise
+    try:
+        os.replace(tmp, target)
+    except OSError as err:
+        os.remove(tmp)
+        parser.error(f"cannot open --out {path}: {err.strerror}")
+
+
+def cmd_sample(args: argparse.Namespace, parser: _Parser) -> int:
+    spec = _build_spec(args, parser)
     if isinstance(spec, int):
         return spec
-    write = {"ndjson": write_ndjson, "json": write_json, "csv": write_csv}[cfg.format]
+    write = {"ndjson": write_ndjson, "json": write_json, "csv": write_csv}[args.format]
     draw_s, n_chunks = 0.0, 0
 
     def timed_chunks():
         nonlocal draw_s, n_chunks
-        chunks = sample_chunks(spec, workers=cfg.workers)
+        chunks = sample_chunks(spec, workers=args.workers)
         while True:
             t0 = time.perf_counter()
             chunk = next(chunks, None)
@@ -252,24 +292,23 @@ def cmd_sample(cfg: CliConfig, parser: _Parser) -> int:
 
     t0 = time.perf_counter()
     try:
-        if cfg.out is None:
+        if args.out is None:
             write(spec, timed_chunks(), sys.stdout)
         else:
-            with open(cfg.out, "w") as fh:
-                write(spec, timed_chunks(), fh)
+            _write_out(args.out, lambda fh: write(spec, timed_chunks(), fh), parser)
     except SamplerError as err:
         print(f"rieszcone sample: {err}", file=sys.stderr)
         return EXIT_FAIL
     total_s = time.perf_counter() - t0
-    if cfg.out is not None:
-        print(f"wrote {spec.count} samples to {cfg.out}", file=sys.stderr)
-    if cfg.stats:
+    if args.out is not None:
+        print(f"wrote {spec.count} samples to {args.out}", file=sys.stderr)
+    if args.stats:
         print(json.dumps({
             "spec_digest": spec.digest(),
             "n": spec.count,
             "chunk": CHUNK,
             "chunks": n_chunks,
-            "workers": cfg.workers,
+            "workers": args.workers,
             "draw_s": draw_s,
             "write_s": total_s - draw_s,
             "draws_per_s": spec.count / total_s,
@@ -277,37 +316,39 @@ def cmd_sample(cfg: CliConfig, parser: _Parser) -> int:
     return EXIT_OK
 
 
-def cmd_verify(cfg: CliConfig, parser: _Parser) -> int:
-    spec = _build_spec(cfg, parser)
+def cmd_verify(args: argparse.Namespace, parser: _Parser) -> int:
+    spec = _build_spec(args, parser)
     if isinstance(spec, int):
         return spec
     try:
-        zeta = _load_sym(cfg.zeta)
+        zeta = _load_sym(args.zeta)
     except Exception as err:
         print(f"rieszcone: cannot load zeta: {err}", file=sys.stderr)
         return EXIT_BAD_TILT
-    batch = sample_riesz(spec, workers=cfg.workers)
+    batch = sample_riesz(spec, workers=args.workers)
     try:
         report = laplace_mc(batch, zeta)
     except (VerifyError, TiltError) as err:
         print(f"rieszcone verify: {err}", file=sys.stderr)
         return EXIT_BAD_TILT
     except NotInGindikinSetError as err:
+        # --zero-tol snaps a slightly negative u_i to 0 when the spec is
+        # built, but the closed form re-derives u from s with no tolerance
         print(f"rieszcone verify: {err}", file=sys.stderr)
         return EXIT_NOT_ADMISSIBLE
     _emit(report.to_json_dict())
     return EXIT_OK if report.passed else EXIT_FAIL
 
 
-def cmd_density(cfg: CliConfig, parser: _Parser) -> int:
+def cmd_density(args: argparse.Namespace, parser: _Parser) -> int:
     try:
-        param = u_from_s(cfg.s, d=cfg.d, zero_tol=cfg.zero_tol)
+        param = u_from_s(args.s, d=args.d, zero_tol=args.zero_tol)
     except NotInGindikinSetError as err:
         print(f"rieszcone density: {err}", file=sys.stderr)
         return EXIT_NOT_ADMISSIBLE
     except GindikinError as err:
         parser.error(str(err))
-    if cfg.d != 1.0:
+    if args.d != 1.0:
         print("rieszcone density: only multiplicity d = 1 is supported",
               file=sys.stderr)
         return EXIT_NOT_ADMISSIBLE
@@ -319,7 +360,7 @@ def cmd_density(cfg: CliConfig, parser: _Parser) -> int:
         )
         return EXIT_NOT_ADMISSIBLE
     try:
-        x = _load_sym(cfg.x)
+        x = _load_sym(args.x)
     except Exception as err:
         parser.error(f"cannot load x: {err}")
     try:
@@ -331,15 +372,15 @@ def cmd_density(cfg: CliConfig, parser: _Parser) -> int:
     return EXIT_OK
 
 
-def cmd_selftest(cfg: CliConfig) -> int:
-    smoke = cfg.trials < 500
-    r_values = (cfg.r,) if cfg.r is not None else (2, 3, 4, 5, 6)
+def cmd_selftest(args: argparse.Namespace) -> int:
+    smoke = args.trials < 500
+    r_values = (args.r,) if args.r is not None else (2, 3, 4, 5, 6)
     summary = run_selftest(
         r_values=r_values,
-        trials=cfg.trials,
-        mc_samples=max(2000, 400 * cfg.trials) if smoke else 200000,
+        trials=args.trials,
+        mc_samples=max(2000, 400 * args.trials) if smoke else 200000,
         quad_full=not smoke,
-        seed=cfg.seed,
+        seed=args.seed,
     )
     _emit(summary)
     verdict = "PASS" if summary["pass"] else "FAIL"
@@ -349,23 +390,22 @@ def cmd_selftest(cfg: CliConfig) -> int:
 
 def main(argv=None) -> int:
     parser = _build_parser()
-    ns = parser.parse_args(argv)
-    cfg = CliConfig(**{k: v for k, v in vars(ns).items()})
-    if cfg.command == "check":
-        _require_s_xor_u(cfg, parser)
-        return cmd_check(cfg)
-    if cfg.command == "sample":
-        if cfg.spec is None:
-            _require_s_xor_u(cfg, parser)
-        return cmd_sample(cfg, parser)
-    if cfg.command == "verify":
-        _require_s_xor_u(cfg, parser)
-        return cmd_verify(cfg, parser)
-    if cfg.command == "density":
-        if cfg.s is None:
+    args = parser.parse_args(argv)
+    if args.command == "check":
+        _require_s_xor_u(args, parser)
+        return cmd_check(args)
+    if args.command == "sample":
+        if args.spec is None:
+            _require_s_xor_u(args, parser)
+        return cmd_sample(args, parser)
+    if args.command == "verify":
+        _require_s_xor_u(args, parser)
+        return cmd_verify(args, parser)
+    if args.command == "density":
+        if args.s is None:
             parser.error("--s is required")
-        return cmd_density(cfg, parser)
-    return cmd_selftest(cfg)
+        return cmd_density(args, parser)
+    return cmd_selftest(args)
 
 
 def entrypoint():  # console-script hook

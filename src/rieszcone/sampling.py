@@ -65,7 +65,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import algebra
-from .algebra import AlgebraShape, SymElement
+from .algebra import SymElement
 from .gindikin import BlockPartition, GindikinParam, build_partition, param_from_u, u_from_s
 
 __all__ = [
@@ -266,22 +266,17 @@ class RieszSpec:
             raise SamplerError(f"count must be a positive integer, got {self.count!r}")
         if not _is_int(self.seed) or not 0 <= self.seed < 1 << 64:
             raise SamplerError(f"seed must be an integer in [0, 2**64), got {self.seed!r}")
-        if self.theta.shape.r != self.param.r:
+        if self.theta.r != self.param.r:
             raise SamplerError(
-                f"tilt rank {self.theta.shape.r} does not match parameter rank {self.param.r}"
+                f"tilt rank {self.theta.r} does not match parameter rank {self.param.r}"
             )
         algebra.require_negative_definite(self.theta, TiltError, "theta",
                                           margin=TILT_MARGIN)
         part = self.partition
-        theta_dense = self.theta.dense()
         object.__setattr__(self, "plans", tuple(
-            _plan_block(theta_dense, start, width, np.asarray(ub))
+            _plan_block(self.theta.matrix, start, width, np.asarray(ub))
             for start, width, ub in zip(part.starts, part.lengths, part.u_blocks)
         ))
-
-    @property
-    def shape(self) -> AlgebraShape:
-        return AlgebraShape(self.param.r, self.param.d)
 
     @property
     def partition(self) -> BlockPartition:
@@ -296,7 +291,7 @@ class RieszSpec:
             raise SamplerError("give exactly one of s or u")
         param = param_from_u(u, d) if u is not None else u_from_s(s, d, zero_tol)
         if theta is None:
-            theta = SymElement._wrap(np.diag(np.full(param.r, -1.0)))
+            theta = SymElement(np.diag(np.full(param.r, -1.0)))
         return cls(param=param, theta=theta, seed=seed, count=count)
 
     def to_json_dict(self) -> dict:
@@ -345,9 +340,6 @@ class SampleBatch:
 
     def __len__(self) -> int:
         return self.matrices.shape[0]
-
-    def element(self, i: int) -> SymElement:
-        return SymElement._wrap(self.matrices[i])
 
     def mean(self) -> np.ndarray:
         return self.matrices.mean(axis=0)
@@ -426,7 +418,7 @@ def log_density_ac(s, x: SymElement) -> float:
     (equivalently s_p > (p-1)/2 for all p); the value is
     log Delta_{s - (r+1)/2}(x) - log Gamma_Omega(s) for x in the open cone.
     """
-    x_r = x.shape.r
+    x_r = x.r
     param = u_from_s(s, d=1.0)
     if param.r != x_r:
         raise SamplerError(f"parameter length {param.r} does not match rank {x_r}")

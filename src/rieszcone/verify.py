@@ -55,6 +55,8 @@ __all__ = [
 ]
 
 _TINY = 1e-300
+RANK_REL_TOL = 1e-8  # rank_profile: singular values above this * largest count
+PSD_TOL = 1e-9  # psd_check: allowed min eigenvalue, relative to the Frobenius norm
 
 
 class VerifyError(ValueError):
@@ -78,12 +80,12 @@ def laplace_exact(s, theta: SymElement) -> float:
     Requires s admissible (d = 1) and -theta positive definite.
     """
     param = u_from_s(s, d=1.0)
-    if param.r != theta.shape.r:
+    if param.r != theta.r:
         raise VerifyError(
-            f"parameter length {param.r} does not match tilt rank {theta.shape.r}"
+            f"parameter length {param.r} does not match tilt rank {theta.r}"
         )
     algebra.require_negative_definite(theta, TiltError, "tilt")
-    neg_inv = SymElement._wrap(np.linalg.inv(-theta.dense()))
+    neg_inv = SymElement(np.linalg.inv(-theta.matrix))
     return algebra.generalized_power(neg_inv, param.s)
 
 
@@ -120,13 +122,13 @@ def laplace_mc(batch: SampleBatch, zeta: SymElement,
     """
     spec = batch.spec
     theta = spec.theta
-    if zeta.shape.r != theta.shape.r:
+    if zeta.r != theta.r:
         raise VerifyError("zeta rank does not match the batch")
-    guard = SymElement._wrap(2.0 * zeta.dense() - theta.dense())
+    guard = SymElement(2.0 * zeta.matrix - theta.matrix)
     algebra.require_negative_definite(
         guard, VarianceGuardError, "2 zeta - theta (finite weight variance)")
     exact = laplace_exact(spec.param.s, zeta) / laplace_exact(spec.param.s, theta)
-    diff = zeta.dense() - theta.dense()
+    diff = zeta.matrix - theta.matrix
     logw = np.einsum("nij,ij->n", batch.matrices, diff)
     w = np.exp(logw)
     est = float(w.mean())
@@ -167,14 +169,14 @@ def quadrature_integral_r2(s, theta: SymElement, moment=None,
     until two successive estimates agree to ``rtol`` relative.
     """
     s = np.asarray(s, dtype=float)
-    if s.shape != (2,) or theta.shape.r != 2:
+    if s.shape != (2,) or theta.r != 2:
         raise VerifyError("the quadrature oracle is specific to rank 2")
     s1, s2 = float(s[0]), float(s[1])
     if not (s1 > 0.0 and s2 > 0.5):
         raise VerifyError(
             f"need s1 > 0 and s2 > 1/2 for an integrable density, got {s.tolist()}"
         )
-    td = theta.dense()
+    td = theta.matrix
     algebra.require_negative_definite(theta, TiltError, "tilt")
     t11, t22, t12 = td[0, 0], td[1, 1], td[0, 1]
     alpha = s2 - 1.5
@@ -374,7 +376,7 @@ def _id_minor_complement(rng, r, l, n):
     y = _cone_stack(rng, n, r)
     inv = np.linalg.inv(y)
     lead = np.array([
-        algebra.minors(SymElement._wrap(inv[i]))[l - 1] for i in range(n)
+        algebra.minors(SymElement(inv[i]))[l - 1] for i in range(n)
     ])
     rhs = np.linalg.det(y[:, l:, l:]) / np.linalg.det(y)
     return _rel_scalar(lead, rhs)
@@ -383,7 +385,7 @@ def _id_minor_complement(rng, r, l, n):
 def _id_minor_ratios(rng, r, l, n):
     y = _cone_stack(rng, n, r)
     inv = np.linalg.inv(y)
-    mins = np.array([algebra.minors(SymElement._wrap(inv[i])) for i in range(n)])
+    mins = np.array([algebra.minors(SymElement(inv[i])) for i in range(n)])
     inv_trail = np.linalg.inv(y[:, l:, l:])
     worst = 0.0
     for p in range(1, r - l + 1):
@@ -454,12 +456,11 @@ class RankProfile:
         }
 
 
-def rank_profile(batch: SampleBatch, expected: int,
-                 rel_tol: float = 1e-8) -> RankProfile:
-    """Numerical rank histogram: singular values above rel_tol * largest."""
+def rank_profile(batch: SampleBatch, expected: int) -> RankProfile:
+    """Numerical rank histogram: singular values above RANK_REL_TOL * largest."""
     sv = np.linalg.svd(batch.matrices, compute_uv=False)
     top = np.maximum(sv[:, :1], _TINY)
-    ranks = (sv > rel_tol * top).sum(axis=1)
+    ranks = (sv > RANK_REL_TOL * top).sum(axis=1)
     counts = {int(k): int(v) for k, v in zip(*np.unique(ranks, return_counts=True))}
     n = len(ranks)
     frac_expected = float((ranks == expected).sum() / n)
@@ -471,13 +472,13 @@ def rank_profile(batch: SampleBatch, expected: int,
     )
 
 
-def psd_check(batch: SampleBatch, tol: float = 1e-9):
-    """(all_ok, worst ratio): min eigenvalue >= -tol * Frobenius norm each."""
+def psd_check(batch: SampleBatch):
+    """(all_ok, worst ratio): min eigenvalue >= -PSD_TOL * Frobenius norm each."""
     ev = np.linalg.eigvalsh(batch.matrices)
     norms = np.maximum(np.linalg.norm(batch.matrices, axis=(1, 2)), _TINY)
     ratio = -ev[:, 0] / norms
     worst = float(np.max(ratio))
-    return bool(worst <= tol), worst
+    return bool(worst <= PSD_TOL), worst
 
 
 # -- aggregated self-test ----------------------------------------------------
@@ -538,7 +539,7 @@ def _selftest_quadrature(full: bool):
     pairs = [(s, t) for s in s_grid for t in th_grid] if full \
         else [(s_grid[0], th_grid[0])]
     for s, t in pairs:
-        rel = quadrature_check_r2(np.array(s), SymElement._wrap(t))
+        rel = quadrature_check_r2(np.array(s), SymElement(t))
         worst = max(worst, rel)
         points.append({"s": list(s), "theta_diag": np.diag(t).tolist(), "rel_err": rel})
     closed = math.exp(log_gamma_omega([2.0, 1.0], 2, 1.0))
@@ -553,7 +554,7 @@ def _selftest_quadrature(full: bool):
 
 def _selftest_rank_one_law(seed, n):
     r = 2
-    spec = RieszSpec.build(s=[0.5] * r, theta=SymElement._wrap(-0.5 * np.eye(r)),
+    spec = RieszSpec.build(s=[0.5] * r, theta=SymElement(-0.5 * np.eye(r)),
                            seed=seed, count=n)
     batch = sample_riesz(spec)
     mean = batch.mean()
@@ -563,8 +564,8 @@ def _selftest_rank_one_law(seed, n):
     zs = []
     ok = mean_z <= 5.0
     for c in zetas:
-        rep = laplace_mc(batch, SymElement._wrap(c * np.eye(r)))
-        diff = c * np.eye(r) - spec.theta.dense()
+        rep = laplace_mc(batch, SymElement(c * np.eye(r)))
+        diff = c * np.eye(r) - spec.theta.matrix
         det_form = float(np.linalg.det(np.eye(r) - 2.0 * diff) ** -0.5)
         agree = abs(rep.exact - det_form) <= 1e-12 * det_form
         zs.append(rep.z)
@@ -583,7 +584,7 @@ def _selftest_rank_one_law(seed, n):
 def _selftest_generic_law(seed, n):
     spec = RieszSpec.build(u=[1.2, 0.0, 0.7, 0.0], seed=seed, count=n)
     batch = sample_riesz(spec)
-    rep = laplace_mc(batch, SymElement._wrap(-1.25 * np.eye(4)))
+    rep = laplace_mc(batch, SymElement(-1.25 * np.eye(4)))
     profile = rank_profile(batch, expected=2)
     mean = batch.mean()
     se = batch.matrices.std(axis=0, ddof=1) / math.sqrt(n)

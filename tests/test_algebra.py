@@ -28,7 +28,6 @@ def random_cone(rng, r):
 def test_packed_storage_roundtrip():
     a = np.array([[1.0, 2.0, 3.0], [2.0, 4.0, 5.0], [3.0, 5.0, 6.0]])
     x = sym(a)
-    assert x.packed.shape == (6,)
     assert np.array_equal(x.dense(), a)
     back = SymElement.from_json_dict(x.to_json_dict())
     assert np.array_equal(back.dense(), a)
@@ -53,29 +52,44 @@ def test_rejects_asymmetric_and_nonsquare():
         SymElement.from_json_dict({"r": 2, "data": [[1.0]]})
 
 
-def test_shape_dimension():
-    assert al.AlgebraShape(3).n == 6
-    assert al.AlgebraShape(1).n == 1
+def test_rejects_empty_matrix():
     with pytest.raises(al.AlgebraError):
-        al.AlgebraShape(0)
+        SymElement.from_dense(np.zeros((0, 0)))
+    with pytest.raises(al.ShapeMismatchError):
+        SymElement.from_json_dict({"r": 0, "data": []})
 
 
-# ---------------------------------------------------------------- products
+def test_lower_triangle_mirrors_upper_bitwise():
+    # the upper triangle wins, signed zeros included
+    x = SymElement.from_dense([[1.0, -0.0, 2.0], [0.0, 3.0, 4.0 + 5e-13], [2.0, 4.0, 5.0]])
+    assert np.array_equal(x.matrix, x.matrix.T)
+    assert math.copysign(1.0, x.matrix[1, 0]) == -1.0
+    assert x.matrix[2, 1] == 4.0 + 5e-13
+    assert x.r == 3
 
 
-def test_inner_product_frozen_value():
-    # tr(xy) for x=[[1,2],[2,0]], y=[[0,1],[1,3]]: xy=[[2,7],[0,2]], trace 4
-    x = sym([[1, 2], [2, 0]])
-    y = sym([[0, 1], [1, 3]])
-    assert al.inner(x, y) == 4.0
+def test_matrix_is_read_only_and_dense_is_a_copy():
+    a = np.array([[2.0, 1.0], [1.0, 3.0]])
+    x = sym(a)
+    a[0, 0] = 9.0  # the input is copied, not aliased
+    with pytest.raises(ValueError):
+        x.matrix[0, 0] = 9.0
+    d = x.dense()
+    d[0, 0] = 9.0
+    assert x.matrix[0, 0] == 2.0
 
 
-def test_inner_product_matches_trace():
-    rng = np.random.default_rng(7)
-    for r in (1, 2, 5):
-        x, y = random_sym(rng, r), random_sym(rng, r)
-        assert_allclose(al.inner(x, y), np.trace(x.dense() @ y.dense()),
-                        rtol=1e-13, atol=1e-13)
+
+def test_constructor_mirrors_upper_and_rejects_non_square():
+    # the unvalidated constructor keeps the structural invariant too
+    x = SymElement(np.array([[1.0, 2.0], [7.0, 3.0]]))
+    assert x.matrix.tolist() == [[1.0, 2.0], [2.0, 3.0]]
+    assert not x.matrix.flags.writeable
+    for bad in (np.ones((2, 3)), np.ones(4), np.ones((2, 2, 2))):
+        with pytest.raises(al.ShapeMismatchError):
+            SymElement(bad)
+
+# ---------------------------------------------------------------- norm
 
 
 def test_inner_norm_is_frobenius():

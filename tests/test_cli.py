@@ -1,6 +1,8 @@
 import hashlib
 import json
 import math
+import os
+import stat
 import subprocess
 import sys
 import tracemalloc
@@ -76,6 +78,10 @@ def test_check_zero_tol_flag(capsys):
     ("verify", "--s", "1,1", "--zeta", THETA_2, "--workers", "-1"),
     ("sample", "--s", "1,1", "--seed", "-1"),
     ("sample", "--s", "1,1", "--seed", str(1 << 64)),
+    ("selftest", "--trials", "0"),
+    ("selftest", "--trials", "-3"),
+    ("selftest", "--r", "1"),
+    ("selftest", "--seed", "-1"),
 ])
 def test_usage_errors_exit_64(capsys, argv):
     with pytest.raises(SystemExit) as exc:
@@ -251,16 +257,68 @@ def test_sample_stats_line_leaves_output_unchanged(capsys, tmp_path):
     assert files[0] == files[1]
 
 
-def test_sample_non_finite_draw_exits_1(capsys, monkeypatch):
+def test_sample_non_finite_draw_exits_1(capsys, monkeypatch, tmp_path):
     def bad_chunks(spec, workers=1):
-        chunk = np.ones((spec.count, spec.param.r, spec.param.r))
-        chunk[-1, 0, 0] = np.nan
-        yield chunk
+        good = np.ones((CHUNK, spec.param.r, spec.param.r))
+        yield good[:min(CHUNK, spec.count - 1)]
+        bad = np.ones((1, spec.param.r, spec.param.r))
+        bad[0, 0, 0] = np.nan
+        yield bad
 
     monkeypatch.setattr(cli, "sample_chunks", bad_chunks)
     code, _, err = run(capsys, "sample", "--s", "1,1", "--n", "3")
     assert code == 1
     assert "draw 2 has a non-finite entry" in err
+
+    # --out is all or nothing: a refused draw after a written chunk leaves
+    # no file behind, and an existing file keeps its bytes
+    path = tmp_path / "draws.ndjson"
+    code, _, err = run(capsys, "sample", "--s", "1,1", "--n", str(CHUNK + 1),
+                       "--out", str(path))
+    assert code == 1 and f"draw {CHUNK} has a non-finite entry" in err
+    assert list(tmp_path.iterdir()) == []
+    path.write_bytes(b"old bytes\n")
+    code, _, _ = run(capsys, "sample", "--s", "1,1", "--n", str(CHUNK + 1),
+                     "--out", str(path))
+    assert code == 1
+    assert list(tmp_path.iterdir()) == [path] and path.read_bytes() == b"old bytes\n"
+
+
+def test_sample_out_that_cannot_be_opened_exits_64(capsys, monkeypatch, tmp_path):
+    def no_draws(spec, workers=1):
+        raise AssertionError("drew samples for an --out that cannot be written")
+
+    monkeypatch.setattr(cli, "sample_chunks", no_draws)
+    for bad in (tmp_path / "missing" / "draws.ndjson", tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["sample", "--s", "1,1", "--n", "3", "--out", str(bad)])
+        assert exc.value.code == 64
+        err = capsys.readouterr().err
+        assert err.splitlines()[-1].startswith(f"rieszcone: error: cannot open --out {bad}")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_sample_out_keeps_symlink_and_mode(capsys, tmp_path):
+    code, expected, _ = run(capsys, "sample", "--s", "1,1", "--n", "5")
+    target = tmp_path / "draws.ndjson"
+    target.write_bytes(b"old bytes\n")
+    target.chmod(0o640)
+    link = tmp_path / "link.ndjson"
+    link.symlink_to(target)
+    code, _, _ = run(capsys, "sample", "--s", "1,1", "--n", "5", "--out", str(link))
+    assert code == 0
+    assert link.is_symlink() and link.resolve() == target
+    assert target.read_text() == expected
+    assert target.stat().st_mode & 0o777 == 0o640
+    assert sorted(tmp_path.iterdir()) == [target, link]
+
+
+def test_sample_out_to_a_device_writes_in_place(capsys):
+    before = os.stat(os.devnull)
+    code, _, _ = run(capsys, "sample", "--s", "1,1", "--n", "5", "--out", os.devnull)
+    after = os.stat(os.devnull)
+    assert code == 0
+    assert stat.S_ISCHR(after.st_mode) and after.st_ino == before.st_ino
 
 
 def test_tilt_the_sampler_cannot_factor_exits_3(capsys, tmp_path):
@@ -315,6 +373,17 @@ def test_verify_bad_zeta_exits_3(capsys):
                        "--n", "10")
     assert code == 3
 
+
+
+def test_verify_s_snapped_by_zero_tol_exits_2(capsys):
+    # u_2 = -1e-10 is snapped to 0 when the spec is built, but the closed form
+    # re-derives u from s without a tolerance and rejects it
+    code, out, err = run(capsys, "verify", "--s", "1,0.4999999999",
+                         "--zero-tol", "1e-9",
+                         "--zeta", '{"r":2,"data":[[-1.1,0],[0,-1.1]]}',
+                         "--n", "20")
+    assert code == 2 and out == ""
+    assert err.startswith("rieszcone verify: ") and len(err.splitlines()) == 1
 
 # ------------------------------------------------------------------- density
 
