@@ -174,33 +174,55 @@ def require_negative_definite(x: SymElement, error: type, what: str,
 # -- minors and power functions --------------------------------------------
 
 
-def minors(x: SymElement) -> np.ndarray:
+def minors(x) -> np.ndarray:
     """All leading principal minors (Delta_1(x), ..., Delta_r(x)).
 
-    One pass of symmetric Gaussian elimination: the k-th pivot equals
-    Delta_k / Delta_{k-1}, so the running pivot product yields every minor.
-    If a pivot is exactly zero the recursion is undefined past it and the
-    remaining minors fall back to direct determinants of the leading blocks.
+    ``x`` is a ``SymElement``, giving an ``(r,)`` array, or an ``(n, r, r)``
+    stack, giving ``(n, r)``.  A stack first gets its upper triangle mirrored
+    into the lower one, as ``SymElement`` does, so both kinds go through the
+    same code: a ``SymElement`` is a stack of one.
+
+    One pass of symmetric Gaussian elimination, vectorized over the stack:
+    the k-th pivot equals Delta_k / Delta_{k-1}, and the pivots stay on the
+    diagonal, so their running product yields every minor.  If a matrix's
+    pivot is exactly zero the recursion is undefined past it, and that
+    matrix's remaining minors fall back to direct determinants of its
+    leading blocks; the other matrices are unaffected.
     """
-    r = x.r
-    a = x.dense()
-    out = np.empty(r)
-    prefix = 1.0
+    single = isinstance(x, SymElement)
+    if single:
+        sym = x.matrix[None]
+    else:
+        stack = np.asarray(x, dtype=float)
+        if stack.ndim != 3 or stack.shape[1] != stack.shape[2]:
+            raise ShapeMismatchError(
+                f"expected an (n, r, r) stack, got shape {stack.shape}")
+        sym = np.where(_strict_lower(stack.shape[1]), np.swapaxes(stack, 1, 2), stack)
+    n, r = sym.shape[:2]
+    a = sym.copy()
     fallback_from = None
-    for k in range(r):
-        piv = a[k, k]
-        prefix *= piv
-        out[k] = prefix
-        if k < r - 1:
-            if piv == 0.0:
-                fallback_from = k + 1
-                break
-            a[k + 1:, k + 1:] -= np.outer(a[k + 1:, k], a[k, k + 1:]) / piv
+    for k in range(r - 1):
+        piv = a[:, k, k]
+        if not piv.all():
+            # a matrix that falls back keeps its zero pivot and takes no
+            # further part: its trailing block becomes the identity, which
+            # eliminates to itself, and its minors past this one are
+            # overwritten below
+            hit = piv == 0.0
+            if fallback_from is None:
+                fallback_from = np.full(n, r)
+            fallback_from[hit] = k + 1
+            a[hit, k + 1:, k] = 0.0
+            a[hit, k + 1:, k + 1:] = np.eye(r - k - 1)
+            piv = np.where(hit, 1.0, piv)
+        a[:, k + 1:, k + 1:] -= (a[:, k + 1:, k, None] * a[:, None, k, k + 1:]
+                                 / piv[:, None, None])
+    out = np.cumprod(np.diagonal(a, axis1=1, axis2=2), axis=1)
     if fallback_from is not None:
-        d0 = x.matrix
-        for k in range(fallback_from, r):
-            out[k] = float(np.linalg.det(d0[: k + 1, : k + 1]))
-    return out
+        for k in range(int(fallback_from.min()), r):
+            rows = np.flatnonzero(fallback_from <= k)
+            out[rows, k] = np.linalg.det(sym[rows, : k + 1, : k + 1])
+    return out[0] if single else out
 
 
 def _power_exponents(s, r: int) -> np.ndarray:

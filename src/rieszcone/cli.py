@@ -77,7 +77,7 @@ def _int_type(what: str, ok):
 
 
 _positive_int = _int_type("a positive integer", lambda v: v >= 1)
-_rank = _int_type("an integer of at least 2", lambda v: v >= 2)
+_at_least_two = _int_type("an integer of at least 2", lambda v: v >= 2)
 _seed = _int_type("an integer in [0, 2**64)", lambda v: v < 1 << 64)
 
 
@@ -115,8 +115,8 @@ def _build_parser() -> _Parser:
     sp = sub.add_parser("sample", help="draw tilted samples (NDJSON/JSON/CSV)")
     add_param_flags(sp)
     sp.add_argument("--spec", metavar="FILE",
-                    help='JSON request {"s": [...], "theta": {...}, "n": int, '
-                         '"seed": int}; mutually exclusive with --s/--u')
+                    help='JSON request {"s": [...] or "u": [...], "theta": {...}, '
+                         '"n": int, "seed": int}; mutually exclusive with --s/--u')
     sp.add_argument("--theta", metavar="FILE_OR_JSON",
                     help="tilt matrix (default: minus the identity)")
     sp.add_argument("--n", type=int, default=100, help="number of samples")
@@ -136,7 +136,8 @@ def _build_parser() -> _Parser:
                     help="tilt matrix (default: minus the identity)")
     sp.add_argument("--zeta", metavar="FILE_OR_JSON", required=True,
                     help="probe point for the transform ratio")
-    sp.add_argument("--n", type=int, default=100000, help="number of samples")
+    sp.add_argument("--n", type=_at_least_two, default=100000,
+                    help="number of samples, at least 2 (the z-score needs a spread)")
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--workers", type=_positive_int, default=1)
     sp.set_defaults(spec=None)
@@ -147,7 +148,7 @@ def _build_parser() -> _Parser:
                     help="evaluation point")
 
     sp = sub.add_parser("selftest", help="run the verification suite")
-    sp.add_argument("--r", type=_rank, help="restrict the identity sweep to one rank")
+    sp.add_argument("--r", type=_at_least_two, help="restrict the identity sweep to one rank")
     sp.add_argument("--trials", type=_positive_int, default=500,
                     help="trials per identity; below 500 switches to smoke scale")
     sp.add_argument("--seed", type=_seed, default=0)

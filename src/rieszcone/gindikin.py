@@ -64,7 +64,10 @@ def _as_float_vector(x, name: str) -> list:
     The recursions below run on Python floats: on 1 to 8 entries, numpy's
     per-call and per-scalar costs outweigh the arithmetic.
     """
-    arr = np.asarray(x, dtype=float)
+    try:
+        arr = np.asarray(x, dtype=float)
+    except TypeError as err:
+        raise GindikinError(f"{name} must be a sequence of numbers: {err}") from None
     if arr.ndim != 1 or arr.size == 0:
         raise GindikinError(f"{name} must be a nonempty 1-d sequence, got shape {arr.shape}")
     values = arr.tolist()

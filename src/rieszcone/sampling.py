@@ -15,6 +15,12 @@ mean sqrt(A) . Theta_12 (-Theta_0)^{-1} and row covariance
 (1/2) (-Theta_0)^{-1}, where Theta_12, Theta_0 are the tilt blocks to the
 right of / below the core.
 
+The gamma shapes are computed from the run's block parameter as
+(u_p + t/2) - t/2, with t the position in the run, so each keeps a relative
+error of about 1e-16 * t / u_p against u_p; the draw bits are pinned to that
+rounding.  Where it would give a shape <= 0 (an admissible u_p below about
+1e-16 t, such as ``--u 1,1e-300``) the shape is u_p itself.
+
 That factor is ``N N^T`` with ``N = [sqrt(A); B^T]``, and the sampler builds
 it as ``M M^T`` with ``M = [W; K^T W + L Z]``: W = C T (so W W^T = A),
 K = Theta_12 (-Theta_0)^{-1} is the coupling mean map, L the lower Cholesky
@@ -66,7 +72,14 @@ import numpy as np
 
 from . import algebra
 from .algebra import SymElement
-from .gindikin import BlockPartition, GindikinParam, build_partition, param_from_u, u_from_s
+from .gindikin import (
+    BlockPartition,
+    GindikinError,
+    GindikinParam,
+    build_partition,
+    param_from_u,
+    u_from_s,
+)
 
 __all__ = [
     "CHUNK",
@@ -145,15 +158,17 @@ def _neg_inverse(a: np.ndarray, what: str) -> np.ndarray:
     return 0.5 * (inv + inv.T)
 
 
-def _gamma_shapes(u_block: np.ndarray) -> np.ndarray:
-    shapes = u_block - 0.5 * np.arange(len(u_block))
-    if np.any(shapes <= 0):
-        bad = int(np.argmax(shapes <= 0))
-        raise SamplerError(
-            f"core parameter u_{bad + 1} = {u_block[bad]} violates "
-            f"u_p > (p-1)/2 (gamma shape {shapes[bad]:.6g})"
-        )
-    return shapes
+def _gamma_shapes(u_block, u_run) -> np.ndarray:
+    """Gamma shapes u_p of a run's triangular diagonal, bit-stable.
+
+    The shapes are computed as (u_p + t/2) - t/2 from the run's block
+    parameter, t being p's position in the run, so they keep a relative
+    error of about 1e-16 * t / u_p.  That rounding fixes the sampler's bits,
+    so it stays; only where it gives a shape <= 0 (u_p below about 1e-16 t)
+    is u_p itself, which is positive in a run, used instead.
+    """
+    shapes = np.asarray(u_block) - 0.5 * np.arange(len(u_block))
+    return np.where(shapes > 0.0, shapes, np.asarray(u_run))
 
 
 @dataclass(frozen=True)
@@ -174,7 +189,7 @@ class _BlockPlan:
 
 
 def _plan_block(theta_dense: np.ndarray, start: int, width: int,
-                u_block: np.ndarray) -> _BlockPlan:
+                shapes: np.ndarray) -> _BlockPlan:
     r = theta_dense.shape[0]
     m = r - start
     tail = m - width
@@ -191,8 +206,7 @@ def _plan_block(theta_dense: np.ndarray, start: int, width: int,
         coupling = np.zeros((width, 0))
         noise_chol = np.zeros((0, 0))
     core_chol = np.linalg.cholesky(_neg_inverse(eta, "tilt Schur complement"))
-    return _BlockPlan(start, width, tail, _gamma_shapes(u_block),
-                      core_chol, coupling, noise_chol)
+    return _BlockPlan(start, width, tail, shapes, core_chol, coupling, noise_chol)
 
 
 def _draw_block(plan: _BlockPlan, rng: np.random.Generator, size: int):
@@ -274,7 +288,8 @@ class RieszSpec:
                                           margin=TILT_MARGIN)
         part = self.partition
         object.__setattr__(self, "plans", tuple(
-            _plan_block(self.theta.matrix, start, width, np.asarray(ub))
+            _plan_block(self.theta.matrix, start, width,
+                        _gamma_shapes(ub, self.param.u[start:start + width]))
             for start, width, ub in zip(part.starts, part.lengths, part.u_blocks)
         ))
 
@@ -312,18 +327,49 @@ class RieszSpec:
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "RieszSpec":
-        if not isinstance(obj, dict) or "s" not in obj:
-            raise SamplerError('spec JSON must be an object with at least "s"')
+        """Spec from a JSON object that gives the parameter as "s" or "u".
+
+        ``to_json_dict`` writes both, so an object with both is accepted
+        when they name the same parameter and refused otherwise.
+        """
+        if not isinstance(obj, dict) or ("s" not in obj and "u" not in obj):
+            raise SamplerError('spec JSON must be an object with "s" or "u"')
+        d = float(obj.get("d", 1.0))
+        s, u = obj.get("s"), obj.get("u")
+        if "s" in obj and "u" in obj:
+            s, u = _exact_one_of(s, u, d)
         theta = obj.get("theta")
         # seed and n go through unconverted, so that construction rejects
         # anything but a JSON integer instead of truncating it
         return cls.build(
-            s=obj["s"],
+            s=s,
+            u=u,
             theta=None if theta is None else SymElement.from_json_dict(theta),
             seed=obj.get("seed", 0),
             count=obj.get("n", 1),
-            d=float(obj.get("d", 1.0)),
+            d=d,
         )
+
+
+def _exact_one_of(s, u, d: float):
+    """Of a spec's "s" and "u", the one it was built from: (s, None) or (None, u).
+
+    One of the two was derived from the other, and the derived one need not
+    survive the way back bit for bit (u = (0.1, 0.3) gives an s whose u is
+    not (0.1, 0.3)); reading the spec from the derived one would change its
+    parameter and so its digest.  "s" is kept when its u is "u", "u" when
+    its s is "s"; anything else names two parameters.
+    """
+    by_s = u_from_s(s, d)
+    try:
+        by_u = param_from_u(u, d)
+    except GindikinError:
+        by_u = None
+    if by_u is not None and by_u.u == by_s.u:
+        return s, None
+    if by_u is not None and by_u.s == by_s.s:
+        return None, u
+    raise SamplerError('spec JSON gives "s" and "u" of different parameters')
 
 
 class SampleBatch:

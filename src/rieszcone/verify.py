@@ -6,17 +6,26 @@ Every check here runs two genuinely independent routes and compares them:
   of the negated inverse tilt, through the package's one-pass minors) while
   ``laplace_mc`` re-estimates the same ratio from sampler output by
   importance reweighting.
-* ``quadrature_check_r2`` integrates the rank-2 density over the cone with
-  an adaptive Gauss-Jacobi tensor rule and compares against the closed form.
+* ``quadrature_check_r2`` integrates the rank-2 density over the cone and
+  compares against the closed form.  The rule is an adaptive tensor of
+  generalized Gauss-Laguerre rules in the diagonal entries, each scaled to
+  the rate (1 - rho)/2 |theta_ii| with rho the tilt's correlation
+  |theta12| / sqrt(theta11 theta22), and Gauss-Jacobi in the off-diagonal
+  angle.  Those rates leave a bounded residual that is never the rule's
+  own weight, so even a diagonal tilt is genuinely integrated.  The rule
+  converges for rho up to about 0.85 whatever the scaling of the diagonal,
+  and raises ``QuadratureError`` as rho nears 1 (see
+  ``quadrature_integral_r2``).
 * ``identity_suite`` realizes the structural identities behind the sampler
   (projection, half-space operators, pairing, commutation, positivity,
   minor/Schur complements) as numeric two-route checks on random batches.
 * ``rank_profile`` checks the almost-sure rank of singular draws.
 
 The suite holds the routes apart on purpose: the two minor identities put
-this package's hand-rolled one-pass minors against stock LAPACK
-determinants; the other seven compare two numpy routes on raw arrays
-(Kronecker determinants, composed symmetrized products, eigenvalue signs).
+this package's hand-rolled one-pass minors, one batched call per split
+level, against stock LAPACK determinants; the other seven compare two numpy
+routes on raw arrays (Kronecker determinants, composed symmetrized
+products, eigenvalue signs).
 
 Every whole-tilt check (the tilt of ``laplace_exact`` and
 ``quadrature_integral_r2``, the variance guard of ``laplace_mc``) goes
@@ -146,15 +155,6 @@ def laplace_mc(batch: SampleBatch, zeta: SymElement,
 # -- adaptive quadrature over the rank-2 cone ------------------------------
 
 
-def _jacobi_rule_01(n: int, alpha: float, beta: float):
-    """Nodes/weights on [0, 1] for the weight t^beta (1-t)^alpha."""
-    # imported here so that importing the package does not load scipy
-    from scipy.special import roots_jacobi
-
-    x, w = roots_jacobi(n, alpha, beta)
-    return 0.5 * (x + 1.0), w * 0.5 ** (alpha + beta + 1.0)
-
-
 def quadrature_integral_r2(s, theta: SymElement, moment=None,
                            n_start: int = 12, n_max: int = 192,
                            rtol: float = 1e-8) -> float:
@@ -162,11 +162,32 @@ def quadrature_integral_r2(s, theta: SymElement, moment=None,
 
     Here x = [[a, b], [b, c]] ranges over the open rank-2 cone and the flat
     measure is the one induced by the trace inner product, i.e.
-    dx = sqrt(2) da db dc.  The region is mapped to the unit cube by
-    a = p/(1-p), c = q/(1-q), b = (2w - 1) sqrt(ac); the density's endpoint
-    singularities p^{s1-1}, q^{s2-1}, (w(1-w))^{s2-3/2} are absorbed into
-    Gauss-Jacobi weights.  The per-axis node count doubles from ``n_start``
-    until two successive estimates agree to ``rtol`` relative.
+    dx = sqrt(2) da db dc.  With b = v sqrt(ac) and alpha = s2 - 3/2 the
+    integrand is
+
+        sqrt(2) a^{s1-1} c^{s2-1} (1 - v^2)^alpha
+            e^{theta11 a + theta22 c + 2 theta12 b}
+
+    over a, c > 0 and -1 < v < 1.  The rule is a tensor of generalized
+    Gauss-Laguerre rules in a and c, for the weights a^{s1-1} e^{-lambda_a a}
+    and c^{s2-1} e^{-lambda_c c}, and Gauss-Jacobi(alpha, alpha) in v.  The
+    rates are lambda_a = (1-rho)/2 (-theta11) and lambda_c =
+    (1-rho)/2 (-theta22), with rho = |theta12| / sqrt(theta11 theta22) < 1
+    (the tilt is checked to be negative definite first).  The residual
+    e^{(theta11+lambda_a) a + (theta22+lambda_c) c + 2 theta12 b} is then at
+    most 1, since ((1+rho)/2)^2 theta11 theta22 >= theta12^2, and it is never
+    the rule's own weight: a diagonal tilt keeps a factor e^{theta_ii a / 2}
+    on each axis, so the oracle stays a genuine integration.
+
+    The per-axis node count doubles from ``n_start`` until two successive
+    estimates agree to ``rtol`` relative, else ``QuadratureError``.  The
+    residual gets harder to integrate as rho approaches 1.  Over random tilts
+    with diagonal entries e^{U(-3,3)} and random s (20 per rho), every tilt
+    with rho <= 0.85 converged, to within 3.1e-11 of the closed form, about
+    a third did at rho = 0.9 and none at rho = 0.95.  What counts is rho,
+    not the scaling or the condition number: a tilt of condition 100
+    rotated by 0.1 rad (rho = 0.70) converges, and rotated by 45 degrees
+    (rho = 0.98) it raises ``QuadratureError`` rather than return a number.
     """
     s = np.asarray(s, dtype=float)
     if s.shape != (2,) or theta.r != 2:
@@ -178,29 +199,33 @@ def quadrature_integral_r2(s, theta: SymElement, moment=None,
         )
     td = theta.matrix
     algebra.require_negative_definite(theta, TiltError, "tilt")
+    # imported here so that importing the package does not load scipy
+    from scipy.special import roots_genlaguerre, roots_jacobi
+
     t11, t22, t12 = td[0, 0], td[1, 1], td[0, 1]
+    rho = abs(t12) / math.sqrt(t11 * t22)
+    lam_a = 0.5 * (1.0 - rho) * -t11
+    lam_c = 0.5 * (1.0 - rho) * -t22
     alpha = s2 - 1.5
-    prefactor = math.sqrt(2.0) * 2.0 * 4.0 ** alpha
+    prefactor = math.sqrt(2.0) * lam_a ** -s1 * lam_c ** -s2
 
     prev = None
     n = n_start
     while n <= n_max:
-        p, wp = _jacobi_rule_01(n, 0.0, s1 - 1.0)
-        q, wq = _jacobi_rule_01(n, 0.0, s2 - 1.0)
-        w, ww = _jacobi_rule_01(n, alpha, alpha)
-        a = p / (1.0 - p)
-        c = q / (1.0 - q)
-        ga = (1.0 - p) ** (-s1 - 1.0)
-        gc = (1.0 - q) ** (-s2 - 1.0)
-        amesh = a[:, None, None]
-        cmesh = c[None, :, None]
-        b = (2.0 * w - 1.0)[None, None, :] * np.sqrt(amesh * cmesh)
+        xa, wa = roots_genlaguerre(n, s1 - 1.0)
+        xc, wc = roots_genlaguerre(n, s2 - 1.0)
+        v, wv = roots_jacobi(n, alpha, alpha)
+        a, c = xa / lam_a, xc / lam_c
+        root_ac = np.sqrt(np.multiply.outer(a, c))
+        # the one (n, n, n) array: the residual's exponent, then the residual
+        f = np.multiply.outer(root_ac, 2.0 * t12 * v)
+        f += ((t11 + lam_a) * a)[:, None, None] + ((t22 + lam_c) * c)[None, :, None]
         with np.errstate(under="ignore"):
-            f = np.exp(t11 * amesh + t22 * cmesh + 2.0 * t12 * b)
-        f *= ga[:, None, None] * gc[None, :, None]
+            np.exp(f, out=f)
         if moment is not None:
-            f = f * moment(amesh, b, cmesh)
-        total = prefactor * float(np.einsum("i,j,k,ijk->", wp, wq, ww, f))
+            f *= moment(a[:, None, None], np.multiply.outer(root_ac, v),
+                        c[None, :, None])
+        total = prefactor * float(wa @ (f @ wv) @ wc)
         if prev is not None and abs(total - prev) <= rtol * max(abs(total), _TINY):
             return total
         prev = total
@@ -375,9 +400,7 @@ def _id_mixed_positivity(rng, r, l, n):
 def _id_minor_complement(rng, r, l, n):
     y = _cone_stack(rng, n, r)
     inv = np.linalg.inv(y)
-    lead = np.array([
-        algebra.minors(SymElement(inv[i]))[l - 1] for i in range(n)
-    ])
+    lead = algebra.minors(inv)[:, l - 1]
     rhs = np.linalg.det(y[:, l:, l:]) / np.linalg.det(y)
     return _rel_scalar(lead, rhs)
 
@@ -385,7 +408,7 @@ def _id_minor_complement(rng, r, l, n):
 def _id_minor_ratios(rng, r, l, n):
     y = _cone_stack(rng, n, r)
     inv = np.linalg.inv(y)
-    mins = np.array([algebra.minors(SymElement(inv[i])) for i in range(n)])
+    mins = algebra.minors(inv)
     inv_trail = np.linalg.inv(y[:, l:, l:])
     worst = 0.0
     for p in range(1, r - l + 1):
@@ -520,6 +543,7 @@ def _selftest_admissibility(seed, rounds):
     passed = ok_roundtrip and ok_recompose and ok_grid
     return {
         "pass": passed,
+        "seed": seed,
         "rounds": rounds,
         "roundtrip_exact": ok_roundtrip,
         "recomposition_exact": ok_recompose,
@@ -574,6 +598,7 @@ def _selftest_rank_one_law(seed, n):
     ok = ok and profile.passed
     return {
         "pass": bool(ok),
+        "seed": seed,
         "n": n,
         "mean_max_z": mean_z,
         "laplace_z": zs,
@@ -592,6 +617,7 @@ def _selftest_generic_law(seed, n):
     ok = rep.passed and profile.passed and mean_z <= 5.0
     return {
         "pass": bool(ok),
+        "seed": seed,
         "n": n,
         "laplace": rep.to_json_dict(),
         "rank": profile.to_json_dict(),
@@ -617,21 +643,11 @@ def _selftest_determinism(seed):
             c.matrices.tobytes())
     short = sample_riesz(replace(spec, count=n_short))
     prefix = short.matrices.tobytes() == a.matrices[:n_short].tobytes()
-    return {"pass": bool(same and prefix), "n": n, "n_short": n_short,
+    return {"pass": bool(same and prefix), "seed": seed, "n": n, "n_short": n_short,
             "chunk": CHUNK, "bitwise": same, "prefix": prefix}
 
 
-def run_selftest(r_values=(2, 3, 4, 5, 6), trials: int = 500,
-                 mc_samples: int = 200000, quad_full: bool = True,
-                 seed: int = 0) -> dict:
-    """Run every oracle family at the requested scale; aggregate to one verdict.
-
-    Smoke scale (e.g. trials=50, mc_samples=20000, quad_full=False) finishes
-    in a couple of seconds; the default desk scale stays under a minute.
-    """
-    t0 = time.time()
-    sections = {}
-
+def _selftest_identities(r_values, trials, seed):
     ident = {}
     ident_pass = True
     for r in r_values:
@@ -641,17 +657,38 @@ def run_selftest(r_values=(2, 3, 4, 5, 6), trials: int = 500,
         if failed:
             ident_pass = False
             ident[str(r)]["failed"] = failed
-    sections["identities"] = {"pass": ident_pass, "trials": trials,
-                              "max_rel_err": ident}
-    sections["admissibility"] = _selftest_admissibility(seed, rounds=10000)
-    sections["quadrature"] = _selftest_quadrature(quad_full)
-    sections["rank_one_law"] = _selftest_rank_one_law(seed, mc_samples)
-    sections["generic_singular_law"] = _selftest_generic_law(seed, mc_samples)
-    sections["determinism"] = _selftest_determinism(seed)
+    return {"pass": ident_pass, "seed": seed, "trials": trials, "max_rel_err": ident}
+
+
+def run_selftest(r_values=(2, 3, 4, 5, 6), trials: int = 500,
+                 mc_samples: int = 200000, quad_full: bool = True,
+                 seed: int = 0) -> dict:
+    """Run every oracle family at the requested scale; aggregate to one verdict.
+
+    Smoke scale (e.g. trials=50, mc_samples=20000, quad_full=False) finishes
+    in a couple of seconds; the default desk scale stays under a minute.
+    Each section reports its own ``elapsed_s``, and each seeded one the
+    ``seed`` it ran with, so a failing section can be replayed alone
+    through its ``_selftest_*`` function.
+    """
+    t0 = time.perf_counter()
+    runs = {
+        "identities": lambda: _selftest_identities(r_values, trials, seed),
+        "admissibility": lambda: _selftest_admissibility(seed, rounds=10000),
+        "quadrature": lambda: _selftest_quadrature(quad_full),
+        "rank_one_law": lambda: _selftest_rank_one_law(seed, mc_samples),
+        "generic_singular_law": lambda: _selftest_generic_law(seed, mc_samples),
+        "determinism": lambda: _selftest_determinism(seed),
+    }
+    sections = {}
+    for name, section in runs.items():
+        t = time.perf_counter()
+        sections[name] = section()
+        sections[name]["elapsed_s"] = round(time.perf_counter() - t, 3)
 
     overall = all(sec["pass"] for sec in sections.values())
     return {
         "pass": bool(overall),
-        "elapsed_s": round(time.time() - t0, 3),
+        "elapsed_s": round(time.perf_counter() - t0, 3),
         "sections": sections,
     }

@@ -161,6 +161,75 @@ def test_minors_match_direct_determinants(r):
         assert_allclose(m, want, rtol=1e-9, atol=1e-12)
 
 
+def _scalar_minors(d):
+    """The one-matrix elimination, written out as a reference."""
+    r = d.shape[0]
+    a = d.copy()
+    out = np.empty(r)
+    prefix = 1.0
+    for k in range(r):
+        piv = a[k, k]
+        prefix *= piv
+        out[k] = prefix
+        if k < r - 1:
+            if piv == 0.0:
+                for j in range(k + 1, r):
+                    out[j] = float(np.linalg.det(d[: j + 1, : j + 1]))
+                break
+            a[k + 1:, k + 1:] -= np.outer(a[k + 1:, k], a[k, k + 1:]) / piv
+    return out
+
+
+@pytest.mark.parametrize("r", range(1, 9))
+def test_minors_of_a_stack_match_one_matrix_at_a_time_bitwise(r):
+    rng = np.random.default_rng(70 + r)
+    x = rng.standard_normal((40, r, r))
+    # an inverse is only symmetric up to roundoff: the stack path must
+    # mirror its upper triangle exactly as SymElement does
+    for stack in (np.linalg.inv(x @ np.swapaxes(x, 1, 2) + np.eye(r)), x):
+        got = al.minors(stack)
+        assert got.shape == (40, r)
+        mirrored = [SymElement(m).matrix for m in stack]
+        want = np.array([_scalar_minors(m) for m in mirrored])
+        one = np.array([al.minors(SymElement(m)) for m in stack])
+        assert got.tobytes() == want.tobytes() == one.tobytes()
+
+
+def test_minors_of_a_stack_fall_back_only_where_a_pivot_is_zero(monkeypatch):
+    first = [[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]]   # pivot 1 is 0
+    second = [[1.0, 1.0, 0.0], [1.0, 1.0, 2.0], [0.0, 2.0, 5.0]]  # pivot 2 is 0
+    # pivot 1 is 0, and eliminating past it would make pivot 2 zero as well
+    third = [[0.0, 1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
+    rng = np.random.default_rng(3)
+    regular = [random_cone(rng, 3).matrix for _ in range(2)]
+    stack = np.array([first, regular[0], second, regular[1], third])
+    seen = []
+    true_det = np.linalg.det
+
+    def spy(a):
+        seen.append(np.asarray(a).shape)
+        return true_det(a)
+
+    monkeypatch.setattr(np.linalg, "det", spy)
+    got = al.minors(stack)
+    monkeypatch.undo()
+    # the first and last matrices fall back for Delta_2 and Delta_3, the
+    # third for Delta_3
+    assert seen == [(2, 2, 2), (3, 3, 3)]
+    assert np.array_equal(got[0], [0.0, -1.0, -1.0])
+    assert np.array_equal(got[2], [1.0, 0.0, -4.0])
+    assert np.array_equal(got[4], [0.0, -1.0, -1.0])
+    for i in (1, 3):
+        assert got[i].tobytes() == _scalar_minors(stack[i]).tobytes()
+
+
+def test_minors_rejects_a_stack_that_is_not_square():
+    with pytest.raises(al.ShapeMismatchError):
+        al.minors(np.zeros((3, 2, 4)))
+    with pytest.raises(al.ShapeMismatchError):
+        al.minors(np.eye(3))
+
+
 def test_generalized_power_frozen_values():
     # Delta_(2,1) of [[2,1],[1,1]]: 2^(2-1) * 1^1 = 2
     assert al.generalized_power(sym([[2, 1], [1, 1]]), [2, 1]) == pytest.approx(2.0)

@@ -82,6 +82,7 @@ def test_check_zero_tol_flag(capsys):
     ("selftest", "--trials", "-3"),
     ("selftest", "--r", "1"),
     ("selftest", "--seed", "-1"),
+    ("verify", "--s", "1,1", "--zeta", THETA_2, "--n", "1"),
 ])
 def test_usage_errors_exit_64(capsys, argv):
     with pytest.raises(SystemExit) as exc:
@@ -188,6 +189,47 @@ def test_sample_spec_file_errors(capsys, tmp_path):
         with pytest.raises(SystemExit) as exc:
             cli.main(["sample", "--spec", str(odd)])
         assert exc.value.code == 64, (key, value)
+
+
+def test_sample_spec_file_with_u(capsys, tmp_path):
+    spec_file = tmp_path / "spec.json"
+    spec_file.write_text(json.dumps({"u": [1.2, 0, 0.7, 0], "seed": 5, "n": 8}))
+    code, from_file, _ = run(capsys, "sample", "--spec", str(spec_file))
+    assert code == 0
+    code, from_flags, _ = run(capsys, "sample", "--u", "1.2,0,0.7,0", "--seed", "5",
+                              "--n", "8")
+    assert code == 0 and from_file == from_flags
+    # neither, or both naming different parameters, is a usage error
+    for obj in ({"seed": 5, "n": 8}, {"s": [1.0, 1.0], "u": [1.0, 1.0], "n": 8},
+                {"s": [1.0, 1.0], "u": {}}, {"s": [1.0, 1.0], "u": [-1.0, 1.0]}):
+        spec_file.write_text(json.dumps(obj))
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["sample", "--spec", str(spec_file)])
+        assert exc.value.code == 64, obj
+    # a parameter that is not a list of numbers is refused like any bad one
+    for obj in ({"u": {}}, {"s": {}}):
+        spec_file.write_text(json.dumps(obj))
+        code, out, err = run(capsys, "sample", "--spec", str(spec_file))
+        assert code == 2 and out == "" and "sequence of numbers" in err, obj
+
+
+def test_sample_tiny_u_is_sampled(capsys):
+    # u_2 = 1e-300 is admissible; its gamma shape no longer rounds to 0
+    code, out, _ = run(capsys, "sample", "--u", "1,1e-300", "--n", str(CHUNK + 3))
+    assert code == 0
+    draws = [np.array(json.loads(line)["data"]) for line in out.splitlines()[1:]]
+    assert len(draws) == CHUNK + 3
+    assert all(np.all(np.isfinite(m)) and np.array_equal(m, m.T) for m in draws)
+
+
+def test_sample_readme_law_bytes_are_pinned(capsys):
+    # sha256 of these bytes before the tiny-shape fix; no spec that could
+    # be sampled then may change its output
+    code, out, _ = run(capsys, "sample", "--u", "1.2,0,0.7,0", "--n", "1100",
+                       "--seed", "42")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "f8ff5cc82be2aca19f7f1a7b8a4fb445655e769f71bdf8d0ec69775e063e5319")
 
 
 def test_sample_theta_from_file(capsys, tmp_path):

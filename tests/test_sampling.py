@@ -83,11 +83,9 @@ def test_ac_block_is_positive_definite():
 
 
 def test_ac_block_validates_inputs():
-    # the core parameters of a run are validated when the spec is built:
-    # u = (1, 1e-300) passes admissibility, but its second gamma shape
-    # (1e-300 + 1/2) - 1/2 rounds to zero
-    with pytest.raises(sp.SamplerError, match="gamma shape"):
-        sp.RieszSpec.build(u=[1.0, 1e-300])
+    # u = (1, 1e-300) passes admissibility; its second gamma shape, computed
+    # as (1e-300 + 1/2) - 1/2, rounds to zero, so u_2 itself is used
+    assert sp.RieszSpec.build(u=[1.0, 1e-300]).plans[0].shapes.tolist() == [1.0, 1e-300]
     with pytest.raises(sp.SamplerError):
         sp.RieszSpec.build(u=[1.0], theta=SymElement.from_dense(-np.eye(2)))
     with pytest.raises(sp.TiltError):
@@ -185,6 +183,23 @@ def test_spec_seed_range():
     zero = sp.RieszSpec.build(u=[1.0], seed=0, count=3)
     assert not np.array_equal(sp.sample_riesz(top).matrices,
                               sp.sample_riesz(zero).matrices)
+
+
+def test_spec_json_takes_s_or_u():
+    by_s = sp.RieszSpec.from_json_dict({"s": [1.2, 0.5, 1.2, 1.0], "n": 3})
+    by_u = sp.RieszSpec.from_json_dict({"u": [1.2, 0, 0.7, 0], "n": 3})
+    assert by_u.param == by_s.param
+    assert by_u.digest() == by_s.digest()
+    # a spec's own JSON carries both; it reads back to the same parameter,
+    # also when it was built from a u whose round trip through s is not exact
+    for built in (sp.RieszSpec.build(u=[0.1, 0.3], seed=2, count=4),
+                  sp.RieszSpec.build(s=[0.1, 0.8], seed=2, count=4)):
+        back = sp.RieszSpec.from_json_dict(built.to_json_dict())
+        assert back.param == built.param and back.digest() == built.digest()
+    assert sp.RieszSpec.build(u=[0.1, 0.3]).param != sp.RieszSpec.build(s=[0.1, 0.8]).param
+    for bad in ({"n": 3}, {"s": [1.0, 1.0], "u": [1.0, 1.0]}, {"s": [1.0], "u": [1.0, 1.0]}):
+        with pytest.raises(sp.SamplerError):
+            sp.RieszSpec.from_json_dict(bad)
 
 
 def test_spec_json_requires_integers():

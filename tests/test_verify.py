@@ -1,4 +1,6 @@
+import importlib.util
 import math
+import pathlib
 
 import numpy as np
 import pytest
@@ -35,6 +37,32 @@ def test_laplace_exact_rejections():
 
     with pytest.raises(NotInGindikinSetError):
         vf.laplace_exact([0.5, 0.2], sym(-np.eye(2)))
+
+
+def _oracle_battery_inputs():
+    """The r=32 and r=48 transform inputs of the benchmark's oracle battery."""
+    path = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    battery = workloads.OracleBattery(seed=0, tmpdir=None)
+    return [b for i in range(4) for b in battery.inputs(i)["big"]]
+
+
+# laplace_exact at those inputs, operations 0-3, r=32 then r=48 in each
+_BATTERY_EXACT = [
+    "0x1.6f48adeee021dp-26", "0x1.987c3f99768cfp-20",
+    "0x1.0b5a864c78063p+2", "0x1.671646b79a194p+20",
+    "0x1.5c483243920bdp+11", "0x1.8408255d7345dp+6",
+    "0x1.49e5cf9ea0f6ep+3", "0x1.f77399253f8a4p-6",
+]
+
+
+def test_laplace_exact_at_large_rank_is_frozen_bitwise():
+    for b, want in zip(_oracle_battery_inputs(), _BATTERY_EXACT, strict=True):
+        theta = SymElement.from_dense(b["theta"])
+        spec = RieszSpec.build(u=b["u"], theta=theta)
+        assert vf.laplace_exact(spec.param.s, theta) == float.fromhex(want)
 
 
 # ----------------------------------------------------------------- mc checker
@@ -90,6 +118,27 @@ def test_quadrature_matches_closed_form(s, theta):
     t11, t22, t12 = theta
     err = vf.quadrature_check_r2(list(s), sym([[t11, t12], [t12, t22]]))
     assert err <= 1e-6
+
+
+def test_quadrature_handles_a_badly_scaled_diagonal():
+    # one diagonal entry ten times the other
+    assert vf.quadrature_check_r2([2.0, 1.0], sym(np.diag([-0.1, -1.0]))) <= 1e-6
+
+
+def test_quadrature_sweep_of_random_tilts():
+    rng = np.random.default_rng(2026)
+    for _ in range(40):
+        d = np.exp(rng.uniform(-3.0, 3.0, 2))
+        off = rng.uniform(0.0, 0.8) * math.sqrt(d[0] * d[1]) * rng.choice([-1.0, 1.0])
+        s = [rng.uniform(0.1, 6.0), rng.uniform(0.51, 6.0)]
+        theta = sym([[-d[0], off], [off, -d[1]]])
+        assert vf.quadrature_check_r2(s, theta) <= 1e-6, (s, theta)
+
+
+def test_quadrature_refuses_a_nearly_singular_correlation():
+    # rho = 0.99: the rule must give up, not return a number
+    with pytest.raises(vf.QuadratureError):
+        vf.quadrature_integral_r2([1.5, 1.2], sym([[-1.0, -0.99], [-0.99, -1.0]]))
 
 
 def test_quadrature_rejections():
@@ -155,7 +204,7 @@ def test_identity_suite_catches_broken_minors(monkeypatch):
 
     def biased(x):
         m = true_minors(x)
-        return m * (1.0 + 1e-4 * np.arange(1, len(m) + 1))
+        return m * (1.0 + 1e-4 * np.arange(1, m.shape[-1] + 1))
 
     monkeypatch.setattr(algebra, "minors", biased)
     failed = {rep.name for rep in vf.identity_suite(3, trials=10, seed=0)
@@ -206,3 +255,17 @@ def test_run_selftest_smoke_scale():
     for name, sec in out["sections"].items():
         assert sec["pass"], name
     assert out["elapsed_s"] < 30.0
+
+
+def test_selftest_sections_report_seed_and_time():
+    out = vf.run_selftest(r_values=(2,), trials=40, mc_samples=4000,
+                          quad_full=False, seed=3)
+    for name, sec in out["sections"].items():
+        # the quadrature section draws nothing, so it names no seed
+        assert sec.get("seed") == (None if name == "quadrature" else 3), name
+        assert 0.0 <= sec["elapsed_s"] <= out["elapsed_s"], name
+    # a section replays alone from its seed
+    alone = vf._selftest_identities((2,), 40, 3)
+    ident = dict(out["sections"]["identities"])
+    del ident["elapsed_s"]
+    assert alone == ident
