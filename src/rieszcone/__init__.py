@@ -9,7 +9,6 @@ from .algebra import (  # noqa: F401
     SymElement,
     spectral,
     minors,
-    generalized_power,
 )
 from .gindikin import (  # noqa: F401
     GindikinParam,

@@ -5,7 +5,7 @@ The ambient space is Sym(r, R) with the symmetrized product
 The package needs only a few primitives on it: validated symmetric matrices
 that are symmetric bit for bit, one LAPACK eigendecomposition that decides
 whether a tilt is negative definite, and the hand-rolled leading principal
-minors and generalized power functions that the closed-form transforms use.
+minors with the log generalized power that the closed-form transforms use.
 
 The diagonal Jordan frame c_1, ..., c_r (standard basis projectors, in index
 order) is fixed once and for all; every "leading block" below is leading with
@@ -30,7 +30,6 @@ __all__ = [
     "spectral",
     "require_negative_definite",
     "minors",
-    "generalized_power",
     "log_generalized_power",
 ]
 
@@ -50,7 +49,7 @@ class NotSymmetricError(AlgebraError):
 
 
 class PowerDomainError(AlgebraError):
-    """Generalized power requested outside its real-valued domain."""
+    """Log generalized power requested where a minor it needs is not positive."""
 
 
 @lru_cache(maxsize=None)
@@ -171,7 +170,7 @@ def require_negative_definite(x: SymElement, error: type, what: str,
         )
 
 
-# -- minors and power functions --------------------------------------------
+# -- minors and the generalized power ---------------------------------------
 
 
 def minors(x) -> np.ndarray:
@@ -225,49 +224,16 @@ def minors(x) -> np.ndarray:
     return out[0] if single else out
 
 
-def _power_exponents(s, r: int) -> np.ndarray:
+def log_generalized_power(x: SymElement, s) -> float:
+    """log Delta_s(x) = sum_k (s_k - s_{k+1}) log Delta_k(x), with s_{r+1} = 0.
+
+    ``PowerDomainError`` unless every minor with a nonzero exponent is positive.
+    """
+    r = x.r
     s = np.asarray(s, dtype=float)
     if s.shape != (r,):
         raise ShapeMismatchError(f"power parameter must have length {r}, got {s.shape}")
-    e = np.empty(r)
-    e[:-1] = s[:-1] - s[1:]
-    e[-1] = s[-1]
-    return e
-
-
-def generalized_power(x: SymElement, s) -> float:
-    """Generalized power Delta_s(x) = prod_k Delta_k(x)^(s_k - s_{k+1}).
-
-    Positive minors go through logs; a nonpositive minor is only admissible
-    when its exponent is a nonnegative integer (exact power), otherwise the
-    value is not a real number and ``PowerDomainError`` is raised.
-    """
-    r = x.r
-    e = _power_exponents(s, r)
-    m = minors(x)
-    log_acc = 0.0
-    plain = 1.0
-    for k in range(r):
-        ek = e[k]
-        if ek == 0.0:
-            continue
-        mk = m[k]
-        if mk > 0.0:
-            log_acc += ek * math.log(mk)
-        elif ek >= 0.0 and float(ek).is_integer():
-            plain *= mk ** int(ek)
-        else:
-            raise PowerDomainError(
-                f"minor Delta_{k + 1} = {mk:.6e} is not positive and the "
-                f"exponent {ek} is not a nonnegative integer"
-            )
-    return plain * math.exp(log_acc)
-
-
-def log_generalized_power(x: SymElement, s) -> float:
-    """log Delta_s(x) for x with positive leading minors wherever s matters."""
-    r = x.r
-    e = _power_exponents(s, r)
+    e = np.append(s[:-1] - s[1:], s[-1])
     m = minors(x)
     out = 0.0
     for k in range(r):

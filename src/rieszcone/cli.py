@@ -7,7 +7,8 @@ human prose goes to stderr.  Exit codes are scripting-stable:
 * 1  a check or verification failed, or a draw had a non-finite entry
 * 2  parameter outside the admissible set (or no density exists for it)
 * 3  bad tilt: theta/zeta unreadable, not negative definite, or the
-     variance guard rejected the requested reweighting
+     variance guard rejected the requested reweighting (infinite weight
+     variance, or too few effective draws)
 * 64 malformed command line
 """
 
@@ -31,12 +32,11 @@ from .sampling import (
     TiltError,
     log_density_ac,
     sample_chunks,
-    sample_riesz,
     write_csv,
     write_json,
     write_ndjson,
 )
-from .verify import VerifyError, laplace_mc, run_selftest
+from .verify import VerifyError, laplace_mc_chunks, run_selftest
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -326,9 +326,8 @@ def cmd_verify(args: argparse.Namespace, parser: _Parser) -> int:
     except Exception as err:
         print(f"rieszcone: cannot load zeta: {err}", file=sys.stderr)
         return EXIT_BAD_TILT
-    batch = sample_riesz(spec, workers=args.workers)
     try:
-        report = laplace_mc(batch, zeta)
+        report = laplace_mc_chunks(spec, sample_chunks(spec, workers=args.workers), zeta)
     except (VerifyError, TiltError) as err:
         print(f"rieszcone verify: {err}", file=sys.stderr)
         return EXIT_BAD_TILT

@@ -2,10 +2,10 @@
 
 Every check here runs two genuinely independent routes and compares them:
 
-* ``laplace_exact`` evaluates the closed-form transform (a generalized power
-  of the negated inverse tilt, through the package's one-pass minors) while
-  ``laplace_mc`` re-estimates the same ratio from sampler output by
-  importance reweighting.
+* ``log_laplace_exact`` evaluates the closed-form transform in log space
+  (through the package's one-pass minors) while ``laplace_mc_chunks``
+  re-estimates a ratio of transforms from sampler output, chunk by chunk,
+  by importance reweighting; ``laplace_mc`` folds an in-memory batch.
 * ``quadrature_check_r2`` integrates the rank-2 density over the cone and
   compares against the closed form.  The rule is an adaptive tensor of
   generalized Gauss-Laguerre rules in the diagonal entries, each scaled to
@@ -27,9 +27,9 @@ level, against stock LAPACK determinants; the other seven compare two numpy
 routes on raw arrays (Kronecker determinants, composed symmetrized
 products, eigenvalue signs).
 
-Every whole-tilt check (the tilt of ``laplace_exact`` and
-``quadrature_integral_r2``, the variance guard of ``laplace_mc``) goes
-through ``algebra.require_negative_definite``.
+Every whole-tilt check (the tilt of ``log_laplace_exact`` and
+``quadrature_integral_r2``, the variance guard of ``laplace_mc_chunks``)
+goes through ``algebra.require_negative_definite``.
 """
 
 from __future__ import annotations
@@ -52,7 +52,9 @@ __all__ = [
     "LaplaceReport",
     "IdentityReport",
     "RankProfile",
+    "log_laplace_exact",
     "laplace_exact",
+    "laplace_mc_chunks",
     "laplace_mc",
     "quadrature_integral_r2",
     "quadrature_check_r2",
@@ -66,6 +68,7 @@ __all__ = [
 _TINY = 1e-300
 RANK_REL_TOL = 1e-8  # rank_profile: singular values above this * largest count
 PSD_TOL = 1e-9  # psd_check: allowed min eigenvalue, relative to the Frobenius norm
+ESS_FLOOR = 1000  # laplace_mc_chunks: fewest effective draws when rho > 1
 
 
 class VerifyError(ValueError):
@@ -83,8 +86,8 @@ class QuadratureError(VerifyError):
 # -- Laplace transform oracle ----------------------------------------------
 
 
-def laplace_exact(s, theta: SymElement) -> float:
-    """Closed-form transform: the generalized power of (-theta)^{-1} at s.
+def log_laplace_exact(s, theta: SymElement) -> float:
+    """Closed-form log transform: log Delta_s((-theta)^{-1}).
 
     Requires s admissible (d = 1) and -theta positive definite.
     """
@@ -95,7 +98,12 @@ def laplace_exact(s, theta: SymElement) -> float:
         )
     algebra.require_negative_definite(theta, TiltError, "tilt")
     neg_inv = SymElement(np.linalg.inv(-theta.matrix))
-    return algebra.generalized_power(neg_inv, param.s)
+    return algebra.log_generalized_power(neg_inv, param.s)
+
+
+def laplace_exact(s, theta: SymElement) -> float:
+    """Closed-form transform Delta_s((-theta)^{-1}): exp of ``log_laplace_exact``."""
+    return math.exp(log_laplace_exact(s, theta))
 
 
 @dataclass(frozen=True)
@@ -120,36 +128,60 @@ class LaplaceReport:
         }
 
 
-def laplace_mc(batch: SampleBatch, zeta: SymElement,
-               z_threshold: float = 4.0) -> LaplaceReport:
-    """Reweighting estimate of the transform ratio at zeta against theta.
+def laplace_mc_chunks(spec: RieszSpec, chunks, zeta: SymElement,
+                      z_threshold: float = 4.0) -> LaplaceReport:
+    """Reweighting estimate of L(zeta) / L(theta), with log L = ``log_laplace_exact``.
 
-    Estimates E[exp(<zeta - theta, X>)], whose exact value is the ratio of
-    closed-form transforms at zeta and theta.  Refuses to run when
-    -(2 zeta - theta) is not positive definite: the weight variance is
-    infinite there and the z-score would be meaningless.
+    ``chunks`` yields the ``spec.count`` draws of ``spec``, as ``sample_chunks``
+    does.  Each adds its weights' relative deviations from the exact ratio,
+    d = expm1(<zeta - theta, X> - log ratio), to n, sum d and sum d^2; the
+    estimate is ratio (1 + mean d) and z is mean d over its standard error.
+    Before any chunk is read, ``VarianceGuardError`` refuses a probe with
+    -(2 zeta - theta) not positive definite (infinite weight variance), or
+    whose relative weight variance rho = L(2 zeta - theta) L(theta) /
+    L(zeta)^2 - 1 exceeds 1 and leaves count / (1 + rho) < ``ESS_FLOOR``
+    effective draws (Kong 1992; Owen, *Monte Carlo theory, methods and
+    examples*, ch. 9).
     """
-    spec = batch.spec
     theta = spec.theta
     if zeta.r != theta.r:
-        raise VerifyError("zeta rank does not match the batch")
+        raise VerifyError("zeta rank does not match the spec")
     guard = SymElement(2.0 * zeta.matrix - theta.matrix)
     algebra.require_negative_definite(
         guard, VarianceGuardError, "2 zeta - theta (finite weight variance)")
-    exact = laplace_exact(spec.param.s, zeta) / laplace_exact(spec.param.s, theta)
+    s = spec.param.s
+    log_theta = log_laplace_exact(s, theta)
+    log_ratio = log_laplace_exact(s, zeta) - log_theta
+    log1p_rho = log_laplace_exact(s, guard) - log_theta - 2.0 * log_ratio
+    ess = spec.count * math.exp(-log1p_rho)
+    if log1p_rho > math.log(2.0) and ess < ESS_FLOOR:
+        raise VarianceGuardError(
+            f"too few effective draws: the weights' relative variance is "
+            f"exp({log1p_rho:.4g}) - 1, so {spec.count} draws are worth "
+            f"{ess:.3g}, below ESS_FLOOR = {ESS_FLOOR}")
     diff = zeta.matrix - theta.matrix
-    logw = np.einsum("nij,ij->n", batch.matrices, diff)
-    w = np.exp(logw)
-    est = float(w.mean())
-    stderr = float(w.std(ddof=1) / math.sqrt(len(w))) if len(w) > 1 else 0.0
-    if stderr == 0.0:
-        z = 0.0 if est == exact else math.inf
-    else:
-        z = (est - exact) / stderr
+    n, sum_d, sum_d2 = 0, 0.0, 0.0
+    for chunk in chunks:
+        d = np.expm1(np.einsum("nij,ij->n", chunk, diff) - log_ratio)
+        n += len(d)
+        sum_d += float(d.sum())
+        sum_d2 += float(d @ d)
+    mean = sum_d / n
+    se = math.sqrt(max(sum_d2 - sum_d * mean, 0.0) / (n - 1) / n) if n > 1 else 0.0
+    z = mean / se if se else (0.0 if mean == 0.0 else math.inf)
+    exact = math.exp(log_ratio)
     return LaplaceReport(
-        n=len(w), exact=exact, estimate=est, stderr=stderr, z=z,
+        n=n, exact=exact, estimate=exact * (1.0 + mean), stderr=exact * se, z=z,
         threshold=z_threshold, passed=bool(abs(z) <= z_threshold),
     )
+
+
+def laplace_mc(batch: SampleBatch, zeta: SymElement,
+               z_threshold: float = 4.0) -> LaplaceReport:
+    """``laplace_mc_chunks`` over the batch's ``CHUNK`` slices: the streamed report."""
+    m = batch.matrices
+    chunks = (m[i:i + CHUNK] for i in range(0, len(m), CHUNK))
+    return laplace_mc_chunks(batch.spec, chunks, zeta, z_threshold)
 
 
 # -- adaptive quadrature over the rank-2 cone ------------------------------
@@ -480,9 +512,12 @@ class RankProfile:
 
 
 def rank_profile(batch: SampleBatch, expected: int) -> RankProfile:
-    """Numerical rank histogram: singular values above RANK_REL_TOL * largest."""
-    sv = np.linalg.svd(batch.matrices, compute_uv=False)
-    top = np.maximum(sv[:, :1], _TINY)
+    """Numerical rank histogram: singular values above RANK_REL_TOL * largest.
+
+    A draw is symmetric bit for bit: its singular values are |eigenvalues|.
+    """
+    sv = np.abs(np.linalg.eigvalsh(batch.matrices))
+    top = np.maximum(sv.max(axis=1, keepdims=True), _TINY)
     ranks = (sv > RANK_REL_TOL * top).sum(axis=1)
     counts = {int(k): int(v) for k, v in zip(*np.unique(ranks, return_counts=True))}
     n = len(ranks)

@@ -406,6 +406,77 @@ def test_verify_variance_guard_exits_3(capsys):
     assert code == 3 and "variance" in err.lower()
 
 
+def _diag_json(c, r):
+    return json.dumps({"r": r, "data": (c * np.eye(r)).tolist()})
+
+
+@pytest.mark.parametrize("argv", [
+    # effective sample sizes 6e-22 and 1e-11 of the requested draws
+    ["--s", "50,50", "--theta", _diag_json(-0.5, 2), "--zeta", _diag_json(-0.3, 2),
+     "--n", "20000"],
+    ["--s", "400,400", "--zeta", _diag_json(-1.25, 2), "--n", "2000"],
+    # 2 zeta - theta = 0.2 I: infinite weight variance
+    ["--s", "50,50", "--zeta", _diag_json(-0.4, 2), "--n", "20000"],
+])
+def test_verify_refuses_probes_with_too_few_effective_draws(capsys, argv):
+    code, out, err = run(capsys, "verify", *argv)
+    assert code == 3 and out == ""
+    assert err.startswith("rieszcone verify: ") and len(err.splitlines()) == 1
+    assert "variance" in err
+
+
+def test_verify_at_large_s_reports_finite_numbers(capsys):
+    # the transforms themselves overflow a float here, their ratio does not
+    code, out, err = run(capsys, "verify", "--s", "400,400",
+                         "--theta", _diag_json(-0.25, 2), "--zeta", _diag_json(-0.26, 2),
+                         "--n", "20000")
+    assert code in (0, 1) and err == ""
+    rep = json.loads(out)
+    assert all(math.isfinite(rep[k]) for k in ("exact", "estimate", "stderr", "z"))
+
+
+def test_verify_stdout_is_the_library_report(capsys):
+    from rieszcone.algebra import SymElement
+    from rieszcone.sampling import sample_riesz
+    from rieszcone.verify import laplace_mc
+
+    n = 2 * CHUNK + 7
+    theta = [[-1.0, 0.2, 0.0, 0.1], [0.2, -1.3, 0.0, 0.0],
+             [0.0, 0.0, -0.9, 0.3], [0.1, 0.0, 0.3, -1.2]]
+    zeta = (1.2 * np.asarray(theta)).tolist()
+    spec = RieszSpec.build(u=[1.2, 0.0, 0.7, 0.0], theta=SymElement.from_dense(theta),
+                           seed=3, count=n)
+    report = laplace_mc(sample_riesz(spec), SymElement.from_dense(zeta))
+    want = json.dumps(report.to_json_dict(), indent=2) + "\n"
+    for workers in ("1", "3"):
+        code, out, _ = run(capsys, "verify", "--u", "1.2,0,0.7,0",
+                           "--theta", json.dumps({"r": 4, "data": theta}),
+                           "--zeta", json.dumps({"r": 4, "data": zeta}),
+                           "--n", str(n), "--seed", "3", "--workers", workers)
+        assert code == 0 and out == want
+
+
+def test_verify_memory_does_not_grow_with_n(capsys):
+    # the draws are folded a chunk at a time, so ten times the draws may not
+    # need more than half again the memory (the benchmark's r = 8 law)
+    def peak(n):
+        tracemalloc.start()
+        try:
+            code = cli.main(["verify", "--u", "1.5,0.8,0,1.2,0.6,0.9,0,0",
+                             "--zeta", _diag_json(-1.1, 8), "--n", str(n), "--seed", "5",
+                             "--workers", "2"])
+            return code, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(4 * CHUNK)  # the first run in a process also allocates lazy set-up
+    code_small, small = peak(4 * CHUNK)
+    code_large, large = peak(40 * CHUNK)
+    capsys.readouterr()
+    assert code_small == code_large == 0
+    assert large <= 1.5 * small, f"peak {large} B at n={40 * CHUNK}, {small} B at n={4 * CHUNK}"
+
+
 def test_verify_bad_zeta_exits_3(capsys):
     code, _, err = run(capsys, "verify", "--s", "1,1", "--zeta", "bogus",
                        "--n", "10")

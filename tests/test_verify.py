@@ -104,6 +104,43 @@ def test_laplace_mc_threshold_is_respected():
     assert not rep.passed  # any nonzero z fails a zero threshold
 
 
+def test_laplace_mc_refuses_before_reading_a_chunk():
+    class Untouchable:
+        def __iter__(self):
+            return self
+
+        def __next__(self):
+            raise AssertionError("a refused probe read a chunk")
+
+    spec = RieszSpec.build(s=[50.0, 50.0], theta=sym(-0.5 * np.eye(2)), count=20000)
+    with pytest.raises(vf.VarianceGuardError, match="effective draws"):
+        vf.laplace_mc_chunks(spec, Untouchable(), sym(-0.3 * np.eye(2)))
+    with pytest.raises(vf.VarianceGuardError, match="finite weight variance"):
+        vf.laplace_mc_chunks(spec, Untouchable(), sym(-0.2 * np.eye(2)))
+
+
+def test_laplace_mc_effective_sample_floor():
+    # s = (1, 1), theta = -I, zeta = c theta: 1 + rho = (c^2 / (2c - 1))^2,
+    # 3.24 at c = 3, so 3 240 draws leave 1 000 effective ones
+    zeta = sym(-3.0 * np.eye(2))
+    one_plus_rho = (9.0 / 5.0) ** 2
+    for n, refused in ((3230, True), (3250, False)):
+        spec = RieszSpec.build(s=[1.0, 1.0], count=n)
+        assert (n / one_plus_rho < vf.ESS_FLOOR) == refused
+        if refused:
+            with pytest.raises(vf.VarianceGuardError):
+                vf.laplace_mc_chunks(spec, iter(()), zeta)
+        else:
+            assert vf.laplace_mc(sample_riesz(spec), zeta).n == n
+
+
+def test_log_laplace_exact_is_finite_where_the_transform_overflows():
+    # Delta_s(4 I) = 4^800, about e^1109, is past the largest float
+    theta = sym(-0.25 * np.eye(2))
+    assert vf.log_laplace_exact([400.0, 400.0], theta) == pytest.approx(
+        800.0 * math.log(4.0), rel=1e-14)
+
+
 # ----------------------------------------------------------------- quadrature
 
 
