@@ -5,11 +5,17 @@ human prose goes to stderr.  Exit codes are scripting-stable:
 
 * 0  success
 * 1  a check or verification failed, or a draw had a non-finite entry
-* 2  parameter outside the admissible set (or no density exists for it)
-* 3  bad tilt: theta/zeta unreadable, not negative definite, or the
+* 2  parameter outside the admissible set, non-numeric or non-finite (in
+     every command), or no density exists for it
+* 3  bad tilt: theta/zeta unreadable (from ``--theta``, ``--zeta`` or a
+     ``--spec`` file), of the wrong rank, not negative definite, or the
      variance guard rejected the requested reweighting (infinite weight
      variance, or too few effective draws)
 * 64 malformed command line
+
+Commands raise; ``main`` alone turns a library error into its code, through
+the ordered table ``EXIT_CODES``, and prints it as the one stderr line
+``rieszcone <command>: <error>``.
 """
 
 from __future__ import annotations
@@ -23,7 +29,7 @@ import sys
 import time
 
 from .algebra import SymElement
-from .gindikin import GindikinError, NotInGindikinSetError, membership_report, u_from_s
+from .gindikin import GindikinError, membership_report, u_from_s
 from .sampling import (
     CHUNK,
     NonSamplableError,
@@ -43,6 +49,15 @@ EXIT_FAIL = 1
 EXIT_NOT_ADMISSIBLE = 2
 EXIT_BAD_TILT = 3
 EXIT_USAGE = 64
+
+# most specific class first: TiltError and NonSamplableError are SamplerErrors
+EXIT_CODES = (
+    (GindikinError, EXIT_NOT_ADMISSIBLE),
+    (NonSamplableError, EXIT_NOT_ADMISSIBLE),
+    (TiltError, EXIT_BAD_TILT),
+    (VerifyError, EXIT_BAD_TILT),
+    (SamplerError, EXIT_FAIL),
+)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -81,13 +96,19 @@ _at_least_two = _int_type("an integer of at least 2", lambda v: v >= 2)
 _seed = _int_type("an integer in [0, 2**64)", lambda v: v < 1 << 64)
 
 
-def _load_sym(arg: str) -> SymElement:
-    """Symmetric matrix from inline JSON (leading '{') or a JSON file path."""
+def _load_sym(arg: str, what: str) -> SymElement:
+    """Symmetric matrix from inline JSON (leading '{') or a JSON file path.
+
+    Any failure to read it is a ``TiltError`` naming ``what``.
+    """
     text = arg.strip()
-    if not text.startswith("{"):
-        with open(arg, "r") as fh:
-            text = fh.read()
-    return SymElement.from_json_dict(json.loads(text))
+    try:
+        if not text.startswith("{"):
+            with open(arg, "r") as fh:
+                text = fh.read()
+        return SymElement.from_json_dict(json.loads(text))
+    except (OSError, TypeError, ValueError) as err:
+        raise TiltError(f"cannot load {what}: {err}") from err
 
 
 def _build_parser() -> _Parser:
@@ -119,8 +140,8 @@ def _build_parser() -> _Parser:
                          '"n": int, "seed": int}; mutually exclusive with --s/--u')
     sp.add_argument("--theta", metavar="FILE_OR_JSON",
                     help="tilt matrix (default: minus the identity)")
-    sp.add_argument("--n", type=int, default=100, help="number of samples")
-    sp.add_argument("--seed", type=int, default=0, help="stream seed")
+    sp.add_argument("--n", type=_positive_int, default=100, help="number of samples")
+    sp.add_argument("--seed", type=_seed, default=0, help="stream seed")
     sp.add_argument("--workers", type=_positive_int, default=1,
                     help="draw-collection threads (output is identical for any value)")
     sp.add_argument("--format", choices=("ndjson", "json", "csv"),
@@ -138,7 +159,7 @@ def _build_parser() -> _Parser:
                     help="probe point for the transform ratio")
     sp.add_argument("--n", type=_at_least_two, default=100000,
                     help="number of samples, at least 2 (the z-score needs a spread)")
-    sp.add_argument("--seed", type=int, default=0)
+    sp.add_argument("--seed", type=_seed, default=0)
     sp.add_argument("--workers", type=_positive_int, default=1)
     sp.set_defaults(spec=None)
 
@@ -169,11 +190,7 @@ def _require_s_xor_u(args: argparse.Namespace, parser: _Parser):
 
 
 def cmd_check(args: argparse.Namespace) -> int:
-    try:
-        report = membership_report(s=args.s, u=args.u, d=args.d, zero_tol=args.zero_tol)
-    except GindikinError as err:
-        print(f"rieszcone check: {err}", file=sys.stderr)
-        return EXIT_NOT_ADMISSIBLE
+    report = membership_report(s=args.s, u=args.u, d=args.d, zero_tol=args.zero_tol)
     _emit(report)
     return EXIT_OK if report["in_xi"] else EXIT_NOT_ADMISSIBLE
 
@@ -189,37 +206,19 @@ def _spec_from_file(path: str, parser: _Parser) -> RieszSpec:
         return RieszSpec.from_json_dict(obj)
     except (TiltError, NonSamplableError, GindikinError):
         raise
-    except ValueError as err:
+    except (TypeError, ValueError) as err:
         parser.error(f"bad spec file: {err}")
 
 
-def _build_spec(args: argparse.Namespace, parser: _Parser) -> RieszSpec | int:
-    """RieszSpec from ``--spec`` or from flags, or an exit code on rejection."""
-    if args.spec is not None and (args.s is not None or args.u is not None):
-        parser.error("--spec is mutually exclusive with --s/--u")
-    theta = None
-    if args.spec is None and args.theta is not None:
-        try:
-            theta = _load_sym(args.theta)
-        except Exception as err:
-            print(f"rieszcone: cannot load theta: {err}", file=sys.stderr)
-            return EXIT_BAD_TILT
-    try:
-        if args.spec is not None:
-            return _spec_from_file(args.spec, parser)
-        return RieszSpec.build(s=args.s, u=args.u, theta=theta, seed=args.seed,
-                               count=args.n, d=args.d, zero_tol=args.zero_tol)
-    except NotInGindikinSetError as err:
-        print(f"rieszcone: {err}", file=sys.stderr)
-        return EXIT_NOT_ADMISSIBLE
-    except TiltError as err:
-        print(f"rieszcone: {err}", file=sys.stderr)
-        return EXIT_BAD_TILT
-    except (NonSamplableError, GindikinError) as err:
-        print(f"rieszcone: {err}", file=sys.stderr)
-        return EXIT_NOT_ADMISSIBLE
-    except SamplerError as err:
-        parser.error(str(err))
+def _build_spec(args: argparse.Namespace, parser: _Parser) -> RieszSpec:
+    """RieszSpec from ``--spec`` or from flags."""
+    if args.spec is not None:
+        if args.s is not None or args.u is not None:
+            parser.error("--spec is mutually exclusive with --s/--u")
+        return _spec_from_file(args.spec, parser)
+    theta = None if args.theta is None else _load_sym(args.theta, "theta")
+    return RieszSpec.build(s=args.s, u=args.u, theta=theta, seed=args.seed,
+                           count=args.n, d=args.d, zero_tol=args.zero_tol)
 
 
 def _write_out(path: str, write, parser: _Parser) -> None:
@@ -274,8 +273,6 @@ def _write_out(path: str, write, parser: _Parser) -> None:
 
 def cmd_sample(args: argparse.Namespace, parser: _Parser) -> int:
     spec = _build_spec(args, parser)
-    if isinstance(spec, int):
-        return spec
     write = {"ndjson": write_ndjson, "json": write_json, "csv": write_csv}[args.format]
     draw_s, n_chunks = 0.0, 0
 
@@ -292,14 +289,10 @@ def cmd_sample(args: argparse.Namespace, parser: _Parser) -> int:
             yield chunk
 
     t0 = time.perf_counter()
-    try:
-        if args.out is None:
-            write(spec, timed_chunks(), sys.stdout)
-        else:
-            _write_out(args.out, lambda fh: write(spec, timed_chunks(), fh), parser)
-    except SamplerError as err:
-        print(f"rieszcone sample: {err}", file=sys.stderr)
-        return EXIT_FAIL
+    if args.out is None:
+        write(spec, timed_chunks(), sys.stdout)
+    else:
+        _write_out(args.out, lambda fh: write(spec, timed_chunks(), fh), parser)
     total_s = time.perf_counter() - t0
     if args.out is not None:
         print(f"wrote {spec.count} samples to {args.out}", file=sys.stderr)
@@ -319,56 +312,26 @@ def cmd_sample(args: argparse.Namespace, parser: _Parser) -> int:
 
 def cmd_verify(args: argparse.Namespace, parser: _Parser) -> int:
     spec = _build_spec(args, parser)
-    if isinstance(spec, int):
-        return spec
-    try:
-        zeta = _load_sym(args.zeta)
-    except Exception as err:
-        print(f"rieszcone: cannot load zeta: {err}", file=sys.stderr)
-        return EXIT_BAD_TILT
-    try:
-        report = laplace_mc_chunks(spec, sample_chunks(spec, workers=args.workers), zeta)
-    except (VerifyError, TiltError) as err:
-        print(f"rieszcone verify: {err}", file=sys.stderr)
-        return EXIT_BAD_TILT
-    except NotInGindikinSetError as err:
-        # --zero-tol snaps a slightly negative u_i to 0 when the spec is
-        # built, but the closed form re-derives u from s with no tolerance
-        print(f"rieszcone verify: {err}", file=sys.stderr)
-        return EXIT_NOT_ADMISSIBLE
+    zeta = _load_sym(args.zeta, "zeta")
+    report = laplace_mc_chunks(spec, sample_chunks(spec, workers=args.workers), zeta)
     _emit(report.to_json_dict())
     return EXIT_OK if report.passed else EXIT_FAIL
 
 
 def cmd_density(args: argparse.Namespace, parser: _Parser) -> int:
-    try:
-        param = u_from_s(args.s, d=args.d, zero_tol=args.zero_tol)
-    except NotInGindikinSetError as err:
-        print(f"rieszcone density: {err}", file=sys.stderr)
-        return EXIT_NOT_ADMISSIBLE
-    except GindikinError as err:
-        parser.error(str(err))
+    param = u_from_s(args.s, d=args.d, zero_tol=args.zero_tol)
     if args.d != 1.0:
-        print("rieszcone density: only multiplicity d = 1 is supported",
-              file=sys.stderr)
-        return EXIT_NOT_ADMISSIBLE
+        raise NonSamplableError("only multiplicity d = 1 is supported")
     if param.rank_support != param.r:
-        print(
-            "rieszcone density: parameter is singular (some u_p = 0); the "
-            "measure lives on the cone boundary and has no density",
-            file=sys.stderr,
+        raise NonSamplableError(
+            "parameter is singular (some u_p = 0); the measure lives on the "
+            "cone boundary and has no density"
         )
-        return EXIT_NOT_ADMISSIBLE
     try:
-        x = _load_sym(args.x)
-    except Exception as err:
-        parser.error(f"cannot load x: {err}")
-    try:
-        value = log_density_ac(param.s, x)
-    except SamplerError as err:
-        print(f"rieszcone density: {err}", file=sys.stderr)
-        return EXIT_FAIL
-    _emit({"s": list(param.s), "log_density": value})
+        x = _load_sym(args.x, "x")
+    except TiltError as err:
+        parser.error(str(err))
+    _emit({"s": list(param.s), "log_density": log_density_ac(param.s, x)})
     return EXIT_OK
 
 
@@ -391,21 +354,25 @@ def cmd_selftest(args: argparse.Namespace) -> int:
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    if args.command == "check":
-        _require_s_xor_u(args, parser)
-        return cmd_check(args)
-    if args.command == "sample":
-        if args.spec is None:
+    try:
+        if args.command == "check":
             _require_s_xor_u(args, parser)
-        return cmd_sample(args, parser)
-    if args.command == "verify":
-        _require_s_xor_u(args, parser)
-        return cmd_verify(args, parser)
-    if args.command == "density":
-        if args.s is None:
-            parser.error("--s is required")
-        return cmd_density(args, parser)
-    return cmd_selftest(args)
+            return cmd_check(args)
+        if args.command == "sample":
+            if args.spec is None:
+                _require_s_xor_u(args, parser)
+            return cmd_sample(args, parser)
+        if args.command == "verify":
+            _require_s_xor_u(args, parser)
+            return cmd_verify(args, parser)
+        if args.command == "density":
+            if args.s is None:
+                parser.error("--s is required")
+            return cmd_density(args, parser)
+        return cmd_selftest(args)
+    except (GindikinError, SamplerError, VerifyError) as err:
+        print(f"rieszcone {args.command}: {err}", file=sys.stderr)
+        return next(code for cls, code in EXIT_CODES if isinstance(err, cls))
 
 
 def entrypoint():  # console-script hook

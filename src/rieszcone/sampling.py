@@ -77,6 +77,7 @@ from .gindikin import (
     GindikinError,
     GindikinParam,
     build_partition,
+    log_gamma_omega,
     param_from_u,
     u_from_s,
 )
@@ -107,7 +108,7 @@ class SamplerError(ValueError):
 
 
 class TiltError(SamplerError):
-    """The tilt matrix is not negative definite (with margin)."""
+    """The tilt matrix is unreadable, of the wrong rank, or not negative definite."""
 
 
 class NonSamplableError(SamplerError):
@@ -281,7 +282,7 @@ class RieszSpec:
         if not _is_int(self.seed) or not 0 <= self.seed < 1 << 64:
             raise SamplerError(f"seed must be an integer in [0, 2**64), got {self.seed!r}")
         if self.theta.r != self.param.r:
-            raise SamplerError(
+            raise TiltError(
                 f"tilt rank {self.theta.r} does not match parameter rank {self.param.r}"
             )
         algebra.require_negative_definite(self.theta, TiltError, "theta",
@@ -330,7 +331,8 @@ class RieszSpec:
         """Spec from a JSON object that gives the parameter as "s" or "u".
 
         ``to_json_dict`` writes both, so an object with both is accepted
-        when they name the same parameter and refused otherwise.
+        when they name the same parameter and refused otherwise.  A "theta"
+        that is not a finite symmetric matrix object is a ``TiltError``.
         """
         if not isinstance(obj, dict) or ("s" not in obj and "u" not in obj):
             raise SamplerError('spec JSON must be an object with "s" or "u"')
@@ -339,12 +341,17 @@ class RieszSpec:
         if "s" in obj and "u" in obj:
             s, u = _exact_one_of(s, u, d)
         theta = obj.get("theta")
+        if theta is not None:
+            try:
+                theta = SymElement.from_json_dict(theta)
+            except (TypeError, ValueError) as err:
+                raise TiltError(f"cannot load theta: {err}") from err
         # seed and n go through unconverted, so that construction rejects
         # anything but a JSON integer instead of truncating it
         return cls.build(
             s=s,
             u=u,
-            theta=None if theta is None else SymElement.from_json_dict(theta),
+            theta=theta,
             seed=obj.get("seed", 0),
             count=obj.get("n", 1),
             d=d,
@@ -472,19 +479,13 @@ def log_density_ac(s, x: SymElement) -> float:
         raise SamplerError(
             "parameter is singular (some u_p = 0): no Lebesgue density exists"
         )
-    from .gindikin import log_gamma_omega
-
     # positive leading minors characterize the open cone; the generalized
     # power alone would not notice a negative trailing block whenever its
     # exponent lands on zero
     if np.min(algebra.minors(x)) <= 0.0:
         raise SamplerError("x is not in the open cone (nonpositive leading minor)")
     shift = np.asarray(param.s) - 0.5 * (x_r + 1)
-    try:
-        log_power = algebra.log_generalized_power(x, shift)
-    except algebra.PowerDomainError as err:
-        raise SamplerError(f"x is not in the open cone: {err}") from err
-    return log_power - log_gamma_omega(param.s, x_r, 1.0)
+    return algebra.log_generalized_power(x, shift) - log_gamma_omega(param.s, x_r, 1.0)
 
 
 def _header(spec: RieszSpec) -> dict:

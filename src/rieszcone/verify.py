@@ -133,7 +133,8 @@ def laplace_mc_chunks(spec: RieszSpec, chunks, zeta: SymElement,
     """Reweighting estimate of L(zeta) / L(theta), with log L = ``log_laplace_exact``.
 
     ``chunks`` yields the ``spec.count`` draws of ``spec``, as ``sample_chunks``
-    does.  Each adds its weights' relative deviations from the exact ratio,
+    does; any other number of draws is a ``VerifyError``.  Each chunk adds
+    its weights' relative deviations from the exact ratio,
     d = expm1(<zeta - theta, X> - log ratio), to n, sum d and sum d^2; the
     estimate is ratio (1 + mean d) and z is mean d over its standard error.
     Before any chunk is read, ``VarianceGuardError`` refuses a probe with
@@ -166,6 +167,8 @@ def laplace_mc_chunks(spec: RieszSpec, chunks, zeta: SymElement,
         n += len(d)
         sum_d += float(d.sum())
         sum_d2 += float(d @ d)
+    if n != spec.count:
+        raise VerifyError(f"chunks held {n} draws, but the spec has {spec.count}")
     mean = sum_d / n
     se = math.sqrt(max(sum_d2 - sum_d * mean, 0.0) / (n - 1) / n) if n > 1 else 0.0
     z = mean / se if se else (0.0 if mean == 0.0 else math.inf)

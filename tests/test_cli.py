@@ -90,6 +90,62 @@ def test_usage_errors_exit_64(capsys, argv):
     assert exc.value.code == 64
 
 
+I_2 = '{"r": 2, "data": [[1.0, 0.0], [0.0, 1.0]]}'
+NEG_I_3 = '{"r": 3, "data": [[-1, 0, 0], [0, -1, 0], [0, 0, -1]]}'
+NAN_2 = '{"r": 2, "data": [[NaN, 0.0], [0.0, -1.0]]}'
+INF_2 = '{"r": 2, "data": [[-1.0, 0.0], [0.0, -Infinity]]}'
+TORN_2 = '{"r": 2, "data": [[-1.0, 0.0], [0.0, -1.0]'
+
+
+def _spec_with_theta(data):
+    return {"s": [1.0, 1.0], "theta": {"r": len(data), "data": data}}
+
+
+# one row per documented rejection; a dict stands for a --spec file holding it
+@pytest.mark.parametrize("argv, code", [
+    (("sample", "--spec", _spec_with_theta([[-1.0, 0.5], [0.0, -1.0]])), 3),
+    (("sample", "--spec", _spec_with_theta([[math.nan, 0.0], [0.0, -1.0]])), 3),
+    (("sample", "--spec", _spec_with_theta([[-1.0, 0.0], [0.0, -math.inf]])), 3),
+    (("sample", "--spec", _spec_with_theta(np.diag([-1.0] * 3).tolist())), 3),
+    (("sample", "--spec", {"s": [1.0, 1.0], "theta": {"r": 2, "data": {}}}), 3),
+    (("sample", "--spec", {"s": []}), 2),
+    (("sample", "--spec", {"s": [1.0, math.nan]}), 2),
+    (("sample", "--spec", {"s": [1.0, 1.0], "d": None}), 64),
+    (("check", "--s", "1,nan"), 2),
+    (("sample", "--s", "1,nan"), 2),
+    (("verify", "--s", "1,nan", "--zeta", THETA_2), 2),
+    (("density", "--s", "1,nan", "--x", I_2), 2),
+    (("density", "--s", "2,1.5", "--d", "nan", "--x", I_2), 2),
+    (("density", "--s", "2,1.5", "--zero-tol", "-1", "--x", I_2), 2),
+    (("sample", "--s", "1,1", "--theta", NAN_2), 3),
+    (("sample", "--s", "1,1", "--theta", INF_2), 3),
+    (("sample", "--s", "1,1", "--theta", TORN_2), 3),
+    (("sample", "--s", "1,1", "--theta", NEG_I_3), 3),
+    (("sample", "--s", "1,1", "--theta", '{"r": 2, "data": {}}'), 3),
+    (("verify", "--s", "1,1", "--zeta", NAN_2), 3),
+    (("verify", "--s", "1,1", "--zeta", INF_2), 3),
+    (("verify", "--s", "1,1", "--zeta", TORN_2), 3),
+    (("verify", "--s", "1,1", "--zeta", NEG_I_3), 3),
+    (("sample", "--s", ""), 64),
+    (("verify", "--s", "1,1", "--zeta", THETA_2, "--seed", "-1"), 64),
+    (("sample", "--s", "1,1", "--n", "0"), 64),
+])
+def test_rejections_exit_with_their_documented_code(capsys, tmp_path, argv, code):
+    argv = list(argv)
+    for i, arg in enumerate(argv):
+        if isinstance(arg, dict):
+            argv[i] = str(tmp_path / "spec.json")
+            (tmp_path / "spec.json").write_text(json.dumps(arg))
+    try:
+        got = cli.main(argv)
+    except SystemExit as exc:
+        got = exc.code
+    out, err = capsys.readouterr()
+    assert got == code and out == ""
+    if code != 64:
+        assert len(err.splitlines()) == 1 and err.startswith(f"rieszcone {argv[0]}: ")
+
+
 # -------------------------------------------------------------------- sample
 
 

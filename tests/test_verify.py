@@ -119,6 +119,17 @@ def test_laplace_mc_refuses_before_reading_a_chunk():
         vf.laplace_mc_chunks(spec, Untouchable(), sym(-0.2 * np.eye(2)))
 
 
+def test_laplace_mc_refuses_chunks_that_are_not_the_spec_draws():
+    # the ESS guard judged spec.count draws; a short or empty stream must not
+    # be scored (empty used to divide by zero, three draws used to pass)
+    spec = RieszSpec.build(s=[1.0, 1.0], count=5000)
+    zeta = sym(-1.1 * np.eye(2))
+    three = sample_riesz(RieszSpec.build(s=[1.0, 1.0], count=3)).matrices
+    for chunks in (iter(()), iter([three])):
+        with pytest.raises(vf.VerifyError, match="5000"):
+            vf.laplace_mc_chunks(spec, chunks, zeta)
+
+
 def test_laplace_mc_effective_sample_floor():
     # s = (1, 1), theta = -I, zeta = c theta: 1 + rho = (c^2 / (2c - 1))^2,
     # 3.24 at c = 3, so 3 240 draws leave 1 000 effective ones
