@@ -107,7 +107,7 @@ def _load_sym(arg: str, what: str) -> SymElement:
             with open(arg, "r") as fh:
                 text = fh.read()
         return SymElement.from_json_dict(json.loads(text))
-    except (OSError, TypeError, ValueError) as err:
+    except (OSError, RecursionError, TypeError, ValueError) as err:
         raise TiltError(f"cannot load {what}: {err}") from err
 
 
@@ -200,7 +200,7 @@ def _spec_from_file(path: str, parser: _Parser) -> RieszSpec:
     try:
         with open(path, "r") as fh:
             obj = json.load(fh)
-    except (OSError, json.JSONDecodeError) as err:
+    except (OSError, RecursionError, ValueError) as err:
         parser.error(f"cannot read spec file: {err}")
     try:
         return RieszSpec.from_json_dict(obj)

@@ -101,7 +101,8 @@ def _spec_with_theta(data):
     return {"s": [1.0, 1.0], "theta": {"r": len(data), "data": data}}
 
 
-# one row per documented rejection; a dict stands for a --spec file holding it
+# one row per documented rejection; a dict (as JSON) or bytes stand for a
+# --spec file holding them
 @pytest.mark.parametrize("argv, code", [
     (("sample", "--spec", _spec_with_theta([[-1.0, 0.5], [0.0, -1.0]])), 3),
     (("sample", "--spec", _spec_with_theta([[math.nan, 0.0], [0.0, -1.0]])), 3),
@@ -111,6 +112,9 @@ def _spec_with_theta(data):
     (("sample", "--spec", {"s": []}), 2),
     (("sample", "--spec", {"s": [1.0, math.nan]}), 2),
     (("sample", "--spec", {"s": [1.0, 1.0], "d": None}), 64),
+    (("sample", "--spec", b'\xff{"s": [1.0, 1.0]}'), 64),
+    (("sample", "--spec", b'{"s": [1.0, 1.0], "theta": ' + b"[" * 10**5), 64),
+    (("sample", "--s", "1,1", "--theta", '{"r": 2, "data": ' + "[" * 10**5), 3),
     (("check", "--s", "1,nan"), 2),
     (("sample", "--s", "1,nan"), 2),
     (("verify", "--s", "1,nan", "--zeta", THETA_2), 2),
@@ -133,9 +137,10 @@ def _spec_with_theta(data):
 def test_rejections_exit_with_their_documented_code(capsys, tmp_path, argv, code):
     argv = list(argv)
     for i, arg in enumerate(argv):
-        if isinstance(arg, dict):
+        if isinstance(arg, (dict, bytes)):
             argv[i] = str(tmp_path / "spec.json")
-            (tmp_path / "spec.json").write_text(json.dumps(arg))
+            (tmp_path / "spec.json").write_bytes(
+                arg if isinstance(arg, bytes) else json.dumps(arg).encode())
     try:
         got = cli.main(argv)
     except SystemExit as exc:
