@@ -4,7 +4,8 @@ Machine-readable output (JSON / NDJSON / CSV) goes to stdout or ``--out``;
 human prose goes to stderr.  Exit codes are scripting-stable:
 
 * 0  success
-* 1  a check or verification failed, or a draw had a non-finite entry
+* 1  a check or verification failed, a draw had a non-finite entry, or the
+     reader of stdout went away (a broken pipe)
 * 2  parameter outside the admissible set, non-numeric or non-finite (in
      every command), or no density exists for it
 * 3  bad tilt: theta/zeta unreadable (from ``--theta``, ``--zeta`` or a
@@ -57,7 +58,12 @@ EXIT_CODES = (
     (TiltError, EXIT_BAD_TILT),
     (VerifyError, EXIT_BAD_TILT),
     (SamplerError, EXIT_FAIL),
+    (BrokenPipeError, EXIT_FAIL),
 )
+
+
+# sample's defaults for the flags that a --spec file stands in for
+_FLAG_DEFAULTS = {"n": 100, "seed": 0, "d": 1.0, "zero_tol": 0.0}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -119,29 +125,34 @@ def _build_parser() -> _Parser:
     )
     sub = p.add_subparsers(dest="command", required=True)
 
-    def add_param_flags(sp, with_u=True):
+    def add_param_flags(sp, with_u=True, defaults=_FLAG_DEFAULTS):
         sp.add_argument("--s", type=_float_list, metavar="LIST",
                         help="parameter vector, comma separated")
         if with_u:
             sp.add_argument("--u", type=_float_list, metavar="LIST",
                             help="nonnegative u coordinates, comma separated")
-        sp.add_argument("--d", type=float, default=1.0,
+        sp.add_argument("--d", type=float, default=defaults["d"],
                         help="Peirce multiplicity (default 1)")
-        sp.add_argument("--zero-tol", type=float, default=0.0, dest="zero_tol",
+        sp.add_argument("--zero-tol", type=float, default=defaults["zero_tol"],
+                        dest="zero_tol",
                         help="snap |u_i| below this to exact zero (default 0)")
 
     sp = sub.add_parser("check", help="membership verdict and block partition")
     add_param_flags(sp)
 
+    # the flags a --spec file stands in for default to None here, so that
+    # _build_spec can refuse one given beside it and fill in the rest
     sp = sub.add_parser("sample", help="draw tilted samples (NDJSON/JSON/CSV)")
-    add_param_flags(sp)
+    add_param_flags(sp, defaults=dict.fromkeys(_FLAG_DEFAULTS))
     sp.add_argument("--spec", metavar="FILE",
                     help='JSON request {"s": [...] or "u": [...], "theta": {...}, '
-                         '"n": int, "seed": int}; mutually exclusive with --s/--u')
+                         '"n": int, "seed": int}; mutually exclusive with --s, '
+                         "--u, --theta, --n, --seed, --d and --zero-tol")
     sp.add_argument("--theta", metavar="FILE_OR_JSON",
                     help="tilt matrix (default: minus the identity)")
-    sp.add_argument("--n", type=_positive_int, default=100, help="number of samples")
-    sp.add_argument("--seed", type=_seed, default=0, help="stream seed")
+    sp.add_argument("--n", type=_positive_int,
+                    help=f"number of samples (default {_FLAG_DEFAULTS['n']})")
+    sp.add_argument("--seed", type=_seed, help="stream seed (default 0)")
     sp.add_argument("--workers", type=_positive_int, default=1,
                     help="draw-collection threads (output is identical for any value)")
     sp.add_argument("--format", choices=("ndjson", "json", "csv"),
@@ -211,11 +222,17 @@ def _spec_from_file(path: str, parser: _Parser) -> RieszSpec:
 
 
 def _build_spec(args: argparse.Namespace, parser: _Parser) -> RieszSpec:
-    """RieszSpec from ``--spec`` or from flags."""
+    """RieszSpec from ``--spec`` alone, or from flags over ``_FLAG_DEFAULTS``."""
     if args.spec is not None:
-        if args.s is not None or args.u is not None:
-            parser.error("--spec is mutually exclusive with --s/--u")
+        given = [f"--{name.replace('_', '-')}"
+                 for name in ("s", "u", "theta", *_FLAG_DEFAULTS)
+                 if getattr(args, name) is not None]
+        if given:
+            parser.error(f"--spec is mutually exclusive with {', '.join(given)}")
         return _spec_from_file(args.spec, parser)
+    for name, default in _FLAG_DEFAULTS.items():
+        if getattr(args, name) is None:
+            setattr(args, name, default)
     theta = None if args.theta is None else _load_sym(args.theta, "theta")
     return RieszSpec.build(s=args.s, u=args.u, theta=theta, seed=args.seed,
                            count=args.n, d=args.d, zero_tol=args.zero_tol)
@@ -357,21 +374,29 @@ def main(argv=None) -> int:
     try:
         if args.command == "check":
             _require_s_xor_u(args, parser)
-            return cmd_check(args)
-        if args.command == "sample":
+            code = cmd_check(args)
+        elif args.command == "sample":
             if args.spec is None:
                 _require_s_xor_u(args, parser)
-            return cmd_sample(args, parser)
-        if args.command == "verify":
+            code = cmd_sample(args, parser)
+        elif args.command == "verify":
             _require_s_xor_u(args, parser)
-            return cmd_verify(args, parser)
-        if args.command == "density":
+            code = cmd_verify(args, parser)
+        elif args.command == "density":
             if args.s is None:
                 parser.error("--s is required")
-            return cmd_density(args, parser)
-        return cmd_selftest(args)
-    except (GindikinError, SamplerError, VerifyError) as err:
+            code = cmd_density(args, parser)
+        else:
+            code = cmd_selftest(args)
+        # a reader that has gone raises here, not in the flush at exit
+        sys.stdout.flush()
+        return code
+    except tuple(cls for cls, _ in EXIT_CODES) as err:
         print(f"rieszcone {args.command}: {err}", file=sys.stderr)
+        if isinstance(err, BrokenPipeError):
+            # the reader has gone: what is still buffered goes nowhere, so
+            # that the flush at exit does not raise again
+            sys.stdout = open(os.devnull, "w")
         return next(code for cls, code in EXIT_CODES if isinstance(err, cls))
 
 

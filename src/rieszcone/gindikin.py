@@ -130,7 +130,7 @@ def u_from_s(s, d: float = 1.0, zero_tol: float = 0.0) -> GindikinParam:
     """
     ss = _as_float_vector(s, "s")
     _check_d(d)
-    if zero_tol < 0:
+    if not zero_tol >= 0:  # NaN too: it would snap nothing and pass as 0
         raise GindikinError(f"zero_tol must be nonnegative, got {zero_tol}")
     half_d = 0.5 * float(d)
     u = []

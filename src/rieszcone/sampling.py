@@ -382,14 +382,28 @@ def _exact_one_of(s, u, d: float):
 class SampleBatch:
     """The ``spec.count`` draws of a spec, stacked in draw order.
 
-    Draw i came from the stream of chunk ``i // CHUNK``.
+    Draw i came from the stream of chunk ``i // CHUNK``.  ``matrices`` is a
+    read-only view of the stack given, and the stack must not change after
+    construction: ``eigenvalues`` is computed from it once, on first use,
+    and kept.
     """
 
     def __init__(self, spec: RieszSpec, matrices: np.ndarray):
         if matrices.shape != (spec.count, spec.param.r, spec.param.r):
             raise SamplerError(f"matrix stack has shape {matrices.shape}")
         self.spec = spec
-        self.matrices = matrices
+        self.matrices = matrices.view()
+        self.matrices.flags.writeable = False
+
+    @functools.cached_property
+    def eigenvalues(self) -> np.ndarray:
+        """Each draw's eigenvalues in ascending order, (count, r), read-only.
+
+        One batched ``eigvalsh`` serves every oracle that reads the spectrum.
+        """
+        ev = np.linalg.eigvalsh(self.matrices)
+        ev.flags.writeable = False
+        return ev
 
     def __len__(self) -> int:
         return self.matrices.shape[0]

@@ -19,7 +19,10 @@ Every check here runs two genuinely independent routes and compares them:
 * ``identity_suite`` realizes the structural identities behind the sampler
   (projection, half-space operators, pairing, commutation, positivity,
   minor/Schur complements) as numeric two-route checks on random batches.
-* ``rank_profile`` checks the almost-sure rank of singular draws.
+* ``rank_profile`` checks the almost-sure rank of singular draws, and
+  ``psd_check`` that every draw is positive semidefinite.  Both read the
+  batch's ``SampleBatch.eigenvalues``, so a batch pays for one batched
+  ``eigvalsh`` however many of them run.
 
 The suite holds the routes apart on purpose: the two minor identities put
 this package's hand-rolled one-pass minors, one batched call per split
@@ -34,6 +37,7 @@ goes through ``algebra.require_negative_definite``.
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 from dataclasses import dataclass, replace
@@ -190,6 +194,22 @@ def laplace_mc(batch: SampleBatch, zeta: SymElement,
 # -- adaptive quadrature over the rank-2 cone ------------------------------
 
 
+@functools.lru_cache(maxsize=256)
+def _gauss_rule(jacobi: bool, n: int, exponent: float):
+    """Read-only (nodes, weights) of an n-point rule, computed once per argument.
+
+    Gauss-Jacobi(exponent, exponent) on (-1, 1) if ``jacobi``, else
+    generalized Gauss-Laguerre for x^exponent e^{-x} on (0, inf).
+    """
+    # imported here so that importing the package does not load scipy
+    from scipy.special import roots_genlaguerre, roots_jacobi
+
+    rule = roots_jacobi(n, exponent, exponent) if jacobi else roots_genlaguerre(n, exponent)
+    for a in rule:
+        a.flags.writeable = False
+    return rule
+
+
 def quadrature_integral_r2(s, theta: SymElement, moment=None,
                            n_start: int = 12, n_max: int = 192,
                            rtol: float = 1e-8) -> float:
@@ -234,9 +254,6 @@ def quadrature_integral_r2(s, theta: SymElement, moment=None,
         )
     td = theta.matrix
     algebra.require_negative_definite(theta, TiltError, "tilt")
-    # imported here so that importing the package does not load scipy
-    from scipy.special import roots_genlaguerre, roots_jacobi
-
     t11, t22, t12 = td[0, 0], td[1, 1], td[0, 1]
     rho = abs(t12) / math.sqrt(t11 * t22)
     lam_a = 0.5 * (1.0 - rho) * -t11
@@ -247,9 +264,9 @@ def quadrature_integral_r2(s, theta: SymElement, moment=None,
     prev = None
     n = n_start
     while n <= n_max:
-        xa, wa = roots_genlaguerre(n, s1 - 1.0)
-        xc, wc = roots_genlaguerre(n, s2 - 1.0)
-        v, wv = roots_jacobi(n, alpha, alpha)
+        xa, wa = _gauss_rule(False, n, s1 - 1.0)
+        xc, wc = _gauss_rule(False, n, s2 - 1.0)
+        v, wv = _gauss_rule(True, n, alpha)
         a, c = xa / lam_a, xc / lam_c
         root_ac = np.sqrt(np.multiply.outer(a, c))
         # the one (n, n, n) array: the residual's exponent, then the residual
@@ -517,9 +534,10 @@ class RankProfile:
 def rank_profile(batch: SampleBatch, expected: int) -> RankProfile:
     """Numerical rank histogram: singular values above RANK_REL_TOL * largest.
 
-    A draw is symmetric bit for bit: its singular values are |eigenvalues|.
+    A draw is symmetric bit for bit: its singular values are |eigenvalues|,
+    read from the batch's one cached spectrum.
     """
-    sv = np.abs(np.linalg.eigvalsh(batch.matrices))
+    sv = np.abs(batch.eigenvalues)
     top = np.maximum(sv.max(axis=1, keepdims=True), _TINY)
     ranks = (sv > RANK_REL_TOL * top).sum(axis=1)
     counts = {int(k): int(v) for k, v in zip(*np.unique(ranks, return_counts=True))}
@@ -534,10 +552,12 @@ def rank_profile(batch: SampleBatch, expected: int) -> RankProfile:
 
 
 def psd_check(batch: SampleBatch):
-    """(all_ok, worst ratio): min eigenvalue >= -PSD_TOL * Frobenius norm each."""
-    ev = np.linalg.eigvalsh(batch.matrices)
+    """(all_ok, worst ratio): min eigenvalue >= -PSD_TOL * Frobenius norm each.
+
+    The eigenvalues are the batch's cached spectrum, shared with ``rank_profile``.
+    """
     norms = np.maximum(np.linalg.norm(batch.matrices, axis=(1, 2)), _TINY)
-    ratio = -ev[:, 0] / norms
+    ratio = -batch.eigenvalues[:, 0] / norms
     worst = float(np.max(ratio))
     return bool(worst <= PSD_TOL), worst
 

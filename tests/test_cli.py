@@ -133,6 +133,17 @@ def _spec_with_theta(data):
     (("sample", "--s", ""), 64),
     (("verify", "--s", "1,1", "--zeta", THETA_2, "--seed", "-1"), 64),
     (("sample", "--s", "1,1", "--n", "0"), 64),
+    # a --spec file fixes the whole spec: no flag may stand beside it
+    (("sample", "--spec", {"s": [1.0, 1.0]}, "--theta", THETA_2), 64),
+    (("sample", "--spec", {"s": [1.0, 1.0]}, "--n", "7"), 64),
+    (("sample", "--spec", {"s": [1.0, 1.0]}, "--seed", "9"), 64),
+    (("sample", "--spec", {"s": [1.0, 1.0]}, "--d", "1"), 64),
+    (("sample", "--spec", {"s": [1.0, 1.0]}, "--zero-tol", "0"), 64),
+    # a NaN tolerance would snap nothing and pass for 0
+    (("check", "--s", "1,1", "--zero-tol", "nan"), 2),
+    (("sample", "--s", "1,1", "--zero-tol", "nan"), 2),
+    (("verify", "--s", "1,1", "--zeta", THETA_2, "--zero-tol", "nan"), 2),
+    (("density", "--s", "2,1.5", "--zero-tol", "nan", "--x", I_2), 2),
 ])
 def test_rejections_exit_with_their_documented_code(capsys, tmp_path, argv, code):
     argv = list(argv)
@@ -291,6 +302,25 @@ def test_sample_readme_law_bytes_are_pinned(capsys):
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == (
         "f8ff5cc82be2aca19f7f1a7b8a4fb445655e769f71bdf8d0ec69775e063e5319")
+
+
+def test_sample_flag_defaults_are_unchanged(capsys):
+    # sample's spec flags default to None so that --spec can refuse them;
+    # left out, they still mean --n 100 --seed 0 --d 1 --zero-tol 0
+    code, bare, _ = run(capsys, "sample", "--u", "1.2,0,0.7,0")
+    assert code == 0
+    code, spelled, _ = run(capsys, "sample", "--u", "1.2,0,0.7,0", "--n", "100",
+                           "--seed", "0", "--d", "1", "--zero-tol", "0")
+    assert code == 0 and bare == spelled and len(bare.splitlines()) == 101
+
+
+def test_sample_spec_beside_a_flag_names_it(capsys, tmp_path):
+    spec_file = tmp_path / "spec.json"
+    spec_file.write_text(json.dumps({"s": [1.0, 1.0], "n": 2}))
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["sample", "--spec", str(spec_file), "--n", "7", "--zero-tol", "0"])
+    assert exc.value.code == 64
+    assert "mutually exclusive with --n, --zero-tol" in capsys.readouterr().err
 
 
 def test_sample_theta_from_file(capsys, tmp_path):
@@ -618,6 +648,25 @@ def test_import_does_not_load_scipy():
         capture_output=True, text=True,
     )
     assert proc.returncode == 0 and proc.stdout.strip() == "False"
+
+
+@pytest.mark.parametrize("n, lines_read", [(1, 0), (200_000, 1)])
+def test_sample_into_a_closed_pipe_exits_1(n, lines_read):
+    # as `rieszcone sample ... | head -1` does: the reader goes away, either
+    # mid-stream or before the final flush of fully buffered output
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "rieszcone.cli", "sample", "--u", "1,1", "--n", str(n)],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    for _ in range(lines_read):
+        proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait() == 1
+    assert len(err.splitlines()) == 1 and err.startswith("rieszcone sample: ")
+    assert "Broken pipe" in err and "Traceback" not in err
 
 
 def test_console_script_is_wired():

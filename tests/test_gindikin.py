@@ -81,6 +81,13 @@ def test_zero_tol_snaps_near_zero_recoveries():
         gk.u_from_s(s, zero_tol=-1.0)
 
 
+@pytest.mark.parametrize("zero_tol", [math.nan, -math.inf, -0.5])
+def test_zero_tol_must_be_a_nonnegative_number(zero_tol):
+    # a NaN tolerance snaps nothing, so it would pass for 0 unless refused
+    with pytest.raises(gk.GindikinError, match="zero_tol must be nonnegative"):
+        gk.u_from_s([1.0, 1.0], zero_tol=zero_tol)
+
+
 def test_interior_points_always_admissible():
     # every s with s_i > (i-1)d/2 componentwise must be accepted
     rng = np.random.default_rng(3)
@@ -305,7 +312,7 @@ def ref_s_from_u(u, d=1.0):
 def ref_u_from_s(s, d=1.0, zero_tol=0.0):
     ss = _ref_vector(s, "s")
     _ref_check_d(d)
-    if zero_tol < 0:
+    if not zero_tol >= 0:
         raise gk.GindikinError(f"zero_tol must be nonnegative, got {zero_tol}")
     u = np.empty_like(ss)
     count = 0

@@ -173,14 +173,46 @@ def test_quadrature_handles_a_badly_scaled_diagonal():
     assert vf.quadrature_check_r2([2.0, 1.0], sym(np.diag([-0.1, -1.0]))) <= 1e-6
 
 
-def test_quadrature_sweep_of_random_tilts():
-    rng = np.random.default_rng(2026)
-    for _ in range(40):
+def _random_r2_laws(count=40, seed=2026):
+    """(s, theta) pairs: diagonal e^{U(-3,3)}, correlation up to 0.8."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
         d = np.exp(rng.uniform(-3.0, 3.0, 2))
         off = rng.uniform(0.0, 0.8) * math.sqrt(d[0] * d[1]) * rng.choice([-1.0, 1.0])
         s = [rng.uniform(0.1, 6.0), rng.uniform(0.51, 6.0)]
-        theta = sym([[-d[0], off], [off, -d[1]]])
+        yield s, sym([[-d[0], off], [off, -d[1]]])
+
+
+def test_quadrature_sweep_of_random_tilts():
+    for s, theta in _random_r2_laws():
         assert vf.quadrature_check_r2(s, theta) <= 1e-6, (s, theta)
+
+
+def test_cached_gauss_rules_change_no_bit(monkeypatch):
+    # the self-test's 3 x 3 grid, then the random sweep above
+    laws = [(s, sym(t)) for s in ([2.0, 1.0], [2.0, 2.0], [1.5, 0.8])
+            for t in ([[-1.0, 0.0], [0.0, -1.0]], [[-1.0, 0.0], [0.0, -2.0]],
+                      [[-1.5, -0.4], [-0.4, -1.0]])]
+    laws += list(_random_r2_laws())
+    cached = [vf.quadrature_check_r2(s, theta) for s, theta in laws]
+    # every rule again, now from the cache, and every rule fresh from scipy
+    assert [vf.quadrature_check_r2(s, theta) for s, theta in laws] == cached
+    monkeypatch.setattr(vf, "_gauss_rule", vf._gauss_rule.__wrapped__)
+    assert [vf.quadrature_check_r2(s, theta) for s, theta in laws] == cached
+
+
+def test_gauss_rules_are_cached_read_only():
+    vf._gauss_rule.cache_clear()
+    vf.quadrature_integral_r2([2.0, 1.0], sym(-np.eye(2)))
+    first = vf._gauss_rule.cache_info()
+    assert first.hits == 0 and first.misses > 0
+    vf.quadrature_integral_r2([2.0, 1.0], sym(-np.eye(2)))
+    again = vf._gauss_rule.cache_info()
+    assert again.misses == first.misses and again.hits == first.misses
+    for jacobi in (False, True):
+        for a in vf._gauss_rule(jacobi, 12, 1.0):
+            with pytest.raises(ValueError):
+                a[0] = 0.0
 
 
 def test_quadrature_refuses_a_nearly_singular_correlation():
@@ -276,6 +308,49 @@ def test_rank_profile_reads_the_support():
     low = vf.rank_profile(batch, expected=1)
     assert not low.passed and low.frac_at_most == 0.0
     assert vf.rank_profile(batch, expected=4).frac_at_most == 1.0
+
+
+def test_rank_profile_and_psd_check_share_one_eigvalsh(monkeypatch):
+    spec = RieszSpec.build(u=[1.2, 0.0, 0.7, 0.0], seed=12, count=700)
+    batch = sample_riesz(spec)
+    # the reference: a fresh eigvalsh of the stack, before any is counted
+    ev = np.linalg.eigvalsh(batch.matrices)
+    sv = np.abs(ev)
+    ranks = (sv > vf.RANK_REL_TOL * np.maximum(sv.max(axis=1, keepdims=True),
+                                                vf._TINY)).sum(axis=1)
+    norms = np.maximum(np.linalg.norm(batch.matrices, axis=(1, 2)), vf._TINY)
+    worst = float(np.max(-ev[:, 0] / norms))
+
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counted(a):
+        calls.append(a.shape)
+        return eigvalsh(a)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    prof = vf.rank_profile(batch, expected=2)
+    ok, got_worst = vf.psd_check(batch)
+    assert calls == [(700, 4, 4)]
+    ranks_seen, counts = np.unique(ranks, return_counts=True)
+    assert prof.counts == dict(zip(ranks_seen.tolist(), counts.tolist()))
+    assert got_worst == worst and ok == (worst <= vf.PSD_TOL)
+    assert np.array_equal(batch.eigenvalues, ev)
+
+
+def test_sample_batch_stack_is_read_only():
+    spec = RieszSpec.build(u=[1.0, 0.5], count=3)
+    stack = np.ones((3, 2, 2))
+    batch = sp.SampleBatch(spec, stack)
+    with pytest.raises(ValueError):
+        batch.matrices[0, 0, 0] = 2.0
+    with pytest.raises(ValueError):
+        batch.eigenvalues[0, 0] = 2.0
+    # the caller's own array stays writable
+    assert stack.flags.writeable and not batch.matrices.flags.writeable
+    drawn = sample_riesz(spec)
+    with pytest.raises(ValueError):
+        drawn.matrices[0] = 0.0
 
 
 def test_psd_check():
