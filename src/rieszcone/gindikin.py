@@ -81,6 +81,11 @@ def _check_d(d: float):
         raise GindikinError(f"multiplicity d must be a positive real, got {d!r}")
 
 
+def _check_zero_tol(zero_tol: float):
+    if not zero_tol >= 0:  # NaN too: it would snap nothing and pass as 0
+        raise GindikinError(f"zero_tol must be nonnegative, got {zero_tol}")
+
+
 def s_from_u(u, d: float = 1.0) -> np.ndarray:
     """Forward map: s_i = u_i + (d/2) * (number of positive u before i)."""
     uu = _as_float_vector(u, "u")
@@ -130,8 +135,7 @@ def u_from_s(s, d: float = 1.0, zero_tol: float = 0.0) -> GindikinParam:
     """
     ss = _as_float_vector(s, "s")
     _check_d(d)
-    if not zero_tol >= 0:  # NaN too: it would snap nothing and pass as 0
-        raise GindikinError(f"zero_tol must be nonnegative, got {zero_tol}")
+    _check_zero_tol(zero_tol)
     half_d = 0.5 * float(d)
     u = []
     count = 0
@@ -172,10 +176,19 @@ class BlockPartition:
     k: int
     starts: tuple
     lengths: tuple
-    index_sets: tuple
-    gap_sets: tuple
     u_blocks: tuple
     s_blocks: tuple
+
+    @property
+    def index_sets(self) -> tuple:
+        return tuple(tuple(range(i + 1, i + j + 1))
+                     for i, j in zip(self.starts, self.lengths))
+
+    @property
+    def gap_sets(self) -> tuple:
+        ends = [0] + [i + j for i, j in zip(self.starts, self.lengths)]
+        begins = list(self.starts) + [self.param.r]
+        return tuple(tuple(range(e + 1, b + 1)) for e, b in zip(ends, begins))
 
     def to_json_dict(self) -> dict:
         return {
@@ -196,45 +209,28 @@ class BlockPartition:
 def build_partition(param: GindikinParam) -> BlockPartition:
     """Cut u into maximal nonzero runs and derive the per-run parameters."""
     u = param.u
-    r, d = param.r, param.d
-    starts, lengths = [], []
+    r, half_d = param.r, 0.5 * param.d
+    starts, lengths, u_blocks, s_blocks = [], [], [], []
     p = 0
     while p < r:
         if u[p] == 0.0:
             p += 1
             continue
+        ub = []
         q = p
         while q < r and u[q] != 0.0:
+            ub.append(u[q] + half_d * (q - p))
             q += 1
         starts.append(p)
         lengths.append(q - p)
+        u_blocks.append(tuple(ub))
+        s_blocks.append(tuple([0.0] * p + ub + [half_d * (q - p)] * (r - q)))
         p = q
-    k = len(starts)
-
-    index_sets = tuple(
-        tuple(range(i + 1, i + j + 1)) for i, j in zip(starts, lengths)
-    )
-    gap_sets = []
-    prev_end = 0
-    for i in starts:
-        gap_sets.append(tuple(range(prev_end + 1, i + 1)))
-        prev_end = i + lengths[len(gap_sets) - 1]
-    gap_sets.append(tuple(range(prev_end + 1, r + 1)))
-
-    u_blocks = []
-    s_blocks = []
-    for i, j in zip(starts, lengths):
-        ub = tuple(u[i + t] + 0.5 * d * t for t in range(j))
-        sb = [0.0] * i + list(ub) + [0.5 * d * j] * (r - i - j)
-        u_blocks.append(ub)
-        s_blocks.append(tuple(sb))
     return BlockPartition(
         param=param,
-        k=k,
+        k=len(starts),
         starts=tuple(starts),
         lengths=tuple(lengths),
-        index_sets=index_sets,
-        gap_sets=tuple(gap_sets),
         u_blocks=tuple(u_blocks),
         s_blocks=tuple(s_blocks),
     )
@@ -270,6 +266,7 @@ def membership_report(s=None, u=None, d: float = 1.0, zero_tol: float = 0.0) -> 
     """
     if (s is None) == (u is None):
         raise GindikinError("give exactly one of s or u")
+    _check_zero_tol(zero_tol)
     if u is not None:
         param = param_from_u(u, d)
     else:

@@ -76,6 +76,7 @@ from .gindikin import (
     BlockPartition,
     GindikinError,
     GindikinParam,
+    _check_zero_tol,
     build_partition,
     log_gamma_omega,
     param_from_u,
@@ -305,6 +306,7 @@ class RieszSpec:
         """Convenience constructor: tilt defaults to minus the identity."""
         if (s is None) == (u is None):
             raise SamplerError("give exactly one of s or u")
+        _check_zero_tol(zero_tol)
         param = param_from_u(u, d) if u is not None else u_from_s(s, d, zero_tol)
         if theta is None:
             theta = SymElement(np.diag(np.full(param.r, -1.0)))

@@ -144,6 +144,10 @@ def _spec_with_theta(data):
     (("sample", "--s", "1,1", "--zero-tol", "nan"), 2),
     (("verify", "--s", "1,1", "--zeta", THETA_2, "--zero-tol", "nan"), 2),
     (("density", "--s", "2,1.5", "--zero-tol", "nan", "--x", I_2), 2),
+    # the tolerance is checked whether the parameter comes as s or as u
+    (("check", "--u", "1,1", "--zero-tol", "nan"), 2),
+    (("check", "--u", "1,1", "--zero-tol", "-1"), 2),
+    (("sample", "--u", "1,1", "--zero-tol", "nan", "--n", "1"), 2),
 ])
 def test_rejections_exit_with_their_documented_code(capsys, tmp_path, argv, code):
     argv = list(argv)

@@ -12,7 +12,7 @@ from scipy.special import gammaln
 from rieszcone import cli
 from rieszcone import sampling as sp
 from rieszcone.algebra import SymElement
-from rieszcone.gindikin import param_from_u
+from rieszcone.gindikin import GindikinError, param_from_u
 
 
 def nd_tilt(r, seed=0, scale=1.0):
@@ -142,6 +142,13 @@ def test_spec_default_tilt_is_minus_identity():
     # serialized form must not carry negative zeros
     flat = json.dumps(spec.to_json_dict())
     assert "-0.0" not in flat
+
+
+def test_spec_build_checks_zero_tol_for_u_too():
+    # zero_tol snaps nothing when u is given, but a bad one is still refused
+    for zero_tol in (math.nan, -1.0):
+        with pytest.raises(GindikinError, match="zero_tol must be nonnegative"):
+            sp.RieszSpec.build(u=[1, 1], zero_tol=zero_tol)
 
 
 def test_spec_validation():

@@ -1,10 +1,13 @@
 import importlib.util
 import math
 import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from scipy.special import roots_genlaguerre, roots_jacobi
 
 from rieszcone import algebra, sampling as sp, verify as vf
 from rieszcone.algebra import SymElement
@@ -195,10 +198,39 @@ def test_cached_gauss_rules_change_no_bit(monkeypatch):
                       [[-1.5, -0.4], [-0.4, -1.0]])]
     laws += list(_random_r2_laws())
     cached = [vf.quadrature_check_r2(s, theta) for s, theta in laws]
-    # every rule again, now from the cache, and every rule fresh from scipy
+    # every rule again, now from the cache, and every rule fresh
     assert [vf.quadrature_check_r2(s, theta) for s, theta in laws] == cached
     monkeypatch.setattr(vf, "_gauss_rule", vf._gauss_rule.__wrapped__)
     assert [vf.quadrature_check_r2(s, theta) for s, theta in laws] == cached
+
+
+@pytest.mark.parametrize("n", [12, 24, 48, 96, 192])
+def test_gauss_rules_match_scipy(n):
+    # scipy's rule constructors are the test-only reference
+    for a in (-0.9, -0.7, -0.5, 0.0, 0.5, 1.0, 3.0, 5.0):
+        for jacobi, ref in ((False, roots_genlaguerre(n, a)),
+                            (True, roots_jacobi(n, a, a))):
+            nodes, weights = vf._gauss_rule(jacobi, n, a)
+            if jacobi:
+                assert_allclose(nodes, ref[0], rtol=0.0, atol=1e-13)
+            else:
+                assert_allclose(nodes, ref[0], rtol=1e-10, atol=0.0)
+            big = ref[1] > 1e-10 * ref[1].max()
+            assert_allclose(weights[big], ref[1][big], rtol=1e-8, atol=0.0)
+
+
+def test_selftest_runs_without_scipy():
+    # the full quadrature grid builds every rule it needs from numpy alone
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys\n"
+         "from rieszcone import verify\n"
+         "verify.run_selftest(trials=2, mc_samples=2000)\n"
+         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_gauss_rules_are_cached_read_only():
