@@ -11,12 +11,12 @@ Every check here runs two genuinely independent routes and compares them:
   generalized Gauss-Laguerre rules in the diagonal entries, each scaled to
   the rate (1 - rho)/2 |theta_ii| with rho the tilt's correlation
   |theta12| / sqrt(theta11 theta22), and Gauss-Jacobi in the off-diagonal
-  angle, each rule built by Golub-Welsch from numpy's ``eigh`` (the package
-  needs nothing beyond numpy).  Those rates leave a bounded residual that is never the rule's
-  own weight, so even a diagonal tilt is genuinely integrated.  The rule
-  converges for rho up to about 0.85 whatever the scaling of the diagonal,
-  and raises ``QuadratureError`` as rho nears 1 (see
-  ``quadrature_integral_r2``).
+  angle, each rule built by Golub-Welsch on numpy's ``eigh``, so the package
+  needs nothing beyond numpy.  Those rates leave a bounded residual that is
+  never the rule's own weight, so even a diagonal tilt is genuinely
+  integrated.  The rule converges for rho up to about 0.85 whatever the
+  scaling of the diagonal, and raises ``QuadratureError`` as rho nears 1
+  (see ``quadrature_integral_r2``).
 * ``identity_suite`` realizes the structural identities behind the sampler
   (projection, half-space operators, pairing, commutation, positivity,
   minor/Schur complements) as numeric two-route checks on random batches.
@@ -210,7 +210,8 @@ def _gauss_rule(jacobi: bool, n: int, exponent: float):
     if jacobi:
         diag = np.zeros(n)
         k = np.arange(2.0, n)
-        off = np.sqrt(k * (k + 2.0 * a) / ((2.0 * k + 2.0 * a - 1.0) * (2.0 * k + 2.0 * a + 1.0)))
+        b = 2.0 * (k + a)
+        off = np.sqrt(k * (k + 2.0 * a) / ((b - 1.0) * (b + 1.0)))
         # the k = 1 entry in closed form: the general one is 0/0 at a = -1/2
         off = np.concatenate(([math.sqrt(1.0 / (3.0 + 2.0 * a))], off))[:n - 1]
         mu0 = math.exp((2.0 * a + 1.0) * math.log(2.0) + 2.0 * math.lgamma(a + 1.0)
