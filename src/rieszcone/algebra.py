@@ -125,8 +125,16 @@ class SymElement:
         return {"r": self.r, "data": self.matrix.tolist()}
 
     def norm(self) -> float:
-        """Frobenius norm (induced by the trace inner product)."""
-        return float(np.linalg.norm(self.matrix))
+        """Frobenius norm (induced by the trace inner product).
+
+        ``np.linalg.norm`` squares the entries, so it overflows to inf from
+        about 1e154 and underflows to 0 below about 1e-162; only then is the
+        norm taken again by ``math.hypot``, which scales, so every positive
+        finite value keeps its bits.
+        """
+        with np.errstate(over="ignore"):
+            norm = float(np.linalg.norm(self.matrix))
+        return norm if 0.0 < norm < math.inf else math.hypot(*self.matrix.ravel().tolist())
 
     def __repr__(self):
         return f"SymElement(r={self.r}, data={self.matrix.tolist()})"
@@ -228,13 +236,25 @@ def log_generalized_power(x: SymElement, s) -> float:
     """log Delta_s(x) = sum_k (s_k - s_{k+1}) log Delta_k(x), with s_{r+1} = 0.
 
     ``PowerDomainError`` unless every minor with a nonzero exponent is positive.
+    The minors are products, so at an extreme scale of x one of them can
+    underflow to 0 or overflow.  Only then are they taken of c x instead,
+    with c the power of two that brings x's largest entry into [1/2, 1), so
+    the scaling is exact, and log Delta_s(x) = log Delta_s(c x) - (sum_k s_k)
+    log c.
     """
     r = x.r
     s = np.asarray(s, dtype=float)
     if s.shape != (r,):
         raise ShapeMismatchError(f"power parameter must have length {r}, got {s.shape}")
     e = np.append(s[:-1] - s[1:], s[-1])
-    m = minors(x)
+    with np.errstate(over="ignore", invalid="ignore"):
+        m = minors(x)
+    log_c = 0.0
+    needed = m[e != 0.0]
+    if not (np.isfinite(needed) & (needed != 0.0)).all():
+        top = math.frexp(float(np.max(np.abs(x.matrix))))[1]
+        m = minors(SymElement(np.ldexp(x.matrix, -top)))
+        log_c = -top * math.log(2.0)
     out = 0.0
     for k in range(r):
         if e[k] == 0.0:
@@ -244,4 +264,4 @@ def log_generalized_power(x: SymElement, s) -> float:
                 f"minor Delta_{k + 1} = {m[k]:.6e} must be positive for a log power"
             )
         out += e[k] * math.log(m[k])
-    return out
+    return out - float(s.sum()) * log_c

@@ -9,9 +9,10 @@ human prose goes to stderr.  Exit codes are scripting-stable:
 * 2  parameter outside the admissible set, non-numeric or non-finite (in
      every command), or no density exists for it
 * 3  bad tilt: theta/zeta unreadable (from ``--theta``, ``--zeta`` or a
-     ``--spec`` file), of the wrong rank, not negative definite, or the
-     variance guard rejected the requested reweighting (infinite weight
-     variance, or too few effective draws)
+     ``--spec`` file), of the wrong rank, not negative definite, too small
+     for the sampler's inverse of it to be finite, or the variance guard
+     rejected the requested reweighting (infinite weight variance, or too
+     few effective draws)
 * 64 malformed command line
 
 Commands raise; ``main`` alone turns a library error into its code, through
@@ -154,7 +155,7 @@ def _build_parser() -> _Parser:
                     help=f"number of samples (default {_FLAG_DEFAULTS['n']})")
     sp.add_argument("--seed", type=_seed, help="stream seed (default 0)")
     sp.add_argument("--workers", type=_positive_int, default=1,
-                    help="draw-collection threads (output is identical for any value)")
+                    help="accepted for compatibility; draws run on one thread")
     sp.add_argument("--format", choices=("ndjson", "json", "csv"),
                     default="ndjson")
     sp.add_argument("--out", metavar="PATH", help="write here instead of stdout")
@@ -171,7 +172,8 @@ def _build_parser() -> _Parser:
     sp.add_argument("--n", type=_at_least_two, default=100000,
                     help="number of samples, at least 2 (the z-score needs a spread)")
     sp.add_argument("--seed", type=_seed, default=0)
-    sp.add_argument("--workers", type=_positive_int, default=1)
+    sp.add_argument("--workers", type=_positive_int, default=1,
+                    help="accepted for compatibility; draws run on one thread")
     sp.set_defaults(spec=None)
 
     sp = sub.add_parser("density", help="log density at a cone point (AC case only)")

@@ -39,20 +39,22 @@ CHUNK gamma variates per diagonal index in index order (a shape below 1
 consumes a gamma array and then a uniform array), (2) one normal array for
 the triangular subdiagonals, (3) one normal array for the coupling block.
 A full chunk is always drawn and assembled, then truncated to the requested
-count.  Repeat runs and any worker count therefore give identical bits, and
-a longer run extends a shorter one.  ``sample_chunks`` is the only sampler:
-every draw, whatever its support, goes through the chunk above.  It yields
-the chunks in draw order, with at most ``workers`` of them in flight, and
-``sample_riesz`` has the same chunks drawn in place into one batch.
+count.  Repeat runs therefore give identical bits, and a longer run extends
+a shorter one.  ``sample_chunks`` is the only sampler: every draw, whatever
+its support, goes through the chunk above.  It draws the chunks one at a
+time, in order, on the calling thread, and ``sample_riesz`` has the same
+chunks drawn in place into one batch.  Both accept a ``workers`` count for
+compatibility; it changes neither the bits nor the speed.  (A thread pool
+that drew chunks ahead was removed: on numpy the small per-chunk steps did
+not overlap, and two threads were slower than one.)
 
 The writers (``write_ndjson``, ``write_json``, ``write_csv``) consume the
-chunks as they come, so a run of any length holds O(workers * CHUNK * r^2)
-floats.  Each draw's distinct entries (its packed upper triangle) are
-formatted once with ``repr``, and the mirrored lower triangle reuses those
-strings, which is exact because draws are symmetric bit for bit.  The bytes
-written therefore depend on the spec alone, not on the worker count.  A
-non-finite entry is never a correct draw: the writers raise ``SamplerError``
-on the first chunk that holds one.
+chunks as they come, so a run of any length holds O(CHUNK * r^2) floats.
+Each draw's distinct entries (its packed upper triangle) are formatted once
+with ``repr``, and the mirrored lower triangle reuses those strings, which
+is exact because draws are symmetric bit for bit.  The bytes written
+therefore depend on the spec alone.  A non-finite entry is never a correct
+draw: the writers raise ``SamplerError`` on the first chunk that holds one.
 
 The per-run constants (Cholesky factors and coupling map, ``_BlockPlan``)
 are derived from the tilt once, when a ``RieszSpec`` is constructed, so a
@@ -64,8 +66,6 @@ from __future__ import annotations
 import functools
 import hashlib
 import json
-from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -109,7 +109,8 @@ class SamplerError(ValueError):
 
 
 class TiltError(SamplerError):
-    """The tilt matrix is unreadable, of the wrong rank, or not negative definite."""
+    """The tilt is unreadable, of the wrong rank, not negative definite, or
+    so small that the inverse the sampler needs overflows."""
 
 
 class NonSamplableError(SamplerError):
@@ -151,12 +152,15 @@ def sample_gamma(shape: float, rng: np.random.Generator, size=None):
 
 
 def _neg_inverse(a: np.ndarray, what: str) -> np.ndarray:
-    """Symmetrized (-a)^{-1}; raises TiltError unless Cholesky accepts -a."""
+    """Symmetrized (-a)^{-1}; raises TiltError unless Cholesky accepts -a
+    and the inverse is finite (it overflows for a tilt as small as 1e-310)."""
     try:
         np.linalg.cholesky(-a)
         inv = np.linalg.inv(-a)
     except np.linalg.LinAlgError as err:
         raise TiltError(f"{what} is not negative definite") from err
+    if not np.isfinite(inv).all():
+        raise TiltError(f"{what} has an inverse that overflows")
     return 0.5 * (inv + inv.T)
 
 
@@ -414,32 +418,13 @@ class SampleBatch:
         return self.matrices.mean(axis=0)
 
 
-def _chunks(spec: RieszSpec, workers: int, buffer):
-    """Yield the draws in order, chunk c drawn into ``buffer(c)``, (CHUNK, r, r).
-
-    With ``workers`` > 1 that many threads draw ahead, with at most
-    ``workers`` chunks in flight.
-    """
+def _chunks(spec: RieszSpec, buffer):
+    """Yield the draws in order, chunk c drawn into ``buffer(c)``, (CHUNK, r, r)."""
     n = spec.count
-    n_chunks = -(-n // CHUNK)
-
-    def draw(c: int) -> np.ndarray:
+    for c in range(-(-n // CHUNK)):
         out = buffer(c)
         _draw_sum(spec.plans, sample_stream(spec.seed, c), out)
-        return out[:n - c * CHUNK]
-
-    if workers == 1 or n_chunks == 1:
-        for c in range(n_chunks):
-            yield draw(c)
-        return
-    with ThreadPoolExecutor(max_workers=min(workers, n_chunks)) as pool:
-        pending = deque(pool.submit(draw, c) for c in range(min(workers, n_chunks)))
-        for c in range(len(pending), n_chunks):
-            chunk = pending.popleft().result()
-            pending.append(pool.submit(draw, c))
-            yield chunk
-        while pending:
-            yield pending.popleft().result()
+        yield out[:n - c * CHUNK]
 
 
 def _check_workers(workers) -> None:
@@ -451,15 +436,15 @@ def sample_chunks(spec: RieszSpec, workers: int = 1):
     """Iterator over the ``spec.count`` draws in order, as (k, r, r) arrays, k <= CHUNK.
 
     Chunk c holds draws c*CHUNK onwards and comes from its own stream keyed
-    by (seed, c); the last chunk is drawn in full and truncated.  With
-    ``workers`` > 1 that many threads draw ahead, with at most ``workers``
-    chunks in flight, so memory stays O(workers * CHUNK * r^2) for any
-    count.  The chunks are bitwise independent of the worker count, and a
-    longer run extends a shorter one (see the module's determinism contract).
+    by (seed, c); the last chunk is drawn in full and truncated.  Each chunk
+    is drawn on the calling thread when it is asked for, so memory stays
+    O(CHUNK * r^2) for any count, and a longer run extends a shorter one
+    (see the module's determinism contract).  ``workers`` is validated and
+    accepted for compatibility; it changes neither the bits nor the speed.
     """
     _check_workers(workers)
     r = spec.param.r
-    return _chunks(spec, workers, lambda c: np.empty((CHUNK, r, r)))
+    return _chunks(spec, lambda c: np.empty((CHUNK, r, r)))
 
 
 def sample_riesz(spec: RieszSpec, workers: int = 1) -> SampleBatch:
@@ -467,12 +452,13 @@ def sample_riesz(spec: RieszSpec, workers: int = 1) -> SampleBatch:
 
     The chunks of ``sample_chunks`` are drawn in place into one preallocated
     stack of whole chunks, and the batch keeps its first ``spec.count``
-    rows; it has the same bits for any ``workers``.
+    rows.  ``workers`` is validated and accepted for compatibility; it
+    changes neither the bits nor the speed.
     """
     _check_workers(workers)
     r = spec.param.r
     stack = np.empty((-(-spec.count // CHUNK) * CHUNK, r, r))
-    for _ in _chunks(spec, workers, lambda c: stack[c * CHUNK:(c + 1) * CHUNK]):
+    for _ in _chunks(spec, lambda c: stack[c * CHUNK:(c + 1) * CHUNK]):
         pass
     return SampleBatch(spec, stack[:spec.count])
 

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -98,6 +99,20 @@ def test_inner_norm_is_frobenius():
     assert_allclose(x.norm(), np.linalg.norm(x.dense()), rtol=1e-13)
 
 
+def test_norm_survives_extreme_scales():
+    # np.linalg.norm squares the entries, which overflows near 1e154 and
+    # underflows to 0 near 1e-162; only those norms are taken again
+    rng = np.random.default_rng(8)
+    for scale in (1e-150, 1.0, 1e150):
+        x = SymElement(scale * random_sym(rng, 4).matrix)
+        assert x.norm() == float(np.linalg.norm(x.matrix))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for c in (1e200, 1e-200, 1e-310):
+            got = SymElement(np.diag([c, -c])).norm()
+            assert got == pytest.approx(math.sqrt(2.0) * c, rel=1e-12)
+
+
 # ---------------------------------------------------------------- spectral
 
 
@@ -136,6 +151,16 @@ def test_require_negative_definite_margin():
     al.require_negative_definite(thin, _Refused, "x", margin=1e-4)
     with pytest.raises(_Refused):
         al.require_negative_definite(thin, _Refused, "x", margin=1e-3)
+
+
+def test_require_negative_definite_at_extreme_scale():
+    # the bound is -margin times a finite norm, not -inf (or nan at margin 0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for margin in (0.0, 1e-10):
+            al.require_negative_definite(sym(-1e200 * np.eye(2)), _Refused, "x", margin=margin)
+        with pytest.raises(_Refused, match=r"is not below -1\.414e\+190 "):
+            al.require_negative_definite(sym(1e200 * np.eye(2)), _Refused, "x", margin=1e-10)
 
 
 # ---------------------------------------------------------------- minors
@@ -269,6 +294,25 @@ def test_generalized_power_domain():
         al.log_generalized_power(flat, [1.0, 1.0])
     # zero exponent never looks at the minor
     assert al.log_generalized_power(flat, [0.0, 0.0]) == 0.0
+
+
+@pytest.mark.parametrize("power", [600, -600])
+def test_log_generalized_power_rescales_only_at_extreme_scale(power):
+    # log Delta_s(c x) = log Delta_s(x) + (sum s) log c; at c = 2^600 a
+    # minor of c x overflows, at 2^-600 one underflows to 0
+    rng = np.random.default_rng(10)
+    x = random_cone(rng, 4)
+    s = np.array([2.0, 1.5, 1.5, 0.5])
+    e = np.append(s[:-1] - s[1:], s[-1])
+    m = al.minors(x)
+    plain = sum(e[k] * math.log(m[k]) for k in range(4) if e[k] != 0.0)
+    assert al.log_generalized_power(x, s) == plain  # unscaled, bit for bit
+    big = SymElement(2.0 ** power * x.matrix)
+    with np.errstate(over="ignore", invalid="ignore"):
+        m_big = al.minors(big)
+    assert not (np.isfinite(m_big) & (m_big != 0.0)).all()
+    want = plain + s.sum() * power * math.log(2.0)
+    assert al.log_generalized_power(big, s) == pytest.approx(want, rel=1e-14)
 
 
 def test_log_generalized_power_consistency():

@@ -97,6 +97,10 @@ INF_2 = '{"r": 2, "data": [[-1.0, 0.0], [0.0, -Infinity]]}'
 TORN_2 = '{"r": 2, "data": [[-1.0, 0.0], [0.0, -1.0]'
 
 
+def _diag_json(c, r):
+    return json.dumps({"r": r, "data": (c * np.eye(r)).tolist()})
+
+
 def _spec_with_theta(data):
     return {"s": [1.0, 1.0], "theta": {"r": len(data), "data": data}}
 
@@ -148,6 +152,11 @@ def _spec_with_theta(data):
     (("check", "--u", "1,1", "--zero-tol", "nan"), 2),
     (("check", "--u", "1,1", "--zero-tol", "-1"), 2),
     (("sample", "--u", "1,1", "--zero-tol", "nan", "--n", "1"), 2),
+    # a tilt whose inverse overflows is refused before the header is written
+    (("sample", "--u", "1,1", "--n", "2", "--theta", _diag_json(-1e-310, 2)), 3),
+    # a minor of 1e-100 I underflows to 0: the variance guard refuses the
+    # probe, with no traceback
+    (("verify", "--u", "1,1,1,1", "--n", "2000", "--zeta", _diag_json(-1e100, 4)), 3),
 ])
 def test_rejections_exit_with_their_documented_code(capsys, tmp_path, argv, code):
     argv = list(argv)
@@ -185,8 +194,8 @@ def test_sample_ndjson_stdout(capsys):
 
 
 def test_sample_is_byte_deterministic(capsys):
-    # two chunk boundaries and a partial last chunk, so --workers 4 really
-    # splits the chunks between threads
+    # two chunk boundaries and a partial last chunk, drawn with --workers 4
+    # and without
     args = ("sample", "--u", "1.2,0,0.7,0", "--n", str(2 * CHUNK + 7), "--seed", "3",
             "--theta", '{"r":4,"data":[[-1,0,0,0],[0,-1,0,0],[0,0,-2,0.5],[0,0,0.5,-2]]}')
     code, first, _ = run(capsys, *args)
@@ -371,6 +380,27 @@ def test_sample_memory_does_not_grow_with_n(capsys, tmp_path, fmt):
     assert large <= 1.5 * small, f"peak {large} B at n={40 * CHUNK}, {small} B at n={4 * CHUNK}"
 
 
+def test_sample_memory_does_not_grow_with_workers(capsys, tmp_path):
+    # draws run on the calling thread, so sixteen workers may not need more
+    # than half again the memory of one
+    def peak(workers):
+        tracemalloc.start()
+        try:
+            code = cli.main(["sample", "--u", "1.2,0,0.7,0", "--n", str(40 * CHUNK),
+                             "--seed", "5", "--workers", str(workers),
+                             "--out", str(tmp_path / "draws.ndjson")])
+            return code, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(1)  # the first run in a process also allocates lazy set-up
+    code_one, one = peak(1)
+    code_many, many = peak(16)
+    capsys.readouterr()
+    assert code_one == code_many == 0
+    assert many <= 1.5 * one, f"peak {many} B with 16 workers, {one} B with 1"
+
+
 def test_sample_stats_line_leaves_output_unchanged(capsys, tmp_path):
     n = 2 * CHUNK + 7
     args = ["sample", "--u", "1.2,0,0.7,0", "--n", str(n), "--seed", "11", "--workers", "2"]
@@ -499,10 +529,6 @@ def test_verify_variance_guard_exits_3(capsys):
                        "--zeta", '{"r":2,"data":[[-0.4,0],[0,-0.4]]}',
                        "--n", "50")
     assert code == 3 and "variance" in err.lower()
-
-
-def _diag_json(c, r):
-    return json.dumps({"r": r, "data": (c * np.eye(r)).tolist()})
 
 
 @pytest.mark.parametrize("argv", [

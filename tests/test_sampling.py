@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -179,6 +180,19 @@ def test_spec_rejects_a_tilt_the_sampler_cannot_factor():
     theta = SymElement.from_dense(-0.5 * (n + n.T))
     with pytest.raises(sp.TiltError, match="Schur complement"):
         sp.RieszSpec.build(u=[1, 0, 1, 0, 1, 0, 1, 0], theta=theta)
+
+
+def test_spec_rejects_a_tilt_whose_inverse_overflows():
+    # -1e-310 I passes the eigenvalue margin, but its inverse is not finite;
+    # construction must refuse it instead of the writers meeting the draws
+    tiny = SymElement.from_dense(-1e-310 * np.eye(2))
+    for u, what in (([1.0, 1.0], "Schur complement"), ([1.0, 0.0], "trailing tilt block")):
+        with pytest.raises(sp.TiltError, match=f"{what} has an inverse that overflows"):
+            sp.RieszSpec.build(u=u, theta=tiny)
+    # a tilt of 1e200 builds, and its draws are finite and nonzero
+    huge = SymElement.from_dense(-1e200 * np.eye(2))
+    m = sp.sample_riesz(sp.RieszSpec.build(u=[1.0, 1.0], theta=huge, count=50)).matrices
+    assert np.isfinite(m).all() and (np.diagonal(m, axis1=1, axis2=2) > 0).all()
 
 
 def test_spec_seed_range():
@@ -491,7 +505,7 @@ def test_writers_refuse_non_finite_draws(fmt, bad):
 
 
 def test_sample_chunks_are_invariant_and_make_up_the_batch():
-    # six chunks, the last one partial, so three workers refill the queue
+    # six chunks, the last one partial, drawn with three workers and with one
     spec = sp.RieszSpec.build(u=[0.9, 0.0, 1.3], theta=nd_tilt(3, seed=4),
                               seed=21, count=5 * sp.CHUNK + 7)
     one = list(sp.sample_chunks(spec, workers=1))
@@ -501,3 +515,18 @@ def test_sample_chunks_are_invariant_and_make_up_the_batch():
     assert all(a.tobytes() == b.tobytes() for a, b in zip(one, three))
     batch = sp.sample_riesz(spec, workers=2).matrices
     assert np.concatenate(one).tobytes() == batch.tobytes()
+
+
+def test_draws_run_on_the_calling_thread(monkeypatch):
+    seen = []
+    draw_sum = sp._draw_sum
+
+    def recording(*args):
+        seen.append(threading.get_ident())
+        draw_sum(*args)
+
+    monkeypatch.setattr(sp, "_draw_sum", recording)
+    spec = sp.RieszSpec.build(u=[0.9, 0.0, 1.3], theta=nd_tilt(3, seed=4),
+                              seed=21, count=5 * sp.CHUNK + 7)
+    sp.sample_riesz(spec, workers=4)
+    assert seen == [threading.get_ident()] * 6

@@ -1,4 +1,5 @@
 import importlib.util
+import json
 import math
 import pathlib
 import subprocess
@@ -9,7 +10,7 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy.special import roots_genlaguerre, roots_jacobi
 
-from rieszcone import algebra, sampling as sp, verify as vf
+from rieszcone import algebra, cli, sampling as sp, verify as vf
 from rieszcone.algebra import SymElement
 from rieszcone.sampling import RieszSpec, sample_riesz
 
@@ -40,6 +41,49 @@ def test_laplace_exact_rejections():
 
     with pytest.raises(NotInGindikinSetError):
         vf.laplace_exact([0.5, 0.2], sym(-np.eye(2)))
+
+
+@pytest.mark.parametrize("power", [600, -600])
+def test_log_laplace_exact_scale_identity_at_extreme_scale(power):
+    # log Delta_s((-c theta)^{-1}) = log Delta_s((-theta)^{-1}) - (sum s) log c;
+    # at c = 2^600 a minor of the inverse underflows to 0, at 2^-600 one
+    # overflows, so only the rescaled minors give the value
+    rng = np.random.default_rng(12)
+    a = rng.standard_normal((4, 4))
+    theta = sym(-(a @ a.T + 0.5 * np.eye(4)))
+    scaled = SymElement(2.0 ** power * theta.matrix)
+    with np.errstate(over="ignore", invalid="ignore"):
+        m = algebra.minors(SymElement(np.linalg.inv(-scaled.matrix)))
+    assert not (np.isfinite(m) & (m != 0.0)).all()
+    for s in ([1.0, 1.5, 2.0, 2.5], [1.2, 0.5, 1.2, 1.0]):
+        want = vf.log_laplace_exact(s, theta) - sum(s) * power * math.log(2.0)
+        assert vf.log_laplace_exact(s, scaled) == pytest.approx(want, rel=1e-14)
+
+
+def _diag_json(c, r):
+    return json.dumps({"r": r, "data": (c * np.eye(r)).tolist()})
+
+
+def test_verify_cli_at_extreme_tilt_scales(capsys):
+    # Delta_4 of 1e-100 I underflows to 0: the closed form still reaches the
+    # variance guard, which refuses the probe (exit 3) without a traceback
+    code = cli.main(["verify", "--u", "1,1,1,1", "--n", "2000",
+                     "--zeta", _diag_json(-1e100, 4)])
+    out, err = capsys.readouterr()
+    assert code == 3 and out == "" and "too few effective draws" in err
+    # at 1e-200 and 1e200 the minors overflow or underflow; the report is
+    # that of the unit scale (s = (1, 1.5), so the ratio is 1.25^-2.5)
+    reports = []
+    for c in (1.0, 1e-200, 1e200):
+        code = cli.main(["verify", "--u", "1,1", "--n", "20000",
+                         "--theta", _diag_json(-c, 2), "--zeta", _diag_json(-1.25 * c, 2)])
+        out, err = capsys.readouterr()
+        assert code == 0 and err == ""
+        reports.append(json.loads(out))
+    for report in reports:
+        assert report["pass"] is True
+        assert report["exact"] == pytest.approx(1.25 ** -2.5, rel=1e-12)
+        assert report["z"] == pytest.approx(reports[0]["z"], rel=1e-6)
 
 
 def _oracle_battery_inputs():
