@@ -44,9 +44,7 @@ a shorter one.  ``sample_chunks`` is the only sampler: every draw, whatever
 its support, goes through the chunk above.  It draws the chunks one at a
 time, in order, on the calling thread, and ``sample_riesz`` has the same
 chunks drawn in place into one batch.  Both accept a ``workers`` count for
-compatibility; it changes neither the bits nor the speed.  (A thread pool
-that drew chunks ahead was removed: on numpy the small per-chunk steps did
-not overlap, and two threads were slower than one.)
+compatibility; it changes neither the bits nor the speed.
 
 The writers (``write_ndjson``, ``write_json``, ``write_csv``) consume the
 chunks as they come, so a run of any length holds O(CHUNK * r^2) floats.
