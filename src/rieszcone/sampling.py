@@ -151,15 +151,17 @@ def sample_gamma(shape: float, rng: np.random.Generator, size=None):
 
 def _neg_inverse(a: np.ndarray, what: str) -> np.ndarray:
     """Symmetrized (-a)^{-1}; raises TiltError unless Cholesky accepts -a
-    and the inverse is finite (it overflows for a tilt as small as 1e-310)."""
+    and the result is finite (it overflows for a tilt as small as 6e-309)."""
     try:
         np.linalg.cholesky(-a)
         inv = np.linalg.inv(-a)
     except np.linalg.LinAlgError as err:
         raise TiltError(f"{what} is not negative definite") from err
+    with np.errstate(over="ignore"):
+        inv = 0.5 * (inv + inv.T)
     if not np.isfinite(inv).all():
         raise TiltError(f"{what} has an inverse that overflows")
-    return 0.5 * (inv + inv.T)
+    return inv
 
 
 def _gamma_shapes(u_block, u_run) -> np.ndarray:

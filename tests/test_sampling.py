@@ -183,12 +183,15 @@ def test_spec_rejects_a_tilt_the_sampler_cannot_factor():
 
 
 def test_spec_rejects_a_tilt_whose_inverse_overflows():
-    # -1e-310 I passes the eigenvalue margin, but its inverse is not finite;
-    # construction must refuse it instead of the writers meeting the draws
-    tiny = SymElement.from_dense(-1e-310 * np.eye(2))
-    for u, what in (([1.0, 1.0], "Schur complement"), ([1.0, 0.0], "trailing tilt block")):
-        with pytest.raises(sp.TiltError, match=f"{what} has an inverse that overflows"):
-            sp.RieszSpec.build(u=u, theta=tiny)
+    # these tilts pass the eigenvalue margin, but the symmetrized inverse is
+    # not finite (at 6e-309 the inverse is, but not the sum of it and its
+    # transpose); construction must refuse them instead of the writers
+    # meeting the draws
+    for c in (1e-310, 6e-309):
+        tiny = SymElement.from_dense(-c * np.eye(2))
+        for u, what in (([1.0, 1.0], "Schur complement"), ([1.0, 0.0], "trailing tilt block")):
+            with pytest.raises(sp.TiltError, match=f"{what} has an inverse that overflows"):
+                sp.RieszSpec.build(u=u, theta=tiny)
     # a tilt of 1e200 builds, and its draws are finite and nonzero
     huge = SymElement.from_dense(-1e200 * np.eye(2))
     m = sp.sample_riesz(sp.RieszSpec.build(u=[1.0, 1.0], theta=huge, count=50)).matrices
