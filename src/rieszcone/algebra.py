@@ -3,8 +3,8 @@
 The ambient space is Sym(r, R) with the symmetrized product
 ``x o y = (xy + yx) / 2`` and the trace inner product ``<x, y> = tr(xy)``.
 The package needs only a few primitives on it: validated symmetric matrices
-that are symmetric bit for bit, one LAPACK eigendecomposition that decides
-whether a tilt is negative definite, and the hand-rolled leading principal
+that are symmetric bit for bit, the LAPACK eigenvalues that decide whether
+a tilt is negative definite, and the hand-rolled leading principal
 minors with the log generalized power that the closed-form transforms use.
 
 The diagonal Jordan frame c_1, ..., c_r (standard basis projectors, in index
@@ -26,7 +26,6 @@ __all__ = [
     "NotSymmetricError",
     "PowerDomainError",
     "SymElement",
-    "SpectralDecomp",
     "spectral",
     "require_negative_definite",
     "minors",
@@ -140,24 +139,12 @@ class SymElement:
         return f"SymElement(r={self.r}, data={self.matrix.tolist()})"
 
 
-# -- spectral decomposition ------------------------------------------------
+# -- eigenvalues -------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SpectralDecomp:
-    """Eigenvalues in descending order with matching orthonormal columns."""
-
-    eigenvalues: np.ndarray
-    basis: np.ndarray
-
-    def reconstruct(self) -> np.ndarray:
-        return (self.basis * self.eigenvalues) @ self.basis.T
-
-
-def spectral(x: SymElement) -> SpectralDecomp:
-    """Full eigendecomposition (LAPACK ``eigh``), eigenvalues descending."""
-    evals, vecs = np.linalg.eigh(x.matrix)
-    return SpectralDecomp(evals[::-1], vecs[:, ::-1])
+def spectral(x: SymElement) -> np.ndarray:
+    """Eigenvalues of x in descending order (LAPACK ``eigvalsh``)."""
+    return np.linalg.eigvalsh(x.matrix)[::-1]
 
 
 def require_negative_definite(x: SymElement, error: type, what: str,
@@ -169,7 +156,7 @@ def require_negative_definite(x: SymElement, error: type, what: str,
     one place that decides whether a whole tilt is admissible; each caller
     names the error type its own callers expect.
     """
-    top = float(spectral(x).eigenvalues[0])
+    top = float(spectral(x)[0])
     bound = -margin * x.norm()
     if not top < bound:
         raise error(

@@ -121,9 +121,6 @@ class GindikinParam:
         """Number of nonzero u entries = rank of a draw from the measure."""
         return sum(1 for t in self.u if t != 0.0)
 
-    def to_json_dict(self) -> dict:
-        return {"r": self.r, "d": self.d, "s": list(self.s), "u": list(self.u)}
-
 
 def u_from_s(s, d: float = 1.0, zero_tol: float = 0.0) -> GindikinParam:
     """Invert the recursion, rejecting s that leave the admissible set.

@@ -94,7 +94,10 @@ class QuadratureError(VerifyError):
 def log_laplace_exact(s, theta: SymElement) -> float:
     """Closed-form log transform: log Delta_s((-theta)^{-1}).
 
-    Requires s admissible (d = 1) and -theta positive definite.
+    Requires s admissible (d = 1) and -theta positive definite.  Only when the
+    inverse overflows is c theta inverted instead, with c the power of two
+    that brings theta's largest entry into [1/2, 1), and log Delta_s((-theta)
+    ^{-1}) = log Delta_s((-c theta)^{-1}) + (sum_k s_k) log c.
     """
     param = u_from_s(s, d=1.0)
     if param.r != theta.r:
@@ -102,8 +105,12 @@ def log_laplace_exact(s, theta: SymElement) -> float:
             f"parameter length {param.r} does not match tilt rank {theta.r}"
         )
     algebra.require_negative_definite(theta, TiltError, "tilt")
-    neg_inv = SymElement(np.linalg.inv(-theta.matrix))
-    return algebra.log_generalized_power(neg_inv, param.s)
+    neg = -theta.matrix
+    inv, log_c = np.linalg.inv(neg), 0.0
+    if not np.isfinite(inv).all():
+        top = math.frexp(float(np.max(np.abs(neg))))[1]
+        inv, log_c = np.linalg.inv(np.ldexp(neg, -top)), -top * math.log(2.0)
+    return algebra.log_generalized_power(SymElement(inv), param.s) + sum(param.s) * log_c
 
 
 def laplace_exact(s, theta: SymElement) -> float:
@@ -324,16 +331,6 @@ class IdentityReport:
     max_rel_error: float
     threshold: float
     passed: bool
-
-    def to_json_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "r": self.r,
-            "trials": self.trials,
-            "max_rel_error": self.max_rel_error,
-            "threshold": self.threshold,
-            "pass": self.passed,
-        }
 
 
 def _cone_stack(rng, n, m):

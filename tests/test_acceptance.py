@@ -206,8 +206,8 @@ def test_mean_identity():
 def test_sampling_byte_determinism(capsys, tmp_path):
     """Identical sampling invocations produce byte-identical output,
     whatever the parallelism."""
-    # two chunk boundaries and a partial last chunk, so the workers really
-    # split the chunks between them
+    # two chunk boundaries and a partial last chunk; every chunk is drawn on
+    # the calling thread, so the worker count must not change a bit
     n = str(2 * CHUNK + 7)
     ndjson_args = ["sample", "--u", "1.2,0,0.7,0", "--n", n, "--seed", "17"]
     outputs = []

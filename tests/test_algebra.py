@@ -117,9 +117,7 @@ def test_norm_survives_extreme_scales():
 
 
 def test_spectral_reflection():
-    dec = al.spectral(sym([[0, 1], [1, 0]]))
-    assert_allclose(dec.eigenvalues, [1.0, -1.0], atol=1e-14)
-    assert_allclose(dec.reconstruct(), [[0, 1], [1, 0]], atol=1e-14)
+    assert_allclose(al.spectral(sym([[0, 1], [1, 0]])), [1.0, -1.0], atol=1e-14)
 
 
 @pytest.mark.parametrize("r", [1, 2, 3, 6])
@@ -127,12 +125,10 @@ def test_spectral_invariants(r):
     rng = np.random.default_rng(100 + r)
     for _ in range(25):
         x = random_sym(rng, r)
-        dec = al.spectral(x)
-        q = dec.basis
-        scale = max(1.0, x.norm())
-        assert np.max(np.abs(q @ q.T - np.eye(r))) < 1e-13
-        assert np.max(np.abs(dec.reconstruct() - x.dense())) < 1e-12 * scale
-        assert np.all(np.diff(dec.eigenvalues) <= 1e-12 * scale)
+        evals = al.spectral(x)
+        assert evals.shape == (r,)
+        assert np.all(np.diff(evals) <= 0.0)
+        assert np.array_equal(evals, np.linalg.eigvalsh(x.dense())[::-1])
 
 
 class _Refused(Exception):

@@ -131,9 +131,6 @@ def test_param_from_u_and_flags():
     assert p.rank_support == 2
     assert p.samplable
     assert not gk.param_from_u([1, 1], d=2.0).samplable
-    assert p.to_json_dict() == {
-        "r": 4, "d": 1.0, "s": [1.2, 0.5, 1.2, 1.0], "u": [1.2, 0.0, 0.7, 0.0]
-    }
 
 
 # ----------------------------------------------------------------- partition

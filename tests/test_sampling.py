@@ -3,6 +3,7 @@ import io
 import json
 import math
 import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -247,8 +248,8 @@ def test_sample_riesz_bitwise_reproducible():
 
 
 def test_sample_riesz_workers_do_not_change_bits():
-    # two chunk boundaries and a partial last chunk, so the workers really
-    # split the chunks between them
+    # two chunk boundaries and a partial last chunk; every chunk is drawn on
+    # the calling thread, so the worker count must not change a bit
     spec = sp.RieszSpec.build(u=[0.9, 0.0, 1.3], theta=nd_tilt(3, seed=4),
                               seed=21, count=2 * sp.CHUNK + 7)
     one = sp.sample_riesz(spec, workers=1).matrices
@@ -364,6 +365,24 @@ def test_log_density_is_translation_consistent():
     want = math.log(np.linalg.det(x.dense()))
     want -= log_gamma_omega(s + 1.0, 3) - log_gamma_omega(s, 3)
     assert hi - lo == pytest.approx(want, rel=1e-10)
+
+
+@pytest.mark.parametrize("c", [1e200, 1e-200])
+def test_log_density_at_extreme_scales(c):
+    # log p(c x) = log p(x) + sum_k (s_k - (r+1)/2) log c; at these scales a
+    # leading minor of c x overflows or underflows, and neither may refuse
+    # the point or warn
+    rng = np.random.default_rng(43)
+    m = rng.standard_normal((3, 3))
+    x = m @ m.T + 0.5 * np.eye(3)
+    s = np.array([2.0, 1.8, 1.6])
+    want = sp.log_density_ac(s, SymElement.from_dense(x)) + (s - 2.0).sum() * math.log(c)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = sp.log_density_ac(s, SymElement.from_dense(c * x))
+    assert got == pytest.approx(want, rel=1e-13)
+    with pytest.raises(sp.SamplerError, match="not in the open cone"):
+        sp.log_density_ac(s, SymElement.from_dense(c * np.diag([1.0, 1.0, -1.0])))
 
 
 def test_log_density_refusals():

@@ -60,6 +60,21 @@ def test_log_laplace_exact_scale_identity_at_extreme_scale(power):
         assert vf.log_laplace_exact(s, scaled) == pytest.approx(want, rel=1e-14)
 
 
+def test_log_laplace_exact_where_the_inverse_overflows():
+    # (-theta)^{-1} = 1e310 I is past the largest float, so only the rescaled
+    # inverse gives log Delta_2 = 620 ln 10
+    theta = SymElement(-1e-310 * np.eye(2))
+    assert not np.isfinite(np.linalg.inv(-theta.matrix)).all()
+    assert vf.log_laplace_exact([1.0, 1.0], theta) == pytest.approx(
+        620.0 * math.log(10.0), rel=1e-14)
+    # the variance guard 2 zeta - theta = -5e-309 I has such an inverse too:
+    # 1 + rho = 4^2 / 1.6^4 leaves 2 000 draws worth 819
+    spec = RieszSpec.build(s=[1.0, 1.0], theta=SymElement(-2e-308 * np.eye(2)),
+                           count=2000)
+    with pytest.raises(vf.VarianceGuardError, match="too few effective draws"):
+        vf.laplace_mc_chunks(spec, iter(()), SymElement(-1.25e-308 * np.eye(2)))
+
+
 def _diag_json(c, r):
     return json.dumps({"r": r, "data": (c * np.eye(r)).tolist()})
 
