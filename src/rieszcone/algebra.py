@@ -4,8 +4,9 @@ The ambient space is Sym(r, R) with the symmetrized product
 ``x o y = (xy + yx) / 2`` and the trace inner product ``<x, y> = tr(xy)``.
 The package needs only a few primitives on it: validated symmetric matrices
 that are symmetric bit for bit, the LAPACK eigenvalues that decide whether
-a tilt is negative definite, and the hand-rolled leading principal
-minors with the log generalized power that the closed-form transforms use.
+a tilt is negative definite, and one hand-rolled elimination whose pivots
+give the leading principal minors and the log generalized power that the
+closed-form transforms use.
 
 The diagonal Jordan frame c_1, ..., c_r (standard basis projectors, in index
 order) is fixed once and for all; every "leading block" below is leading with
@@ -48,7 +49,7 @@ class NotSymmetricError(AlgebraError):
 
 
 class PowerDomainError(AlgebraError):
-    """Log generalized power requested where a minor it needs is not positive."""
+    """Log generalized power requested outside the open cone."""
 
 
 @lru_cache(maxsize=None)
@@ -165,7 +166,35 @@ def require_negative_definite(x: SymElement, error: type, what: str,
         )
 
 
-# -- minors and the generalized power ---------------------------------------
+# -- pivots, minors and the generalized power --------------------------------
+
+
+def _pivots(sym: np.ndarray):
+    """Pivots p_k = Delta_k / Delta_{k-1} of every matrix in an (n, r, r) stack.
+
+    One pass of symmetric Gaussian elimination, vectorized over the stack,
+    that divides before it multiplies, a_ij -= a_ik (a_kj / p_k): on a cone
+    point no intermediate value exceeds sqrt(a_ii a_jj), at any scale.  Past
+    a pivot that is exactly zero, which stays 0, the matrix's trailing block
+    becomes the identity; ``fallback_from`` (None while no pivot is zero)
+    records per matrix the first minor that the pivots no longer give.
+    """
+    n, r = sym.shape[:2]
+    a = sym.copy()
+    fallback_from = None
+    for k in range(r - 1):
+        piv = a[:, k, k]
+        if not piv.all():
+            hit = piv == 0.0
+            if fallback_from is None:
+                fallback_from = np.full(n, r)
+            fallback_from[hit] = k + 1
+            a[hit, k + 1:, k] = 0.0
+            a[hit, k + 1:, k + 1:] = np.eye(r - k - 1)
+            piv = np.where(hit, 1.0, piv)
+        a[:, k + 1:, k + 1:] -= (a[:, k + 1:, k, None]
+                                 * (a[:, None, k, k + 1:] / piv[:, None, None]))
+    return np.diagonal(a, axis1=1, axis2=2), fallback_from
 
 
 def minors(x) -> np.ndarray:
@@ -176,12 +205,9 @@ def minors(x) -> np.ndarray:
     into the lower one, as ``SymElement`` does, so both kinds go through the
     same code: a ``SymElement`` is a stack of one.
 
-    One pass of symmetric Gaussian elimination, vectorized over the stack:
-    the k-th pivot equals Delta_k / Delta_{k-1}, and the pivots stay on the
-    diagonal, so their running product yields every minor.  If a matrix's
-    pivot is exactly zero the recursion is undefined past it, and that
-    matrix's remaining minors fall back to direct determinants of its
-    leading blocks; the other matrices are unaffected.
+    The minors are the running products of the elimination pivots.  Past a
+    pivot that is exactly zero, a matrix's minors fall back to direct
+    determinants of its leading blocks; the other matrices are unaffected.
     """
     single = isinstance(x, SymElement)
     if single:
@@ -192,63 +218,30 @@ def minors(x) -> np.ndarray:
             raise ShapeMismatchError(
                 f"expected an (n, r, r) stack, got shape {stack.shape}")
         sym = np.where(_strict_lower(stack.shape[1]), np.swapaxes(stack, 1, 2), stack)
-    n, r = sym.shape[:2]
-    a = sym.copy()
-    fallback_from = None
-    for k in range(r - 1):
-        piv = a[:, k, k]
-        if not piv.all():
-            # a matrix that falls back keeps its zero pivot and takes no
-            # further part: its trailing block becomes the identity, which
-            # eliminates to itself, and its minors past this one are
-            # overwritten below
-            hit = piv == 0.0
-            if fallback_from is None:
-                fallback_from = np.full(n, r)
-            fallback_from[hit] = k + 1
-            a[hit, k + 1:, k] = 0.0
-            a[hit, k + 1:, k + 1:] = np.eye(r - k - 1)
-            piv = np.where(hit, 1.0, piv)
-        a[:, k + 1:, k + 1:] -= (a[:, k + 1:, k, None] * a[:, None, k, k + 1:]
-                                 / piv[:, None, None])
-    out = np.cumprod(np.diagonal(a, axis1=1, axis2=2), axis=1)
+    piv, fallback_from = _pivots(sym)
+    out = np.cumprod(piv, axis=1)
     if fallback_from is not None:
-        for k in range(int(fallback_from.min()), r):
+        for k in range(int(fallback_from.min()), sym.shape[1]):
             rows = np.flatnonzero(fallback_from <= k)
             out[rows, k] = np.linalg.det(sym[rows, : k + 1, : k + 1])
     return out[0] if single else out
 
 
 def log_generalized_power(x: SymElement, s) -> float:
-    """log Delta_s(x) = sum_k (s_k - s_{k+1}) log Delta_k(x), with s_{r+1} = 0.
+    """log Delta_s(x) = sum_k s_k log p_k(x), with p_k = Delta_k / Delta_{k-1}.
 
-    ``PowerDomainError`` unless every minor with a nonzero exponent is positive.
-    The minors are products, so at an extreme scale of x one of them can
-    underflow to 0 or overflow.  Only then are they taken of c x instead,
-    with c the power of two that brings x's largest entry into [1/2, 1), so
-    the scaling is exact, and log Delta_s(x) = log Delta_s(c x) - (sum_k s_k)
-    log c.
+    Defined on the open cone, where every elimination pivot p_k is positive;
+    ``PowerDomainError`` anywhere else.  No minor is formed, so the value
+    holds at any scale of x and for entries that span more than the float
+    range.
     """
-    r = x.r
     s = np.asarray(s, dtype=float)
-    if s.shape != (r,):
-        raise ShapeMismatchError(f"power parameter must have length {r}, got {s.shape}")
-    e = np.append(s[:-1] - s[1:], s[-1])
+    if s.shape != (x.r,):
+        raise ShapeMismatchError(f"power parameter must have length {x.r}, got {s.shape}")
     with np.errstate(over="ignore", invalid="ignore"):
-        m = minors(x)
-    log_c = 0.0
-    needed = m[e != 0.0]
-    if not (np.isfinite(needed) & (needed != 0.0)).all():
-        top = math.frexp(float(np.max(np.abs(x.matrix))))[1]
-        m = minors(SymElement(np.ldexp(x.matrix, -top)))
-        log_c = -top * math.log(2.0)
-    out = 0.0
-    for k in range(r):
-        if e[k] == 0.0:
-            continue
-        if m[k] <= 0.0:
-            raise PowerDomainError(
-                f"minor Delta_{k + 1} = {m[k]:.6e} must be positive for a log power"
-            )
-        out += e[k] * math.log(m[k])
-    return out - float(s.sum()) * log_c
+        piv = _pivots(x.matrix[None])[0][0]
+    if not (piv > 0.0).all():
+        k = int(np.argmin(piv > 0.0))
+        raise PowerDomainError(
+            f"pivot {k + 1} is {piv[k]:.6e}: a log power needs every pivot positive")
+    return float(s @ np.log(piv))

@@ -9,10 +9,10 @@ human prose goes to stderr.  Exit codes are scripting-stable:
 * 2  parameter outside the admissible set, non-numeric or non-finite (in
      every command), or no density exists for it
 * 3  bad tilt: theta/zeta unreadable (from ``--theta``, ``--zeta`` or a
-     ``--spec`` file), of the wrong rank, not negative definite, too small
-     for the sampler's inverse of it to be finite, or the variance guard
-     rejected the requested reweighting (infinite weight variance, or too
-     few effective draws)
+     ``--spec`` file), of the wrong rank, not negative definite or too near
+     singular for positive pivots, too small for the sampler's inverse of it
+     to be finite, or the variance guard rejected the requested reweighting
+     (infinite weight variance, or too few effective draws)
 * 64 malformed command line
 
 Commands raise; ``main`` alone turns a library error into its code, through

@@ -481,16 +481,12 @@ def log_density_ac(s, x: SymElement) -> float:
         raise SamplerError(
             "parameter is singular (some u_p = 0): no Lebesgue density exists"
         )
-    # positive leading minors characterize the open cone, and log Delta_s(x)
-    # with s = (r, ..., 1) needs every one of them (at any scale of x); the
-    # power with the density's own s would not notice a nonpositive minor
-    # whose exponent lands on zero
+    shift = np.asarray(param.s) - 0.5 * (x_r + 1)
     try:
-        algebra.log_generalized_power(x, np.arange(x_r, 0, -1))
+        log_power = algebra.log_generalized_power(x, shift)
     except algebra.PowerDomainError:
         raise SamplerError("x is not in the open cone (nonpositive leading minor)") from None
-    shift = np.asarray(param.s) - 0.5 * (x_r + 1)
-    return algebra.log_generalized_power(x, shift) - log_gamma_omega(param.s, x_r, 1.0)
+    return log_power - log_gamma_omega(param.s, x_r, 1.0)
 
 
 def _header(spec: RieszSpec) -> dict:

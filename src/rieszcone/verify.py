@@ -3,7 +3,7 @@
 Every check here runs two genuinely independent routes and compares them:
 
 * ``log_laplace_exact`` evaluates the closed-form transform in log space
-  (through the package's one-pass minors) while ``laplace_mc_chunks``
+  from the pivots of -theta, with no inverse, while ``laplace_mc_chunks``
   re-estimates a ratio of transforms from sampler output, chunk by chunk,
   by importance reweighting; ``laplace_mc`` folds an in-memory batch.
 * ``quadrature_check_r2`` integrates the rank-2 density over the cone and
@@ -94,10 +94,11 @@ class QuadratureError(VerifyError):
 def log_laplace_exact(s, theta: SymElement) -> float:
     """Closed-form log transform: log Delta_s((-theta)^{-1}).
 
-    Requires s admissible (d = 1) and -theta positive definite.  Only when the
-    inverse overflows is c theta inverted instead, with c the power of two
-    that brings theta's largest entry into [1/2, 1), and log Delta_s((-theta)
-    ^{-1}) = log Delta_s((-c theta)^{-1}) + (sum_k s_k) log c.
+    Requires s admissible (d = 1) and -theta positive definite.  With J the
+    index reversal, pivot k of y^{-1} is 1 / pivot r+1-k of J y J, so with no
+    inverse log Delta_s(y^{-1}) = -log Delta_{s*}(J y J), s* = (s_r, ..., s_1)
+    (Faraut-Koranyi, ch. VII).  A tilt too close to singular for positive
+    pivots is a ``TiltError`` too.
     """
     param = u_from_s(s, d=1.0)
     if param.r != theta.r:
@@ -105,12 +106,11 @@ def log_laplace_exact(s, theta: SymElement) -> float:
             f"parameter length {param.r} does not match tilt rank {theta.r}"
         )
     algebra.require_negative_definite(theta, TiltError, "tilt")
-    neg = -theta.matrix
-    inv, log_c = np.linalg.inv(neg), 0.0
-    if not np.isfinite(inv).all():
-        top = math.frexp(float(np.max(np.abs(neg))))[1]
-        inv, log_c = np.linalg.inv(np.ldexp(neg, -top)), -top * math.log(2.0)
-    return algebra.log_generalized_power(SymElement(inv), param.s) + sum(param.s) * log_c
+    try:
+        return -algebra.log_generalized_power(SymElement(-theta.matrix[::-1, ::-1]),
+                                              param.s[::-1])
+    except algebra.PowerDomainError as exc:
+        raise TiltError(f"tilt is too close to singular for its closed form: {exc}") from None
 
 
 def laplace_exact(s, theta: SymElement) -> float:

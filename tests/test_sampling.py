@@ -14,7 +14,7 @@ from scipy.special import gammaln
 from rieszcone import cli
 from rieszcone import sampling as sp
 from rieszcone.algebra import SymElement
-from rieszcone.gindikin import GindikinError, param_from_u
+from rieszcone.gindikin import GindikinError, log_gamma_omega, param_from_u
 
 
 def nd_tilt(r, seed=0, scale=1.0):
@@ -383,6 +383,20 @@ def test_log_density_at_extreme_scales(c):
     assert got == pytest.approx(want, rel=1e-13)
     with pytest.raises(sp.SamplerError, match="not in the open cone"):
         sp.log_density_ac(s, SymElement.from_dense(c * np.diag([1.0, 1.0, -1.0])))
+
+
+def test_log_density_where_entries_span_past_the_float_range():
+    # Delta_2 = 1e600 and Delta_3 = 1e300 are past the float range, but no
+    # pivot is; with s = (3, 3, 3, 3) the shifted exponents are all 1/2
+    s = [3.0, 3.0, 3.0, 3.0]
+    want = -log_gamma_omega(s, 4, 1.0)
+    x = SymElement.from_dense(np.diag([1e300, 1e300, 1e-300, 1e-300]))
+    assert sp.log_density_ac(s, x) == pytest.approx(want, rel=1e-14)
+    # a coupled pair: a_12^2 = 2.5e599 overflows, a_12 (a_12 / a_11) does not
+    x = SymElement.from_dense([[1e300, 5e299, 0, 0], [5e299, 1e300, 0, 0],
+                               [0, 0, 1e-300, 0], [0, 0, 0, 1e-300]])
+    assert sp.log_density_ac(s, x) == pytest.approx(want + 0.5 * math.log(0.75),
+                                                    rel=1e-14)
 
 
 def test_log_density_refusals():

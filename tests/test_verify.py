@@ -47,7 +47,7 @@ def test_laplace_exact_rejections():
 def test_log_laplace_exact_scale_identity_at_extreme_scale(power):
     # log Delta_s((-c theta)^{-1}) = log Delta_s((-theta)^{-1}) - (sum s) log c;
     # at c = 2^600 a minor of the inverse underflows to 0, at 2^-600 one
-    # overflows, so only the rescaled minors give the value
+    # overflows, so the value must come from the pivots, never the minors
     rng = np.random.default_rng(12)
     a = rng.standard_normal((4, 4))
     theta = sym(-(a @ a.T + 0.5 * np.eye(4)))
@@ -61,8 +61,8 @@ def test_log_laplace_exact_scale_identity_at_extreme_scale(power):
 
 
 def test_log_laplace_exact_where_the_inverse_overflows():
-    # (-theta)^{-1} = 1e310 I is past the largest float, so only the rescaled
-    # inverse gives log Delta_2 = 620 ln 10
+    # (-theta)^{-1} = 1e310 I is past the largest float, so the value
+    # log Delta_2 = 620 ln 10 must come without forming the inverse
     theta = SymElement(-1e-310 * np.eye(2))
     assert not np.isfinite(np.linalg.inv(-theta.matrix)).all()
     assert vf.log_laplace_exact([1.0, 1.0], theta) == pytest.approx(
@@ -73,6 +73,19 @@ def test_log_laplace_exact_where_the_inverse_overflows():
                            count=2000)
     with pytest.raises(vf.VarianceGuardError, match="too few effective draws"):
         vf.laplace_mc_chunks(spec, iter(()), SymElement(-1.25e-308 * np.eye(2)))
+
+
+@pytest.mark.parametrize("cond", [1e6, 1e9])
+def test_log_laplace_exact_under_ill_conditioned_tilts(cond):
+    # L(c theta) / L(theta) = c^(-sum s) at any tilt; an inverse of -theta
+    # would square its condition number, and at 1e9 lose the third digit
+    q, _ = np.linalg.qr(np.random.default_rng(26).standard_normal((8, 8)))
+    m = q @ np.diag(np.logspace(0, math.log10(cond), 8)) @ q.T
+    theta = SymElement(-0.5 * (m + m.T))
+    s = RieszSpec.build(u=[1.0] * 8).param.s
+    got = (vf.log_laplace_exact(s, SymElement(1.1 * theta.matrix))
+           - vf.log_laplace_exact(s, theta))
+    assert got == pytest.approx(-sum(s) * math.log(1.1), rel=1e-7)
 
 
 def _diag_json(c, r):
@@ -102,6 +115,38 @@ def test_verify_cli_at_extreme_tilt_scales(capsys):
         assert report["z"] == pytest.approx(reports[0]["z"], rel=1e-6)
 
 
+# the upper triangle of zeta = -sym(Q diag(logspace(0, 18, 8)) Q^T), with Q
+# from the QR of default_rng(0).standard_normal((8, 8)), row by row
+_NEAR_SINGULAR_ZETA = [
+    "-0x1.529d377d68a73p+50", "0x1.9568252e34959p+50", "0x1.43b71918cdd28p+50",
+    "-0x1.20bbc782b8985p+52", "-0x1.722b194151ac3p+51", "-0x1.b3ef5f9613fa2p+47",
+    "0x1.45138141024b8p+51", "0x1.b941c39e11e2cp+50", "-0x1.0cc386b3d5f3fp+55",
+    "-0x1.424de80b7804cp+55", "0x1.ab0421fbc0281p+56", "0x1.74d70bdcccda4p+56",
+    "0x1.db397d9e337e1p+48", "-0x1.bcf0392347782p+55", "-0x1.eeda4b77b94e5p+55",
+    "-0x1.851b8482d5cb6p+55", "0x1.0090a884adbaap+57", "0x1.c22cd68b008f0p+56",
+    "0x1.d556e6b60557dp+48", "-0x1.0af41e6d90c98p+56", "-0x1.2b23dbae9ee08p+56",
+    "-0x1.537246188887bp+58", "-0x1.28cfaa78ec516p+58", "-0x1.6587678f6da7ep+50",
+    "0x1.618812a031b35p+57", "0x1.8a1c4083534efp+57", "-0x1.046b108abd815p+58",
+    "-0x1.0e8a85c36bb20p+50", "0x1.34d0c2e5d51ffp+57", "0x1.5a1bcdb7094fep+57",
+    "-0x1.28fb7fecb4238p+45", "0x1.82fcb0076ef44p+49", "0x1.5827d8a852186p+49",
+    "-0x1.7051c0bfa4c16p+56", "-0x1.99ed85b1f1cbcp+56", "-0x1.cc1ef46341563p+56",
+]
+
+
+def test_verify_cli_refuses_a_nearly_singular_zeta(capsys):
+    # zeta passes the eigenvalue check, but it is too close to singular for
+    # positive elimination pivots: a tilt error (exit 3), not a traceback
+    zeta = np.zeros((8, 8))
+    zeta[np.triu_indices(8)] = [float.fromhex(h) for h in _NEAR_SINGULAR_ZETA]
+    zeta = SymElement(zeta)
+    assert algebra.spectral(zeta)[0] < -1.0
+    code = cli.main(["verify", "--u", "1,1,1,1,1,1,1,1", "--n", "2000",
+                     "--zeta", json.dumps(zeta.to_json_dict())])
+    out, err = capsys.readouterr()
+    assert code == 3 and out == ""
+    assert len(err.splitlines()) == 1 and "too close to singular" in err
+
+
 def _oracle_battery_inputs():
     """The r=32 and r=48 transform inputs of the benchmark's oracle battery."""
     path = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
@@ -114,10 +159,10 @@ def _oracle_battery_inputs():
 
 # laplace_exact at those inputs, operations 0-3, r=32 then r=48 in each
 _BATTERY_EXACT = [
-    "0x1.6f48adeee021dp-26", "0x1.987c3f99768cfp-20",
-    "0x1.0b5a864c78063p+2", "0x1.671646b79a194p+20",
-    "0x1.5c483243920bdp+11", "0x1.8408255d7345dp+6",
-    "0x1.49e5cf9ea0f6ep+3", "0x1.f77399253f8a4p-6",
+    "0x1.6f48adeee01aap-26", "0x1.987c3f997689cp-20",
+    "0x1.0b5a864c78091p+2", "0x1.671646b79a1c1p+20",
+    "0x1.5c48324392109p+11", "0x1.8408255d733dep+6",
+    "0x1.49e5cf9ea0f59p+3", "0x1.f77399253f50fp-6",
 ]
 
 
