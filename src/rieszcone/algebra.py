@@ -49,7 +49,11 @@ class NotSymmetricError(AlgebraError):
 
 
 class PowerDomainError(AlgebraError):
-    """Log generalized power requested outside the open cone."""
+    """Outside the open cone: pivot ``pivot`` (from 1), the first not positive, is ``value``."""
+
+    def __init__(self, pivot: int, value: float):
+        super().__init__(f"pivot {pivot} is {value:.6e}: a log power needs every pivot positive")
+        self.pivot, self.value = pivot, value
 
 
 @lru_cache(maxsize=None)
@@ -198,33 +202,25 @@ def _pivots(sym: np.ndarray):
 
 
 def minors(x) -> np.ndarray:
-    """All leading principal minors (Delta_1(x), ..., Delta_r(x)).
+    """All leading principal minors (Delta_1, ..., Delta_r) of an (n, r, r) stack, (n, r).
 
-    ``x`` is a ``SymElement``, giving an ``(r,)`` array, or an ``(n, r, r)``
-    stack, giving ``(n, r)``.  A stack first gets its upper triangle mirrored
-    into the lower one, as ``SymElement`` does, so both kinds go through the
-    same code: a ``SymElement`` is a stack of one.
-
-    The minors are the running products of the elimination pivots.  Past a
+    Each matrix first gets its upper triangle mirrored into the lower one, as
+    ``SymElement`` does; one matrix x is the stack ``x.matrix[None]``.  The
+    minors are the running products of the elimination pivots.  Past a
     pivot that is exactly zero, a matrix's minors fall back to direct
     determinants of its leading blocks; the other matrices are unaffected.
     """
-    single = isinstance(x, SymElement)
-    if single:
-        sym = x.matrix[None]
-    else:
-        stack = np.asarray(x, dtype=float)
-        if stack.ndim != 3 or stack.shape[1] != stack.shape[2]:
-            raise ShapeMismatchError(
-                f"expected an (n, r, r) stack, got shape {stack.shape}")
-        sym = np.where(_strict_lower(stack.shape[1]), np.swapaxes(stack, 1, 2), stack)
+    stack = np.asarray(x, dtype=float)
+    if stack.ndim != 3 or stack.shape[1] != stack.shape[2]:
+        raise ShapeMismatchError(f"expected an (n, r, r) stack, got shape {stack.shape}")
+    sym = np.where(_strict_lower(stack.shape[1]), np.swapaxes(stack, 1, 2), stack)
     piv, fallback_from = _pivots(sym)
     out = np.cumprod(piv, axis=1)
     if fallback_from is not None:
         for k in range(int(fallback_from.min()), sym.shape[1]):
             rows = np.flatnonzero(fallback_from <= k)
             out[rows, k] = np.linalg.det(sym[rows, : k + 1, : k + 1])
-    return out[0] if single else out
+    return out
 
 
 def log_generalized_power(x: SymElement, s) -> float:
@@ -242,6 +238,5 @@ def log_generalized_power(x: SymElement, s) -> float:
         piv = _pivots(x.matrix[None])[0][0]
     if not (piv > 0.0).all():
         k = int(np.argmin(piv > 0.0))
-        raise PowerDomainError(
-            f"pivot {k + 1} is {piv[k]:.6e}: a log power needs every pivot positive")
+        raise PowerDomainError(k + 1, float(piv[k]))
     return float(s @ np.log(piv))

@@ -40,7 +40,8 @@ def report(label, ok, detail):
 
 
 def test_identity_suite():
-    """Nine structural identities, 500 trials each, ranks 2 through 6."""
+    """Nine two-route identities (package code against LAPACK), 500 trials
+    per split level, ranks 2 through 6."""
     t0 = time.perf_counter()
     worst = 0.0
     all_ok = True

@@ -1,3 +1,4 @@
+import dataclasses
 import importlib.util
 import json
 import math
@@ -53,7 +54,7 @@ def test_log_laplace_exact_scale_identity_at_extreme_scale(power):
     theta = sym(-(a @ a.T + 0.5 * np.eye(4)))
     scaled = SymElement(2.0 ** power * theta.matrix)
     with np.errstate(over="ignore", invalid="ignore"):
-        m = algebra.minors(SymElement(np.linalg.inv(-scaled.matrix)))
+        m = algebra.minors(np.linalg.inv(-scaled.matrix)[None])[0]
     assert not (np.isfinite(m) & (m != 0.0)).all()
     for s in ([1.0, 1.5, 2.0, 2.5], [1.2, 0.5, 1.2, 1.0]):
         want = vf.log_laplace_exact(s, theta) - sum(s) * power * math.log(2.0)
@@ -145,6 +146,9 @@ def test_verify_cli_refuses_a_nearly_singular_zeta(capsys):
     out, err = capsys.readouterr()
     assert code == 3 and out == ""
     assert len(err.splitlines()) == 1 and "too close to singular" in err
+    # the line names the matrix at fault and numbers the pivot in its own order
+    assert "zeta is too close to singular" in err
+    assert "index 1 has pivot" in err
 
 
 def _oracle_battery_inputs():
@@ -416,7 +420,7 @@ def test_identity_suite_needs_rank_two():
 
 def test_identity_suite_catches_broken_minors(monkeypatch):
     # negative control: a biased minor routine must trip the two
-    # minor-based identities and leave the LAPACK-only ones untouched
+    # minor-based identities and leave those that never call minors untouched
     true_minors = algebra.minors
 
     def biased(x):
@@ -428,7 +432,45 @@ def test_identity_suite_catches_broken_minors(monkeypatch):
               if not rep.passed}
     assert "minor_complement" in failed
     assert "minor_ratios" in failed
-    assert "half_space_determinant" not in failed
+    assert "factor_gram" not in failed
+
+
+def _noise_scaled(plan, theta):
+    return dataclasses.replace(plan, noise_chol=math.sqrt(2.0) * plan.noise_chol)
+
+
+def _square_coupling_transposed(plan, theta):
+    if plan.width != plan.tail:
+        return plan
+    return dataclasses.replace(plan, coupling=plan.coupling.T)
+
+
+def _schur_sign_flipped(plan, theta):
+    if not plan.tail:
+        return plan
+    sub = theta[plan.start:, plan.start:]
+    w = plan.width
+    eta = sub[:w, :w] - sub[:w, w:] @ np.linalg.inv(-sub[w:, w:]) @ sub[w:, :w]
+    return dataclasses.replace(plan, core_chol=np.linalg.cholesky(np.linalg.inv(-eta)))
+
+
+@pytest.mark.parametrize("fault, identity", [
+    (_noise_scaled, "factor_gram"),
+    (_square_coupling_transposed, "factor_gram"),
+    (_schur_sign_flipped, "bartlett_pivots"),
+])
+def test_identity_suite_catches_broken_plans(monkeypatch, fault, identity):
+    # negative control: a plan with a wrong constant must trip the identity
+    # that checks it; at r = 4 the run at 0 of width 2 has a square coupling
+    true_plan = sp._plan_block
+
+    def broken(theta, start, width, shapes):
+        return fault(true_plan(theta, start, width, shapes), theta)
+
+    monkeypatch.setattr(sp, "_plan_block", broken)
+    failed = {rep.name for rep in vf.identity_suite(4, trials=10, seed=0)
+              if not rep.passed}
+    assert identity in failed
 
 
 # ----------------------------------------------------------- batch diagnostics
