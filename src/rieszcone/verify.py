@@ -411,7 +411,7 @@ def _id_minor_ratios(c):
 
 
 def _id_pivot_schur(c):
-    # pivot l + 1 = Delta_{l+1} / Delta_l: the Schur complement of y_ll
+    # pivot l + 1 = Delta_{l+1} / Delta_l: y_ll's Schur complement against y[:l, :l]
     y, l = c.y, c.l
     lead = np.linalg.solve(y[:, :l, :l], y[:, :l, l:l + 1])[..., 0]
     schur = y[:, l, l] - np.einsum("ni,ni->n", y[:, l, :l], lead)
