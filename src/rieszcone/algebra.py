@@ -173,32 +173,33 @@ def require_negative_definite(x: SymElement, error: type, what: str,
 # -- pivots, minors and the generalized power --------------------------------
 
 
-def _pivots(sym: np.ndarray):
+def _pivots(sym: np.ndarray, active=None):
     """Pivots p_k = Delta_k / Delta_{k-1} of every matrix in an (n, r, r) stack.
 
-    One pass of symmetric Gaussian elimination, vectorized over the stack,
-    that divides before it multiplies, a_ij -= a_ik (a_kj / p_k): on a cone
-    point no intermediate value exceeds sqrt(a_ii a_jj), at any scale.  Past
-    a pivot that is exactly zero, which stays 0, the matrix's trailing block
-    becomes the identity; ``fallback_from`` (None while no pivot is zero)
-    records per matrix the first minor that the pivots no longer give.
+    One pass of symmetric Gaussian elimination, vectorized over the stack held
+    batch-last, that divides before it multiplies, a_ij -= a_ik (a_kj / p_k):
+    on a cone point no intermediate value exceeds sqrt(a_ii a_jj), at any
+    scale.  Past a pivot that is exactly zero, which stays 0, the matrix's
+    trailing block becomes the identity; ``fallback_from`` (None while no
+    pivot is zero) records per matrix the first minor that the pivots no
+    longer give.  Given a boolean mask ``active`` of length r, it steps only
+    at the active indices, and an inactive entry is the residual against them.
     """
     n, r = sym.shape[:2]
-    a = sym.copy()
+    a = sym.transpose(1, 2, 0).copy()
     fallback_from = None
-    for k in range(r - 1):
-        piv = a[:, k, k]
+    for k in range(r - 1) if active is None else np.flatnonzero(active[:r - 1]):
+        piv = a[k, k]
         if not piv.all():
             hit = piv == 0.0
             if fallback_from is None:
                 fallback_from = np.full(n, r)
             fallback_from[hit] = k + 1
-            a[hit, k + 1:, k] = 0.0
-            a[hit, k + 1:, k + 1:] = np.eye(r - k - 1)
+            a[k + 1:, k, hit] = 0.0
+            a[k + 1:, k + 1:, hit] = np.eye(r - k - 1)[:, :, None]
             piv = np.where(hit, 1.0, piv)
-        a[:, k + 1:, k + 1:] -= (a[:, k + 1:, k, None]
-                                 * (a[:, None, k, k + 1:] / piv[:, None, None]))
-    return np.diagonal(a, axis1=1, axis2=2), fallback_from
+        a[k + 1:, k + 1:] -= a[k + 1:, k, None] * (a[None, k, k + 1:] / piv)
+    return np.diagonal(a), fallback_from
 
 
 def minors(x) -> np.ndarray:

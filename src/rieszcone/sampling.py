@@ -390,7 +390,7 @@ class SampleBatch:
 
     Draw i came from the stream of chunk ``i // CHUNK``.  ``matrices`` is a
     read-only view of the stack given, and the stack must not change after
-    construction: ``eigenvalues`` is computed from it once, on first use,
+    construction: ``support_pivots`` is computed from it once, on first use,
     and kept.
     """
 
@@ -402,14 +402,24 @@ class SampleBatch:
         self.matrices.flags.writeable = False
 
     @functools.cached_property
-    def eigenvalues(self) -> np.ndarray:
-        """Each draw's eigenvalues in ascending order, (count, r), read-only.
+    def support_pivots(self) -> np.ndarray:
+        """Each draw's support-aware elimination, (count, r), read-only.
 
-        One batched ``eigvalsh`` serves every oracle that reads the spectrum.
+        A draw is S S^T, S lower triangular with zero columns where u_p = 0,
+        so ``algebra._pivots`` steps at the active indices (u_p > 0) only, a
+        ``CHUNK`` at a time: an active entry is the pivot, an inactive one the
+        residual against the earlier active indices, 0 in exact arithmetic.
+        Past an exactly zero pivot a draw reads 0.
         """
-        ev = np.linalg.eigvalsh(self.matrices)
-        ev.flags.writeable = False
-        return ev
+        r = self.spec.param.r
+        active = np.asarray(self.spec.param.u) > 0.0
+        out = np.empty((len(self), r))
+        for i in range(0, len(self), CHUNK):
+            piv, fallback_from = algebra._pivots(self.matrices[i:i + CHUNK], active)
+            out[i:i + CHUNK] = piv if fallback_from is None else np.where(
+                np.arange(r) < fallback_from[:, None], piv, 0.0)
+        out.flags.writeable = False
+        return out
 
     def __len__(self) -> int:
         return self.matrices.shape[0]

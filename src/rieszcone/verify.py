@@ -22,9 +22,10 @@ Every check here runs two genuinely independent routes and compares them:
   ``sampling`` code (minors, elimination pivots, a tilt's run plans, the
   Bartlett factors and their sum) against an independent LAPACK route.
 * ``rank_profile`` checks the almost-sure rank of singular draws, and
-  ``psd_check`` that every draw is positive semidefinite.  Both read the
-  batch's ``SampleBatch.eigenvalues``, so a batch pays for one batched
-  ``eigvalsh`` however many of them run.
+  ``psd_check`` that every draw is positive semidefinite.  Both read one
+  elimination that the batch computes once, ``SampleBatch.support_pivots``:
+  pivots where u_p > 0, and residuals that are 0 in exact arithmetic where
+  u_p = 0.  Neither takes a spectrum.
 
 Every whole-tilt check (the tilt of ``log_laplace_exact`` and
 ``quadrature_integral_r2``, the variance guard of ``laplace_mc_chunks``)
@@ -67,8 +68,7 @@ __all__ = [
 ]
 
 _TINY = 1e-300
-RANK_REL_TOL = 1e-8  # rank_profile: singular values above this * largest count
-PSD_TOL = 1e-9  # psd_check: allowed min eigenvalue, relative to the Frobenius norm
+SUPPORT_TOL = 1e-5  # rank_profile, psd_check: residual cut, relative to x_pp
 ESS_FLOOR = 1000  # laplace_mc_chunks: fewest effective draws when rho > 1
 
 
@@ -131,15 +131,8 @@ class LaplaceReport:
     passed: bool
 
     def to_json_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "exact": self.exact,
-            "estimate": self.estimate,
-            "stderr": self.stderr,
-            "z": self.z,
-            "threshold": self.threshold,
-            "pass": self.passed,
-        }
+        fields = {k: v for k, v in vars(self).items() if k != "passed"}
+        return {**fields, "pass": self.passed}
 
 
 def laplace_mc_chunks(spec: RieszSpec, chunks, zeta: SymElement,
@@ -507,25 +500,22 @@ class RankProfile:
     passed: bool
 
     def to_json_dict(self) -> dict:
-        return {
-            "expected": self.expected,
-            "n": self.n,
-            "counts": {str(k): v for k, v in sorted(self.counts.items())},
-            "frac_expected": self.frac_expected,
-            "frac_at_most": self.frac_at_most,
-            "pass": self.passed,
-        }
+        fields = {k: v for k, v in vars(self).items() if k != "passed"}
+        counts = {str(k): v for k, v in sorted(self.counts.items())}
+        return {**fields, "counts": counts, "pass": self.passed}
 
 
 def rank_profile(batch: SampleBatch, expected: int) -> RankProfile:
-    """Numerical rank histogram: singular values above RANK_REL_TOL * largest.
+    """Rank histogram from the batch's ``support_pivots``.
 
-    A draw is symmetric bit for bit: its singular values are |eigenvalues|,
-    read from the batch's one cached spectrum.
+    A draw's rank is its number of positive active pivots plus its inactive
+    residuals d_p with |d_p| > SUPPORT_TOL * x_pp; the cut multiplies, as a
+    leading inactive index has x_pp = 0 exactly.
     """
-    sv = np.abs(batch.eigenvalues)
-    top = np.maximum(sv.max(axis=1, keepdims=True), _TINY)
-    ranks = (sv > RANK_REL_TOL * top).sum(axis=1)
+    active = np.asarray(batch.spec.param.u) > 0.0
+    d = batch.support_pivots
+    cut = SUPPORT_TOL * np.diagonal(batch.matrices, axis1=1, axis2=2)
+    ranks = np.where(active, d > 0.0, np.abs(d) > cut).sum(axis=1)
     counts = {int(k): int(v) for k, v in zip(*np.unique(ranks, return_counts=True))}
     n = len(ranks)
     frac_expected = float((ranks == expected).sum() / n)
@@ -538,14 +528,17 @@ def rank_profile(batch: SampleBatch, expected: int) -> RankProfile:
 
 
 def psd_check(batch: SampleBatch):
-    """(all_ok, worst ratio): min eigenvalue >= -PSD_TOL * Frobenius norm each.
+    """(all_ok, worst ratio) from the batch's ``support_pivots``, as ``rank_profile``.
 
-    The eigenvalues are the batch's cached spectrum, shared with ``rank_profile``.
+    A draw fails if a pivot or residual d_p is below -SUPPORT_TOL * x_pp, or
+    an x_pp is negative; the worst ratio is a draw's most negative d_p or
+    x_pp over its largest |x_pp|.
     """
-    norms = np.maximum(np.linalg.norm(batch.matrices, axis=(1, 2)), _TINY)
-    ratio = -batch.eigenvalues[:, 0] / norms
-    worst = float(np.max(ratio))
-    return bool(worst <= PSD_TOL), worst
+    d = batch.support_pivots
+    x = np.diagonal(batch.matrices, axis1=1, axis2=2)
+    ok = not ((d < -SUPPORT_TOL * x).any() or (x < 0.0).any())
+    worst = -np.minimum(d, x).min(axis=1) / np.maximum(np.abs(x).max(axis=1), _TINY)
+    return ok, float(worst.max())
 
 
 # -- aggregated self-test ----------------------------------------------------
@@ -713,7 +706,8 @@ def run_selftest(r_values=(2, 3, 4, 5, 6), trials: int = 500,
     in a couple of seconds; the default desk scale stays under a minute.
     Each section reports its own ``elapsed_s``, and each seeded one the
     ``seed`` it ran with, so a failing section can be replayed alone
-    through its ``_selftest_*`` function.
+    through its ``_selftest_*`` function.  A section that raises fails with
+    the run's ``seed`` and its ``error`` ("<type>: <message>"); the rest run.
     """
     t0 = time.perf_counter()
     runs = {
@@ -727,7 +721,11 @@ def run_selftest(r_values=(2, 3, 4, 5, 6), trials: int = 500,
     sections = {}
     for name, section in runs.items():
         t = time.perf_counter()
-        sections[name] = section()
+        try:
+            sections[name] = section()
+        except Exception as exc:
+            sections[name] = {"pass": False, "seed": seed,
+                              "error": f"{type(exc).__name__}: {exc}"}
         sections[name]["elapsed_s"] = round(time.perf_counter() - t, 3)
 
     overall = all(sec["pass"] for sec in sections.values())

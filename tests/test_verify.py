@@ -489,32 +489,106 @@ def test_rank_profile_reads_the_support():
     assert vf.rank_profile(batch, expected=4).frac_at_most == 1.0
 
 
-def test_rank_profile_and_psd_check_share_one_eigvalsh(monkeypatch):
+def test_rank_profile_and_psd_check_read_one_chunked_elimination(monkeypatch):
     spec = RieszSpec.build(u=[1.2, 0.0, 0.7, 0.0], seed=12, count=700)
     batch = sample_riesz(spec)
-    # the reference: a fresh eigvalsh of the stack, before any is counted
-    ev = np.linalg.eigvalsh(batch.matrices)
-    sv = np.abs(ev)
-    ranks = (sv > vf.RANK_REL_TOL * np.maximum(sv.max(axis=1, keepdims=True),
-                                                vf._TINY)).sum(axis=1)
-    norms = np.maximum(np.linalg.norm(batch.matrices, axis=(1, 2)), vf._TINY)
-    worst = float(np.max(-ev[:, 0] / norms))
-
+    mask = np.array([True, False, True, False])
+    pivots = algebra._pivots
+    whole = pivots(batch.matrices, mask)[0]
     calls = []
-    eigvalsh = np.linalg.eigvalsh
 
-    def counted(a):
-        calls.append(a.shape)
-        return eigvalsh(a)
+    def counted(stack, active=None):
+        calls.append((stack.shape, None if active is None else active.tolist()))
+        return pivots(stack, active)
 
-    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    def refused(a):
+        raise AssertionError("a verdict took a spectrum")
+
+    monkeypatch.setattr(algebra, "_pivots", counted)
+    monkeypatch.setattr(np.linalg, "eigvalsh", refused)
     prof = vf.rank_profile(batch, expected=2)
-    ok, got_worst = vf.psd_check(batch)
-    assert calls == [(700, 4, 4)]
-    ranks_seen, counts = np.unique(ranks, return_counts=True)
-    assert prof.counts == dict(zip(ranks_seen.tolist(), counts.tolist()))
-    assert got_worst == worst and ok == (worst <= vf.PSD_TOL)
-    assert np.array_equal(batch.eigenvalues, ev)
+    ok, worst = vf.psd_check(batch)
+    assert prof.passed and prof.counts == {2: 700}
+    assert ok and worst <= vf.SUPPORT_TOL
+    # one call per chunk, for both verdicts together
+    assert calls == [((sp.CHUNK, 4, 4), mask.tolist()),
+                     ((700 - sp.CHUNK, 4, 4), mask.tolist())]
+    assert np.array_equal(batch.support_pivots, whole)
+
+
+def _log_spaced_tilt(rng, r, cond):
+    """theta = -Q diag(logspace(0, log10 cond, r)) Q^T, Q a random rotation."""
+    q = np.linalg.qr(rng.standard_normal((r, r)))[0]
+    return SymElement(-(q * np.logspace(0.0, math.log10(cond), r)) @ q.T)
+
+
+@pytest.mark.parametrize("u, cond", [((0.3, 0.9, 1.4), 10.0),
+                                     ((1.2, 0.0, 0.7, 0.0), 1e9)])
+def test_rank_profile_passes_small_shapes_and_ill_conditioned_tilts(u, cond):
+    # exact laws that a singular-value cut failed: Gamma(0.3) pivots far
+    # below the largest singular value, and residuals of a condition-1e9 tilt
+    for seed in range(3):
+        theta = _log_spaced_tilt(np.random.default_rng(seed), len(u), cond)
+        batch = sample_riesz(RieszSpec.build(u=list(u), theta=theta, seed=seed, count=5000))
+        assert vf.rank_profile(batch, expected=int(np.count_nonzero(u))).passed, seed
+        assert vf.psd_check(batch)[0], seed
+
+
+@pytest.fixture(scope="module")
+def wide_r8_batch():
+    """Operation 0 of the verify_wide_r8 benchmark workload at seed 0."""
+    rng = np.random.default_rng([0, 0])
+    q = np.linalg.qr(rng.standard_normal((8, 8)))[0]
+    lam = np.sort(rng.uniform(0.5, 5.0, 8))
+    lam[0], lam[-1] = 0.5, 5.0
+    neg = (q * lam) @ q.T
+    spec = RieszSpec.build(u=[1.5, 0.8, 0.0, 1.2, 0.6, 0.9, 0.0, 0.0],
+                           theta=sym(-0.5 * (neg + neg.T)),
+                           seed=int(rng.integers(0, 1 << 63)), count=5000)
+    return sample_riesz(spec)
+
+
+def _shift(m, sign):
+    norms = np.linalg.norm(m, axis=(1, 2))
+    m += sign * 1e-6 * norms[:, None, None] * np.eye(m.shape[1])
+
+
+def _noise_at_inactive_6(m):
+    e = 1e-3 * np.linalg.norm(m, axis=(1, 2))[:, None] * \
+        np.random.default_rng(6).standard_normal(m.shape[:2])
+    m[:, 6, :] += e
+    m[:, :, 6] += e
+
+
+def _negative_diagonal(m):
+    m[17, 3, 3] = -m[17, 3, 3]
+
+
+@pytest.mark.parametrize("mutate, psd_ok, rank_ok", [
+    (lambda m: _shift(m, 1.0), True, False),
+    (lambda m: _shift(m, -1.0), False, False),
+    (_noise_at_inactive_6, False, False),
+    (_negative_diagonal, False, None),
+], ids=["plus_eps_identity", "minus_eps_identity", "noise_at_inactive_6",
+        "negative_diagonal"])
+def test_support_verdicts_catch_mutated_draws(wide_r8_batch, mutate, psd_ok, rank_ok):
+    assert vf.rank_profile(wide_r8_batch, expected=5).passed
+    assert vf.psd_check(wide_r8_batch)[0]
+    m = wide_r8_batch.matrices.copy()
+    mutate(m)
+    tampered = sp.SampleBatch(wide_r8_batch.spec, m)
+    assert vf.psd_check(tampered)[0] == psd_ok
+    if rank_ok is not None:
+        assert vf.rank_profile(tampered, expected=5).passed == rank_ok
+
+
+def test_support_verdicts_pass_a_leading_inactive_index():
+    # x_00 = 0 exactly in every draw: the cut must multiply, never divide
+    batch = sample_riesz(RieszSpec.build(u=[0.0, 1.0, 1.0], seed=5, count=2000))
+    assert np.all(batch.matrices[:, 0, :] == 0.0)
+    prof = vf.rank_profile(batch, expected=2)
+    assert prof.passed and prof.counts == {2: 2000}
+    assert vf.psd_check(batch)[0]
 
 
 def test_sample_batch_stack_is_read_only():
@@ -524,7 +598,7 @@ def test_sample_batch_stack_is_read_only():
     with pytest.raises(ValueError):
         batch.matrices[0, 0, 0] = 2.0
     with pytest.raises(ValueError):
-        batch.eigenvalues[0, 0] = 2.0
+        batch.support_pivots[0, 0] = 2.0
     # the caller's own array stays writable
     assert stack.flags.writeable and not batch.matrices.flags.writeable
     drawn = sample_riesz(spec)
@@ -557,6 +631,29 @@ def test_run_selftest_smoke_scale():
     for name, sec in out["sections"].items():
         assert sec["pass"], name
     assert out["elapsed_s"] < 30.0
+
+
+def test_run_selftest_reports_a_raising_section(monkeypatch, capsys):
+    def broken(seed, n):
+        raise ValueError("operands could not be broadcast together")
+
+    monkeypatch.setattr(vf, "_selftest_generic_law", broken)
+    out = vf.run_selftest(r_values=(2,), trials=10, mc_samples=2000,
+                          quad_full=False, seed=4)
+    sec = out["sections"]["generic_singular_law"]
+    assert out["pass"] is False
+    assert sec["pass"] is False and sec["seed"] == 4
+    assert sec["error"] == "ValueError: operands could not be broadcast together"
+    assert 0.0 <= sec["elapsed_s"] <= out["elapsed_s"]
+    # the other sections still ran, and passed
+    assert all(other["pass"] for name, other in out["sections"].items()
+               if name != "generic_singular_law")
+    code = cli.main(["selftest", "--r", "2", "--trials", "10"])
+    captured = capsys.readouterr()
+    assert code == 1 and "self-test FAIL" in captured.err
+    report = json.loads(captured.out)
+    assert report["pass"] is False
+    assert report["sections"]["generic_singular_law"]["error"].startswith("ValueError: ")
 
 
 def test_selftest_sections_report_seed_and_time():
