@@ -176,14 +176,13 @@ def require_negative_definite(x: SymElement, error: type, what: str,
 def _pivots(sym: np.ndarray, active=None):
     """Pivots p_k = Delta_k / Delta_{k-1} of every matrix in an (n, r, r) stack.
 
-    One pass of symmetric Gaussian elimination, vectorized over the stack held
-    batch-last, that divides before it multiplies, a_ij -= a_ik (a_kj / p_k):
-    on a cone point no intermediate value exceeds sqrt(a_ii a_jj), at any
-    scale.  Past a pivot that is exactly zero, which stays 0, the matrix's
-    trailing block becomes the identity; ``fallback_from`` (None while no
-    pivot is zero) records per matrix the first minor that the pivots no
-    longer give.  Given a boolean mask ``active`` of length r, it steps only
-    at the active indices, and an inactive entry is the residual against them.
+    One pass of symmetric Gaussian elimination over the stack held batch-last,
+    dividing before multiplying, a_ij -= a_ik (a_kj / p_k): on a cone point no
+    intermediate value exceeds sqrt(a_ii a_jj), at any scale.  Past a pivot that
+    is exactly zero, which stays 0, the trailing block becomes the identity;
+    ``fallback_from`` (None while no pivot is zero) records per matrix the first
+    minor that the pivots no longer give.  With a boolean mask ``active`` it steps
+    at the active indices only; an inactive entry is the residual against them.
     """
     n, r = sym.shape[:2]
     a = sym.transpose(1, 2, 0).copy()

@@ -406,18 +406,16 @@ class SampleBatch:
         """Each draw's support-aware elimination, (count, r), read-only.
 
         A draw is S S^T, S lower triangular with zero columns where u_p = 0,
-        so ``algebra._pivots`` steps at the active indices (u_p > 0) only, a
-        ``CHUNK`` at a time: an active entry is the pivot, an inactive one the
-        residual against the earlier active indices, 0 in exact arithmetic.
-        Past an exactly zero pivot a draw reads 0.
+        so ``algebra._pivots`` steps only where u_p > 0, a ``CHUNK`` at a time:
+        there it gives the pivot, elsewhere the residual against the earlier
+        active indices, 0 in exact arithmetic.  Past a zero pivot a draw reads 0.
         """
-        r = self.spec.param.r
         active = np.asarray(self.spec.param.u) > 0.0
-        out = np.empty((len(self), r))
+        out = np.empty(self.matrices.shape[:2])
         for i in range(0, len(self), CHUNK):
             piv, fallback_from = algebra._pivots(self.matrices[i:i + CHUNK], active)
             out[i:i + CHUNK] = piv if fallback_from is None else np.where(
-                np.arange(r) < fallback_from[:, None], piv, 0.0)
+                np.arange(len(active)) < fallback_from[:, None], piv, 0.0)
         out.flags.writeable = False
         return out
 

@@ -22,10 +22,9 @@ Every check here runs two genuinely independent routes and compares them:
   ``sampling`` code (minors, elimination pivots, a tilt's run plans, the
   Bartlett factors and their sum) against an independent LAPACK route.
 * ``rank_profile`` checks the almost-sure rank of singular draws, and
-  ``psd_check`` that every draw is positive semidefinite.  Both read one
+  ``psd_check`` that every draw is positive semidefinite, both from one
   elimination that the batch computes once, ``SampleBatch.support_pivots``:
-  pivots where u_p > 0, and residuals that are 0 in exact arithmetic where
-  u_p = 0.  Neither takes a spectrum.
+  pivots where u_p > 0, residuals (0 in exact arithmetic) where u_p = 0.
 
 Every whole-tilt check (the tilt of ``log_laplace_exact`` and
 ``quadrature_integral_r2``, the variance guard of ``laplace_mc_chunks``)
@@ -68,7 +67,8 @@ __all__ = [
 ]
 
 _TINY = 1e-300
-SUPPORT_TOL = 1e-5  # rank_profile, psd_check: residual cut, relative to x_pp
+SUPPORT_TOL = 1e-5  # rank_profile, psd_check: residual cut, relative to x_pp,
+GROWTH_TOL = 1e-15  # plus this times the draw's pivot growth (see _support_cut)
 ESS_FLOOR = 1000  # laplace_mc_chunks: fewest effective draws when rho > 1
 
 
@@ -505,16 +505,25 @@ class RankProfile:
         return {**fields, "counts": counts, "pass": self.passed}
 
 
-def rank_profile(batch: SampleBatch, expected: int) -> RankProfile:
-    """Rank histogram from the batch's ``support_pivots``.
+def _support_cut(batch: SampleBatch):
+    """(active mask, d = ``support_pivots``, diagonals x, cut on |d|), each (count, r).
 
-    A draw's rank is its number of positive active pivots plus its inactive
-    residuals d_p with |d_p| > SUPPORT_TOL * x_pp; the cut multiplies, as a
-    leading inactive index has x_pp = 0 exactly.
+    The cut x_pp (SUPPORT_TOL + GROWTH_TOL g_p) multiplies, as a leading
+    inactive x_pp is 0.  g_p, the product of x_kk / d_k over the positive
+    active pivots at k <= p, widens it where a pivot tiny against its x_kk
+    (a small gamma draw) magnifies the rounding in the later residuals.
     """
     active = np.asarray(batch.spec.param.u) > 0.0
     d = batch.support_pivots
-    cut = SUPPORT_TOL * np.diagonal(batch.matrices, axis1=1, axis2=2)
+    x = np.diagonal(batch.matrices, axis1=1, axis2=2)
+    growth = np.cumprod(np.divide(x, d, out=np.ones_like(d), where=active & (d > 0.0)), axis=1)
+    return active, d, x, x * (SUPPORT_TOL + GROWTH_TOL * growth)
+
+
+def rank_profile(batch: SampleBatch, expected: int) -> RankProfile:
+    """Rank histogram: a draw's positive active ``support_pivots`` plus its
+    inactive residuals beyond the cut of ``_support_cut``."""
+    active, d, _, cut = _support_cut(batch)
     ranks = np.where(active, d > 0.0, np.abs(d) > cut).sum(axis=1)
     counts = {int(k): int(v) for k, v in zip(*np.unique(ranks, return_counts=True))}
     n = len(ranks)
@@ -528,15 +537,11 @@ def rank_profile(batch: SampleBatch, expected: int) -> RankProfile:
 
 
 def psd_check(batch: SampleBatch):
-    """(all_ok, worst ratio) from the batch's ``support_pivots``, as ``rank_profile``.
-
-    A draw fails if a pivot or residual d_p is below -SUPPORT_TOL * x_pp, or
-    an x_pp is negative; the worst ratio is a draw's most negative d_p or
-    x_pp over its largest |x_pp|.
-    """
-    d = batch.support_pivots
-    x = np.diagonal(batch.matrices, axis1=1, axis2=2)
-    ok = not ((d < -SUPPORT_TOL * x).any() or (x < 0.0).any())
+    """(all_ok, worst ratio): a draw fails if a ``support_pivots`` entry is below
+    minus the cut of ``_support_cut`` or an x_pp is negative.  The worst ratio
+    is a draw's most negative entry or x_pp over its largest |x_pp|."""
+    _, d, x, cut = _support_cut(batch)
+    ok = not ((d < -cut).any() or (x < 0.0).any())
     worst = -np.minimum(d, x).min(axis=1) / np.maximum(np.abs(x).max(axis=1), _TINY)
     return ok, float(worst.max())
 
@@ -724,8 +729,7 @@ def run_selftest(r_values=(2, 3, 4, 5, 6), trials: int = 500,
         try:
             sections[name] = section()
         except Exception as exc:
-            sections[name] = {"pass": False, "seed": seed,
-                              "error": f"{type(exc).__name__}: {exc}"}
+            sections[name] = {"pass": False, "seed": seed, "error": f"{type(exc).__name__}: {exc}"}
         sections[name]["elapsed_s"] = round(time.perf_counter() - t, 3)
 
     overall = all(sec["pass"] for sec in sections.values())

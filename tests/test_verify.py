@@ -534,10 +534,9 @@ def test_rank_profile_passes_small_shapes_and_ill_conditioned_tilts(u, cond):
         assert vf.psd_check(batch)[0], seed
 
 
-@pytest.fixture(scope="module")
-def wide_r8_batch():
-    """Operation 0 of the verify_wide_r8 benchmark workload at seed 0."""
-    rng = np.random.default_rng([0, 0])
+def _wide_r8_batch(op):
+    """Operation ``op`` of the verify_wide_r8 benchmark workload at seed 0."""
+    rng = np.random.default_rng([0, op])
     q = np.linalg.qr(rng.standard_normal((8, 8)))[0]
     lam = np.sort(rng.uniform(0.5, 5.0, 8))
     lam[0], lam[-1] = 0.5, 5.0
@@ -546,6 +545,21 @@ def wide_r8_batch():
                            theta=sym(-0.5 * (neg + neg.T)),
                            seed=int(rng.integers(0, 1 << 63)), count=5000)
     return sample_riesz(spec)
+
+
+@pytest.fixture(scope="module")
+def wide_r8_batch():
+    return _wide_r8_batch(0)
+
+
+@pytest.mark.parametrize("op", [394, 423])
+def test_support_verdicts_pass_draws_with_a_tiny_pivot(op):
+    # one draw has an active pivot near 1e-11 x_pp (a small gamma variate),
+    # which magnifies the rounding in its later residuals to 2e-5..3e-4 x_pp:
+    # only the pivot-growth term of the cut keeps these exact draws passing
+    batch = _wide_r8_batch(op)
+    assert vf.rank_profile(batch, expected=5).passed
+    assert vf.psd_check(batch)[0]
 
 
 def _shift(m, sign):
@@ -580,6 +594,16 @@ def test_support_verdicts_catch_mutated_draws(wide_r8_batch, mutate, psd_ok, ran
     assert vf.psd_check(tampered)[0] == psd_ok
     if rank_ok is not None:
         assert vf.rank_profile(tampered, expected=5).passed == rank_ok
+
+
+def test_a_zero_active_pivot_lowers_the_counted_rank():
+    # past an exactly zero pivot the elimination's trailing block is the
+    # identity, whose pivots must not count toward a rank
+    draws = np.zeros((2, 3, 3))
+    draws[1] = np.diag([0.0, 2.0, 3.0])
+    batch = sp.SampleBatch(RieszSpec.build(u=[1.0, 1.0, 1.0], count=2), draws)
+    assert vf.rank_profile(batch, expected=3).counts == {0: 2}
+    assert vf.psd_check(batch)[0]
 
 
 def test_support_verdicts_pass_a_leading_inactive_index():
