@@ -403,13 +403,11 @@ class SampleBatch:
 
     @functools.cached_property
     def support_pivots(self) -> np.ndarray:
-        """Each draw's support-aware elimination, (count, r), read-only.
-
-        A draw is S S^T, S lower triangular with zero columns where u_p = 0,
-        so ``algebra._pivots`` steps only where u_p > 0, a ``CHUNK`` at a time:
-        there it gives the pivot, elsewhere the residual against the earlier
-        active indices, 0 in exact arithmetic.  Past a zero pivot a draw reads 0.
-        """
+        """Each draw's support-aware elimination, (count, r), read-only: a draw
+        is S S^T, S lower triangular with zero columns where u_p = 0, so
+        ``algebra._pivots`` steps only where u_p > 0, a ``CHUNK`` at a time, and
+        gives the pivot there and elsewhere the residual against the earlier
+        active indices, 0 in exact arithmetic.  Past a zero pivot a draw reads 0."""
         active = np.asarray(self.spec.param.u) > 0.0
         out = np.empty(self.matrices.shape[:2])
         for i in range(0, len(self), CHUNK):

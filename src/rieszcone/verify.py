@@ -508,21 +508,23 @@ class RankProfile:
 def _support_cut(batch: SampleBatch):
     """(active mask, d = ``support_pivots``, diagonals x, cut on |d|), each (count, r).
 
-    The cut x_pp (SUPPORT_TOL + GROWTH_TOL g_p) multiplies, as a leading
-    inactive x_pp is 0.  g_p, the product of x_kk / d_k over the positive
-    active pivots at k <= p, widens it where a pivot tiny against its x_kk
-    (a small gamma draw) magnifies the rounding in the later residuals.
+    The cut x_pp (SUPPORT_TOL + GROWTH_TOL g_p) multiplies, as a leading inactive
+    x_pp is 0; g_p, the product of x_kk / d_k over the positive active pivots at
+    k <= p, widens it where a tiny pivot (a small gamma draw) magnifies rounding.
     """
     active = np.asarray(batch.spec.param.u) > 0.0
     d = batch.support_pivots
     x = np.diagonal(batch.matrices, axis1=1, axis2=2)
-    growth = np.cumprod(np.divide(x, d, out=np.ones_like(d), where=active & (d > 0.0)), axis=1)
-    return active, d, x, x * (SUPPORT_TOL + GROWTH_TOL * growth)
+    cut = np.ones_like(d)
+    np.cumprod(np.divide(x, d, out=cut, where=active & (d > 0.0)), axis=1, out=cut)
+    cut *= GROWTH_TOL
+    cut += SUPPORT_TOL
+    cut *= x
+    return active, d, x, cut
 
 
 def rank_profile(batch: SampleBatch, expected: int) -> RankProfile:
-    """Rank histogram: a draw's positive active ``support_pivots`` plus its
-    inactive residuals beyond the cut of ``_support_cut``."""
+    """Rank histogram: positive active pivots plus inactive residuals past ``_support_cut``."""
     active, d, _, cut = _support_cut(batch)
     ranks = np.where(active, d > 0.0, np.abs(d) > cut).sum(axis=1)
     counts = {int(k): int(v) for k, v in zip(*np.unique(ranks, return_counts=True))}
