@@ -56,7 +56,8 @@ draw: the writers raise ``SamplerError`` on the first chunk that holds one.
 
 The per-run constants (Cholesky factors and coupling map, ``_BlockPlan``)
 are derived from the tilt once, when a ``RieszSpec`` is constructed, so a
-tilt the sampler cannot factor is rejected there and never mid-run.
+tilt the sampler cannot factor, or whose draws would overflow, is rejected
+there and never mid-run.
 """
 
 from __future__ import annotations
@@ -100,6 +101,10 @@ __all__ = [
 
 TILT_MARGIN = 1e-10
 CHUNK = 512  # draws per counter-based stream in sample_riesz
+# _plan_block: a run's draw scale times this must stay below the largest float.
+# An entry beyond 1e3 times the scale needs a variate some 500 times its mean,
+# which no stream yields in practice (P(Gamma(1) > 500) = e^-500).
+DRAW_HEADROOM = 1e3
 
 
 class SamplerError(ValueError):
@@ -108,7 +113,7 @@ class SamplerError(ValueError):
 
 class TiltError(SamplerError):
     """The tilt is unreadable, of the wrong rank, not negative definite, or
-    so small that the inverse the sampler needs overflows."""
+    so small that the inverse the sampler needs, or its draws, overflow."""
 
 
 class NonSamplableError(SamplerError):
@@ -212,7 +217,37 @@ def _plan_block(theta_dense: np.ndarray, start: int, width: int,
         coupling = np.zeros((width, 0))
         noise_chol = np.zeros((0, 0))
     core_chol = np.linalg.cholesky(_neg_inverse(eta, "tilt Schur complement"))
+    _check_draw_scale(core_chol, coupling, noise_chol, shapes)
     return _BlockPlan(start, width, tail, shapes, core_chol, coupling, noise_chol)
+
+
+def _check_draw_scale(core_chol, coupling, noise_chol, shapes) -> None:
+    """Raise TiltError unless the run's draw scale times ``DRAW_HEADROOM`` is finite.
+
+    The scale is the largest diagonal entry of the run's mean draw
+    E[M M^T] = [[A, A K], [K^T A, K^T A K + w L L^T]], A = C D C^T, with
+    D = E[T T^T] = diag(shape_p + p/2) and each shape raised to at least 1, so
+    that the rare large variate of a small shape stays covered.
+    """
+    spread = np.maximum(shapes, 1.0) + 0.5 * np.arange(len(shapes))
+    with np.errstate(over="ignore", invalid="ignore"):
+        core = (core_chol * spread) @ core_chol.T
+        tail = coupling.T @ core @ coupling + len(shapes) * noise_chol @ noise_chol.T
+        scale = max(np.diagonal(core).max(), np.diagonal(tail).max(initial=0.0))
+        if not scale * DRAW_HEADROOM <= np.finfo(float).max:
+            raise TiltError(
+                f"tilt is too small for its draws: their scale {scale:.3e} times "
+                f"the headroom {DRAW_HEADROOM:g} passes the largest float")
+
+
+@functools.lru_cache(maxsize=None)
+def _strict_triangle(n: int, lower: bool):
+    """Read-only ``np.tril_indices(n, -1)`` (lower) or ``np.triu_indices(n, 1)``,
+    computed once per size: each call costs about 25 us, a chunk needs three."""
+    pair = np.tril_indices(n, -1) if lower else np.triu_indices(n, 1)
+    for index in pair:
+        index.flags.writeable = False
+    return pair
 
 
 def _draw_block(plan: _BlockPlan, rng: np.random.Generator, size: int):
@@ -234,7 +269,7 @@ def _gram_factor(plan: _BlockPlan, g, o, z) -> np.ndarray:
     diag = np.arange(w)
     t[:, diag, diag] = np.sqrt(g)
     if w > 1:
-        rows, cols = np.tril_indices(w, -1)
+        rows, cols = _strict_triangle(w, lower=True)
         t[:, rows, cols] = o * np.sqrt(0.5)
     m = np.empty((n, w + plan.tail, w))
     m[:, :w] = plan.core_chol @ t
@@ -248,11 +283,15 @@ def _draw_sum(plans, rng: np.random.Generator, out: np.ndarray) -> None:
     out[...] = 0.0
     for plan in plans:
         m = _gram_factor(plan, *_draw_block(plan, rng, len(out)))
-        out[:, plan.start:, plan.start:] += m @ np.swapaxes(m, -1, -2)
+        # Keep the copy of M^T: given M and a view of its own transpose,
+        # numpy calls syrk once per draw, about 4x slower here than the one
+        # gemm that the copy gets.  Both sum each entry's w products in the
+        # same order, so the draws keep their bits (a test pins this).
+        out[:, plan.start:, plan.start:] += m @ np.ascontiguousarray(np.swapaxes(m, -1, -2))
     # M M^T is symmetric in exact arithmetic, but nothing obliges a BLAS
     # product to round both triangles alike; mirroring the upper triangle
     # makes every stored draw symmetric bit for bit
-    rows, cols = np.triu_indices(out.shape[-1], 1)
+    rows, cols = _strict_triangle(out.shape[-1], lower=False)
     out[:, cols, rows] = out[:, rows, cols]
 
 
@@ -407,9 +446,14 @@ class SampleBatch:
         is S S^T, S lower triangular with zero columns where u_p = 0, so
         ``algebra._pivots`` steps only where u_p > 0, a ``CHUNK`` at a time, and
         gives the pivot there and elsewhere the residual against the earlier
-        active indices, 0 in exact arithmetic.  Past a zero pivot a draw reads 0."""
+        active indices, 0 in exact arithmetic.  Past a zero pivot a draw reads 0;
+        a zero pivot over a nonzero column, which no PSD draw has, reads -inf.
+
+        The array is in Fortran order: each index's entries over the draws are
+        contiguous, so a reduction over the r entries of every draw runs down
+        contiguous columns instead of along rows only r wide."""
         active = np.asarray(self.spec.param.u) > 0.0
-        out = np.empty(self.matrices.shape[:2])
+        out = np.empty(self.matrices.shape[:2], order="F")
         for i in range(0, len(self), CHUNK):
             piv, fallback_from = algebra._pivots(self.matrices[i:i + CHUNK], active)
             out[i:i + CHUNK] = piv if fallback_from is None else np.where(

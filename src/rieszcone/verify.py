@@ -25,6 +25,9 @@ Every check here runs two genuinely independent routes and compares them:
   ``psd_check`` that every draw is positive semidefinite, both from one
   elimination that the batch computes once, ``SampleBatch.support_pivots``:
   pivots where u_p > 0, residuals (0 in exact arithmetic) where u_p = 0.
+  That array, the draws' diagonals and the cut on the residuals are
+  (count, r) arrays in Fortran order, computed once per batch, so each
+  reduction over a draw's r entries runs down contiguous columns.
 
 Every whole-tilt check (the tilt of ``log_laplace_exact`` and
 ``quadrature_integral_r2``, the variance guard of ``laplace_mc_chunks``)
@@ -36,6 +39,7 @@ from __future__ import annotations
 import functools
 import math
 import time
+import weakref
 from dataclasses import dataclass, replace
 from types import SimpleNamespace
 
@@ -337,7 +341,10 @@ def _rel_error(lhs, rhs):
 
 
 def _gram(m):
-    return m @ np.swapaxes(m, -1, -2)
+    """M M^T of a stack.  Like the sampler's product, which it checks and so
+    does not share, it multiplies by a copy of M^T: numpy sends M times a
+    view of its own transpose to syrk, several times slower here than gemm."""
+    return m @ np.ascontiguousarray(np.swapaxes(m, -1, -2))
 
 
 def _ref_factor(theta, w, g, o, z):
@@ -505,29 +512,40 @@ class RankProfile:
         return {**fields, "counts": counts, "pass": self.passed}
 
 
+_CUTS = weakref.WeakKeyDictionary()  # batch -> its _support_cut
+
+
 def _support_cut(batch: SampleBatch):
     """(active mask, d = ``support_pivots``, diagonals x, cut on |d|), each (count, r).
 
     The cut x_pp (SUPPORT_TOL + GROWTH_TOL g_p) multiplies, as a leading inactive
     x_pp is 0; g_p, the product of x_kk / d_k over the positive active pivots at
     k <= p, widens it where a tiny pivot (a small gamma draw) magnifies rounding.
+    It is computed once per batch, which must not change (see ``SampleBatch``),
+    and kept while the batch lives.  Like d, x and the cut are in Fortran order,
+    so that the reductions over each draw's r entries read contiguous columns.
     """
+    if batch in _CUTS:
+        return _CUTS[batch]
     active = np.asarray(batch.spec.param.u) > 0.0
     d = batch.support_pivots
-    x = np.diagonal(batch.matrices, axis1=1, axis2=2)
+    x = np.asfortranarray(np.diagonal(batch.matrices, axis1=1, axis2=2))
     cut = np.ones_like(d)
-    np.cumprod(np.divide(x, d, out=cut, where=active & (d > 0.0)), axis=1, out=cut)
+    np.divide(x, d, out=cut, where=active & (d > 0.0))
+    for p in range(1, cut.shape[1]):  # np.cumprod(axis=1)'s products, ~7x faster
+        cut[:, p] *= cut[:, p - 1]
     cut *= GROWTH_TOL
     cut += SUPPORT_TOL
     cut *= x
-    return active, d, x, cut
+    _CUTS[batch] = active, d, x, cut
+    return _CUTS[batch]
 
 
 def rank_profile(batch: SampleBatch, expected: int) -> RankProfile:
     """Rank histogram: positive active pivots plus inactive residuals past ``_support_cut``."""
     active, d, _, cut = _support_cut(batch)
     ranks = np.where(active, d > 0.0, np.abs(d) > cut).sum(axis=1)
-    counts = {int(k): int(v) for k, v in zip(*np.unique(ranks, return_counts=True))}
+    counts = {k: int(v) for k, v in enumerate(np.bincount(ranks)) if v}
     n = len(ranks)
     frac_expected = float((ranks == expected).sum() / n)
     frac_at_most = float((ranks <= expected).sum() / n)
