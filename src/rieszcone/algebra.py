@@ -182,7 +182,8 @@ def _pivots(sym: np.ndarray, active=None):
     is exactly zero, which stays 0, the trailing block becomes the identity;
     ``fallback_from`` (None while no pivot is zero) records per matrix the first
     minor that the pivots no longer give.  With a boolean mask ``active`` it steps
-    at the active indices only; an inactive entry is the residual against them.
+    at the active indices only; an inactive entry is the residual against them,
+    and a zero pivot over a nonzero column, which no PSD matrix has, reads -inf.
     """
     n, r = sym.shape[:2]
     a = sym.transpose(1, 2, 0).copy()
@@ -194,6 +195,8 @@ def _pivots(sym: np.ndarray, active=None):
             if fallback_from is None:
                 fallback_from = np.full(n, r)
             fallback_from[hit] = k + 1
+            if active is not None:
+                a[k, k, hit & a[k + 1:, k].any(axis=0)] = -np.inf
             a[k + 1:, k, hit] = 0.0
             a[k + 1:, k + 1:, hit] = np.eye(r - k - 1)[:, :, None]
             piv = np.where(hit, 1.0, piv)

@@ -154,6 +154,8 @@ def _spec_with_theta(data):
     (("sample", "--u", "1,1", "--zero-tol", "nan", "--n", "1"), 2),
     # a tilt whose inverse overflows is refused before the header is written
     (("sample", "--u", "1,1", "--n", "2", "--theta", _diag_json(-1e-310, 2)), 3),
+    # so is one whose draws would overflow (here at about draw 4 000)
+    (("sample", "--u", "1,1", "--n", "20000", "--theta", _diag_json(-5e-308, 2)), 3),
 ])
 def test_rejections_exit_with_their_documented_code(capsys, tmp_path, argv, code):
     argv = list(argv)

@@ -199,6 +199,23 @@ def test_spec_rejects_a_tilt_whose_inverse_overflows():
     assert np.isfinite(m).all() and (np.diagonal(m, axis1=1, axis2=2) > 0).all()
 
 
+def test_spec_rejects_a_tilt_whose_draws_would_overflow():
+    # (-theta)^{-1} = 8.3e307 I and 2e307 I are finite, but a draw's diagonal
+    # is that times a Gamma(1) or larger variate, and one in a few passes the
+    # largest float at 1.2e-308 (one in ~4 000 at 5e-308): construction must
+    # refuse both, whatever the count and whether a run has a tail
+    for c in (1.2e-308, 5e-308):
+        tiny = SymElement.from_dense(-c * np.eye(2))
+        for u in ([1.0, 1.0], [1.0, 0.0], [0.0, 1.0]):
+            with pytest.raises(sp.TiltError, match="too small for its draws"):
+                sp.RieszSpec.build(u=u, theta=tiny)
+    # 1e-300 and 1e200 keep sampling, and their draws are finite
+    for c in (1e-300, 1e200):
+        theta = SymElement.from_dense(-c * np.eye(2))
+        m = sp.sample_riesz(sp.RieszSpec.build(u=[1.0, 1.0], theta=theta, count=50)).matrices
+        assert np.isfinite(m).all() and (np.diagonal(m, axis1=1, axis2=2) > 0).all()
+
+
 def test_spec_seed_range():
     # seeds key Philox directly, so values outside [0, 2**64) would alias
     for bad in (-1, 1 << 64):
@@ -280,6 +297,59 @@ def test_sample_riesz_draws_are_exactly_symmetric():
                               seed=4, count=2 * sp.CHUNK + 7)
     m = sp.sample_riesz(spec, workers=2).matrices
     assert np.array_equal(m, m.swapaxes(1, 2))
+
+
+def _reference_draw_sum(plans, rng, out):
+    """``_draw_sum`` as it was before its product multiplied by a copy of M^T:
+    ``m @ np.swapaxes(m, -1, -2)``, which numpy sends to syrk, and the index
+    arrays built afresh on every call."""
+    out[...] = 0.0
+    for plan in plans:
+        g, o, z = sp._draw_block(plan, rng, len(out))
+        n, w = g.shape
+        t = np.zeros((n, w, w))
+        diag = np.arange(w)
+        t[:, diag, diag] = np.sqrt(g)
+        if w > 1:
+            rows, cols = np.tril_indices(w, -1)
+            t[:, rows, cols] = o * np.sqrt(0.5)
+        m = np.empty((n, w + plan.tail, w))
+        m[:, :w] = plan.core_chol @ t
+        if plan.tail:
+            m[:, w:] = plan.coupling.T @ m[:, :w] + plan.noise_chol @ z
+        out[:, plan.start:, plan.start:] += m @ np.swapaxes(m, -1, -2)
+    rows, cols = np.triu_indices(out.shape[-1], 1)
+    out[:, cols, rows] = out[:, rows, cols]
+
+
+@pytest.mark.parametrize("u, cond, scale", [
+    ([0.7], 1.0, 1.0),
+    ([1.0, 1e-300], 1.0, 1.0),
+    ([0.5, 0.0], 10.0, 1.0),
+    ([0.3, 0.9, 1.4], 1e8, 1.0),
+    ([1.2, 0.0, 0.7, 0.0], 1e3, 1e-150),
+    ([0.0, 2.5, 0.2, 0.0, 1.1], 1e5, 1e150),
+    ([0.4, 0.0, 0.0, 3.0, 0.9, 0.0], 1e8, 1.0),
+    ([0.6, 1.7, 0.0, 0.1, 0.0, 2.2, 0.8], 1e2, 1.0),
+    ([1.5, 0.8, 0.0, 1.2, 0.6, 0.9, 0.0, 0.0], 10.0, 1.0),
+], ids=["r1", "r2_tiny_u", "r2_half", "r3", "r4", "r5", "r6", "r7", "r8"])
+def test_draw_sum_keeps_the_reference_bits(u, cond, scale):
+    # the gemm product and the cached index arrays must leave every bit as
+    # the syrk product left it; which kernel OpenBLAS runs is chosen on the
+    # CPU at hand, so this is checked where the tests run.  Two chunks, the
+    # second partial; shapes below 1, tails, u_p = 1e-300, and rotated tilts
+    # of condition up to 1e8 at scales 1e-150..1e150
+    r = len(u)
+    q = np.linalg.qr(np.random.default_rng(r).standard_normal((r, r)))[0]
+    neg = (q * np.geomspace(1.0, cond, r)) @ q.T
+    theta = SymElement.from_dense(-0.5 * scale * (neg + neg.T))
+    spec = sp.RieszSpec.build(u=u, theta=theta, seed=r, count=sp.CHUNK + 37)
+    want = np.empty((2 * sp.CHUNK, r, r))
+    for c in range(2):
+        _reference_draw_sum(spec.plans, sp.sample_stream(spec.seed, c),
+                            want[c * sp.CHUNK:(c + 1) * sp.CHUNK])
+    got = sp.sample_riesz(spec).matrices
+    assert got.tobytes() == want[:spec.count].tobytes()
 
 
 def test_sample_riesz_zero_parameter_is_point_mass_at_zero():

@@ -68,12 +68,15 @@ def test_log_laplace_exact_where_the_inverse_overflows():
     assert not np.isfinite(np.linalg.inv(-theta.matrix)).all()
     assert vf.log_laplace_exact([1.0, 1.0], theta) == pytest.approx(
         620.0 * math.log(10.0), rel=1e-14)
-    # the variance guard 2 zeta - theta = -5e-309 I has such an inverse too:
-    # 1 + rho = 4^2 / 1.6^4 leaves 2 000 draws worth 819
-    spec = RieszSpec.build(s=[1.0, 1.0], theta=SymElement(-2e-308 * np.eye(2)),
+    # the variance guard 2 zeta - theta = -5e-309 I has such an inverse too
+    # (a theta that small has draws that overflow, and no spec holds one):
+    # 1 + rho = (1 + 5e-9)^4 / (16 (5e-9)^2) leaves 2 000 draws worth 8e-13
+    spec = RieszSpec.build(s=[1.0, 1.0], theta=SymElement(-1e-300 * np.eye(2)),
                            count=2000)
-    with pytest.raises(vf.VarianceGuardError, match="too few effective draws"):
-        vf.laplace_mc_chunks(spec, iter(()), SymElement(-1.25e-308 * np.eye(2)))
+    zeta = SymElement((-5e-301 - 2.5e-309) * np.eye(2))
+    assert not np.isfinite(np.linalg.inv(spec.theta.matrix - 2.0 * zeta.matrix)).all()
+    with pytest.raises(vf.VarianceGuardError, match="worth 8e-13"):
+        vf.laplace_mc_chunks(spec, iter(()), zeta)
 
 
 @pytest.mark.parametrize("cond", [1e6, 1e9])
@@ -594,6 +597,69 @@ def test_support_verdicts_catch_mutated_draws(wide_r8_batch, mutate, psd_ok, ran
     assert vf.psd_check(tampered)[0] == psd_ok
     if rank_ok is not None:
         assert vf.rank_profile(tampered, expected=5).passed == rank_ok
+
+
+def _reference_verdicts(batch, expected):
+    """``rank_profile`` and ``psd_check`` as they were with every (count, r)
+    array in C order, the cut computed per verdict, and ``np.cumprod``:
+    (rank report, ok, worst ratio, cut)."""
+    active = np.asarray(batch.spec.param.u) > 0.0
+    d = np.empty(batch.matrices.shape[:2])
+    for i in range(0, len(batch), sp.CHUNK):
+        piv, fallback_from = algebra._pivots(batch.matrices[i:i + sp.CHUNK], active)
+        d[i:i + sp.CHUNK] = piv if fallback_from is None else np.where(
+            np.arange(len(active)) < fallback_from[:, None], piv, 0.0)
+    x = np.diagonal(batch.matrices, axis1=1, axis2=2)
+    cut = np.ones_like(d)
+    np.cumprod(np.divide(x, d, out=cut, where=active & (d > 0.0)), axis=1, out=cut)
+    cut = (cut * vf.GROWTH_TOL + vf.SUPPORT_TOL) * x
+    ranks = np.where(active, d > 0.0, np.abs(d) > cut).sum(axis=1)
+    counts = {int(k): int(v) for k, v in zip(*np.unique(ranks, return_counts=True))}
+    n = len(ranks)
+    frac_expected = float((ranks == expected).sum() / n)
+    frac_at_most = float((ranks <= expected).sum() / n)
+    profile = vf.RankProfile(
+        expected=expected, n=n, counts=counts,
+        frac_expected=frac_expected, frac_at_most=frac_at_most,
+        passed=bool(frac_at_most == 1.0 and frac_expected >= 0.999))
+    ok = not ((d < -cut).any() or (x < 0.0).any())
+    worst = -np.minimum(d, x).min(axis=1) / np.maximum(np.abs(x).max(axis=1), vf._TINY)
+    return profile, ok, float(worst.max()), cut
+
+
+@pytest.mark.parametrize("mutate", [
+    None,
+    lambda m: _shift(m, 1.0),
+    lambda m: _shift(m, -1.0),
+    _noise_at_inactive_6,
+    _negative_diagonal,
+], ids=["sampled", "plus_eps_identity", "minus_eps_identity", "noise_at_inactive_6",
+        "negative_diagonal"])
+def test_support_verdicts_match_the_c_order_reference(wide_r8_batch, mutate):
+    # the Fortran-order arrays, the cut shared by both verdicts and the
+    # column-wise cumprod change no count, no verdict and no bit of the ratio
+    m = wide_r8_batch.matrices.copy()
+    if mutate is not None:
+        mutate(m)
+    profile, ok, worst, cut = _reference_verdicts(sp.SampleBatch(wide_r8_batch.spec, m), 5)
+    batch = sp.SampleBatch(wide_r8_batch.spec, m)
+    assert vf.rank_profile(batch, expected=5) == profile
+    got_ok, got_worst = vf.psd_check(batch)
+    assert got_ok == ok and got_worst.hex() == worst.hex()
+    got_cut = vf._support_cut(batch)[3]
+    assert np.ascontiguousarray(got_cut).tobytes() == cut.tobytes()
+    assert batch.support_pivots.flags.f_contiguous and got_cut.flags.f_contiguous
+
+
+def test_psd_check_fails_a_zero_pivot_over_a_nonzero_column():
+    # [[0, 1], [1, 0]] has eigenvalues -1 and 1: its first pivot is exactly
+    # zero, but the column below it is not, which no PSD matrix allows
+    batch = sp.SampleBatch(RieszSpec.build(u=[1.0, 1.0], count=1),
+                           np.array([[[0.0, 1.0], [1.0, 0.0]]]))
+    assert not vf.psd_check(batch)[0]
+    assert batch.support_pivots.tolist() == [[-np.inf, 0.0]]
+    # minors shares the elimination and keeps its determinants
+    assert algebra.minors(batch.matrices).tolist() == [[0.0, -1.0]]
 
 
 def test_a_zero_active_pivot_lowers_the_counted_rank():
