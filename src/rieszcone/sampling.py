@@ -222,7 +222,7 @@ def _plan_block(theta_dense: np.ndarray, start: int, width: int,
 
 
 def _check_draw_scale(core_chol, coupling, noise_chol, shapes) -> None:
-    """Raise TiltError unless the run's draw scale times ``DRAW_HEADROOM`` is finite.
+    """Raise TiltError if the run's draw scale times ``DRAW_HEADROOM`` passes the largest float.
 
     The scale is the largest diagonal entry of the run's mean draw
     E[M M^T] = [[A, A K], [K^T A, K^T A K + w L L^T]], A = C D C^T, with
@@ -233,11 +233,11 @@ def _check_draw_scale(core_chol, coupling, noise_chol, shapes) -> None:
     with np.errstate(over="ignore", invalid="ignore"):
         core = (core_chol * spread) @ core_chol.T
         tail = coupling.T @ core @ coupling + len(shapes) * noise_chol @ noise_chol.T
-        scale = max(np.diagonal(core).max(), np.diagonal(tail).max(initial=0.0))
-        if not scale * DRAW_HEADROOM <= np.finfo(float).max:
-            raise TiltError(
-                f"tilt is too small for its draws: their scale {scale:.3e} times "
-                f"the headroom {DRAW_HEADROOM:g} passes the largest float")
+        scale = np.concatenate([np.diagonal(core), np.diagonal(tail)]).max()  # NaN refuses
+    if not scale <= np.finfo(float).max / DRAW_HEADROOM:
+        raise TiltError(
+            f"tilt is too small for its draws: their scale {scale:.3e} times "
+            f"the headroom {DRAW_HEADROOM:g} passes the largest float")
 
 
 @functools.lru_cache(maxsize=None)
