@@ -102,8 +102,9 @@ __all__ = [
 TILT_MARGIN = 1e-10
 CHUNK = 512  # draws per counter-based stream in sample_riesz
 # _plan_block: a run's draw scale times this must stay below the largest float.
-# An entry beyond 1e3 times the scale needs a variate some 500 times its mean,
-# which no stream yields in practice (P(Gamma(1) > 500) = e^-500).
+# An entry beyond 1e3 times the scale needs a variate some 500 times its mean
+# (or above 500 for a shape below 1), which no stream yields in practice:
+# P(Gamma(1) > 500) = e^-500.
 DRAW_HEADROOM = 1e3
 
 
