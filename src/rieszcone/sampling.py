@@ -430,8 +430,8 @@ class SampleBatch:
 
     Draw i came from the stream of chunk ``i // CHUNK``.  ``matrices`` is a
     read-only view of the stack given, and the stack must not change after
-    construction: ``support_pivots`` is computed from it once, on first use,
-    and kept.
+    construction: what is derived from a batch, such as the support verdicts
+    of ``verify``, may be kept while the batch lives.
     """
 
     def __init__(self, spec: RieszSpec, matrices: np.ndarray):
@@ -440,27 +440,6 @@ class SampleBatch:
         self.spec = spec
         self.matrices = matrices.view()
         self.matrices.flags.writeable = False
-
-    @functools.cached_property
-    def support_pivots(self) -> np.ndarray:
-        """Each draw's support-aware elimination, (count, r), read-only: a draw
-        is S S^T, S lower triangular with zero columns where u_p = 0, so
-        ``algebra._pivots`` steps only where u_p > 0, a ``CHUNK`` at a time, and
-        gives the pivot there and elsewhere the residual against the earlier
-        active indices, 0 in exact arithmetic.  Past a zero pivot a draw reads 0;
-        a zero pivot over a nonzero column, which no PSD draw has, reads -inf.
-
-        The array is in Fortran order: each index's entries over the draws are
-        contiguous, so a reduction over the r entries of every draw runs down
-        contiguous columns instead of along rows only r wide."""
-        active = np.asarray(self.spec.param.u) > 0.0
-        out = np.empty(self.matrices.shape[:2], order="F")
-        for i in range(0, len(self), CHUNK):
-            piv, fallback_from = algebra._pivots(self.matrices[i:i + CHUNK], active)
-            out[i:i + CHUNK] = piv if fallback_from is None else np.where(
-                np.arange(len(active)) < fallback_from[:, None], piv, 0.0)
-        out.flags.writeable = False
-        return out
 
     def __len__(self) -> int:
         return self.matrices.shape[0]

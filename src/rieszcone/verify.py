@@ -22,12 +22,10 @@ Every check here runs two genuinely independent routes and compares them:
   ``sampling`` code (minors, elimination pivots, a tilt's run plans, the
   Bartlett factors and their sum) against an independent LAPACK route.
 * ``rank_profile`` checks the almost-sure rank of singular draws, and
-  ``psd_check`` that every draw is positive semidefinite, both from one
-  elimination that the batch computes once, ``SampleBatch.support_pivots``:
-  pivots where u_p > 0, residuals (0 in exact arithmetic) where u_p = 0.
-  That array, the draws' diagonals and the cut on the residuals are
-  (count, r) arrays in Fortran order, computed once per batch, so each
-  reduction over a draw's r entries runs down contiguous columns.
+  ``psd_check`` that every draw is finite and positive semidefinite, both
+  from ``_support_cut``: one support-aware elimination per ``CHUNK`` of the
+  batch (pivots where u_p > 0, residuals, 0 in exact arithmetic, where
+  u_p = 0), computed once and kept while the batch lives.
 
 Every whole-tilt check (the tilt of ``log_laplace_exact`` and
 ``quadrature_integral_r2``, the variance guard of ``laplace_mc_chunks``)
@@ -516,34 +514,53 @@ _CUTS = weakref.WeakKeyDictionary()  # batch -> its _support_cut
 
 
 def _support_cut(batch: SampleBatch):
-    """(active mask, d = ``support_pivots``, diagonals x, cut on |d|), each (count, r).
+    """(active mask, d, diagonals x, cut on |d|, finite), read-only and kept while
+    the batch, which must not change (see ``SampleBatch``), lives.
 
+    A draw is S S^T, S lower triangular with zero columns where u_p = 0, so one
+    pass of ``algebra._pivots`` a ``CHUNK`` at a time steps only where u_p > 0: d is
+    the pivot there, elsewhere the residual against the earlier active indices
+    (0 in exact arithmetic), 0 past a zero pivot and -inf at a zero pivot over a
+    nonzero column.  The pass takes each chunk's x while it is in cache, and
+    ``finite`` per draw, as the elimination never reads between inactive indices.
     The cut x_pp (SUPPORT_TOL + GROWTH_TOL g_p) multiplies, as a leading inactive
     x_pp is 0; g_p, the product of x_kk / d_k over the positive active pivots at
     k <= p, widens it where a tiny pivot (a small gamma draw) magnifies rounding.
-    It is computed once per batch, which must not change (see ``SampleBatch``),
-    and kept while the batch lives.  Like d, x and the cut are in Fortran order,
-    so that the reductions over each draw's r entries read contiguous columns.
+    d, x and the cut are (count, r) and in Fortran order, so that the reductions
+    over each draw's r entries read contiguous columns.
     """
     if batch in _CUTS:
         return _CUTS[batch]
     active = np.asarray(batch.spec.param.u) > 0.0
-    d = batch.support_pivots
-    x = np.asfortranarray(np.diagonal(batch.matrices, axis1=1, axis2=2))
-    cut = np.ones_like(d)
-    np.divide(x, d, out=cut, where=active & (d > 0.0))
-    for p in range(1, cut.shape[1]):  # np.cumprod(axis=1)'s products, ~7x faster
-        cut[:, p] *= cut[:, p - 1]
-    cut *= GROWTH_TOL
-    cut += SUPPORT_TOL
-    cut *= x
-    _CUTS[batch] = active, d, x, cut
+    d = np.empty(batch.matrices.shape[:2], order="F")
+    x = np.empty_like(d)
+    finite = np.empty(len(batch), dtype=bool)
+    with np.errstate(invalid="ignore", over="ignore"):  # a non-finite draw fails anyway
+        for i in range(0, len(batch), CHUNK):
+            chunk = batch.matrices[i:i + CHUNK]
+            piv, fallback_from = algebra._pivots(chunk, active)
+            d[i:i + CHUNK] = piv if fallback_from is None else np.where(
+                np.arange(len(active)) < fallback_from[:, None], piv, 0.0)
+            x[i:i + CHUNK] = np.diagonal(chunk, axis1=1, axis2=2)
+            ok = np.isfinite(chunk)  # per draw only if some entry is not finite: ~2.5x faster
+            finite[i:i + CHUNK] = ok.all() or ok.all(axis=(1, 2))
+        cut = np.ones_like(d)
+        np.divide(x, d, out=cut, where=active & (d > 0.0))
+        for p in range(1, cut.shape[1]):  # np.cumprod(axis=1)'s products, ~7x faster
+            cut[:, p] *= cut[:, p - 1]
+        cut *= GROWTH_TOL
+        cut += SUPPORT_TOL
+        cut *= x
+    for arr in (active, d, x, cut, finite):
+        arr.flags.writeable = False
+    _CUTS[batch] = active, d, x, cut, finite
     return _CUTS[batch]
 
 
 def rank_profile(batch: SampleBatch, expected: int) -> RankProfile:
-    """Rank histogram: positive active pivots plus inactive residuals past ``_support_cut``."""
-    active, d, _, cut = _support_cut(batch)
+    """Rank histogram: positive active pivots plus inactive residuals past ``_support_cut``;
+    a non-finite draw fails the batch."""
+    active, d, _, cut, finite = _support_cut(batch)
     ranks = np.where(active, d > 0.0, np.abs(d) > cut).sum(axis=1)
     counts = {k: int(v) for k, v in enumerate(np.bincount(ranks)) if v}
     n = len(ranks)
@@ -552,15 +569,17 @@ def rank_profile(batch: SampleBatch, expected: int) -> RankProfile:
     return RankProfile(
         expected=expected, n=n, counts=counts,
         frac_expected=frac_expected, frac_at_most=frac_at_most,
-        passed=bool(frac_at_most == 1.0 and frac_expected >= 0.999),
+        passed=bool(finite.all() and frac_at_most == 1.0 and frac_expected >= 0.999),
     )
 
 
 def psd_check(batch: SampleBatch):
-    """(all_ok, worst ratio): a draw fails if a ``support_pivots`` entry is below
-    minus the cut of ``_support_cut`` or an x_pp is negative.  The worst ratio
-    is a draw's most negative entry or x_pp over its largest |x_pp|."""
-    _, d, x, cut = _support_cut(batch)
+    """(all_ok, worst ratio): a draw fails if a d entry of ``_support_cut`` is below
+    minus the cut, an x_pp is negative or an entry is not finite.  The worst ratio is
+    a draw's most negative d or x_pp over its largest |x_pp|, or inf for a non-finite draw."""
+    _, d, x, cut, finite = _support_cut(batch)
+    if not finite.all():
+        return False, math.inf
     ok = not ((d < -cut).any() or (x < 0.0).any())
     worst = -np.minimum(d, x).min(axis=1) / np.maximum(np.abs(x).max(axis=1), _TINY)
     return ok, float(worst.max())

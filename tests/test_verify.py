@@ -1,10 +1,12 @@
 import dataclasses
+import gc
 import importlib.util
 import json
 import math
 import pathlib
 import subprocess
 import sys
+import weakref
 
 import numpy as np
 import pytest
@@ -516,7 +518,7 @@ def test_rank_profile_and_psd_check_read_one_chunked_elimination(monkeypatch):
     # one call per chunk, for both verdicts together
     assert calls == [((sp.CHUNK, 4, 4), mask.tolist()),
                      ((700 - sp.CHUNK, 4, 4), mask.tolist())]
-    assert np.array_equal(batch.support_pivots, whole)
+    assert np.array_equal(vf._support_cut(batch)[1], whole)
 
 
 def _log_spaced_tilt(rng, r, cond):
@@ -581,20 +583,35 @@ def _negative_diagonal(m):
     m[17, 3, 3] = -m[17, 3, 3]
 
 
+def _set_entry(i, j, value):
+    """Mutation: entries (i, j) and (j, i) of draw 17 set to ``value``."""
+    def mutate(m):
+        m[17, i, j] = m[17, j, i] = value
+    return mutate
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("mutate, psd_ok, rank_ok", [
     (lambda m: _shift(m, 1.0), True, False),
     (lambda m: _shift(m, -1.0), False, False),
     (_noise_at_inactive_6, False, False),
     (_negative_diagonal, False, None),
+    (_set_entry(0, 1, np.nan), False, False),
+    (_set_entry(3, 3, np.inf), False, False),
+    # u_6 = u_7 = 0: the elimination never reads this entry
+    (_set_entry(6, 7, np.inf), False, False),
 ], ids=["plus_eps_identity", "minus_eps_identity", "noise_at_inactive_6",
-        "negative_diagonal"])
+        "negative_diagonal", "nan_entry", "inf_diagonal", "inf_between_inactive"])
 def test_support_verdicts_catch_mutated_draws(wide_r8_batch, mutate, psd_ok, rank_ok):
     assert vf.rank_profile(wide_r8_batch, expected=5).passed
     assert vf.psd_check(wide_r8_batch)[0]
     m = wide_r8_batch.matrices.copy()
     mutate(m)
     tampered = sp.SampleBatch(wide_r8_batch.spec, m)
-    assert vf.psd_check(tampered)[0] == psd_ok
+    ok, worst = vf.psd_check(tampered)
+    assert ok == psd_ok
+    # the worst ratio is inf exactly when some draw is not finite
+    assert (worst == math.inf) == (not np.isfinite(m).all())
     if rank_ok is not None:
         assert vf.rank_profile(tampered, expected=5).passed == rank_ok
 
@@ -648,7 +665,7 @@ def test_support_verdicts_match_the_c_order_reference(wide_r8_batch, mutate):
     assert got_ok == ok and got_worst.hex() == worst.hex()
     got_cut = vf._support_cut(batch)[3]
     assert np.ascontiguousarray(got_cut).tobytes() == cut.tobytes()
-    assert batch.support_pivots.flags.f_contiguous and got_cut.flags.f_contiguous
+    assert vf._support_cut(batch)[1].flags.f_contiguous and got_cut.flags.f_contiguous
 
 
 def test_psd_check_fails_a_zero_pivot_over_a_nonzero_column():
@@ -657,7 +674,7 @@ def test_psd_check_fails_a_zero_pivot_over_a_nonzero_column():
     batch = sp.SampleBatch(RieszSpec.build(u=[1.0, 1.0], count=1),
                            np.array([[[0.0, 1.0], [1.0, 0.0]]]))
     assert not vf.psd_check(batch)[0]
-    assert batch.support_pivots.tolist() == [[-np.inf, 0.0]]
+    assert vf._support_cut(batch)[1].tolist() == [[-np.inf, 0.0]]
     # minors shares the elimination and keeps its determinants
     assert algebra.minors(batch.matrices).tolist() == [[0.0, -1.0]]
 
@@ -681,6 +698,16 @@ def test_support_verdicts_pass_a_leading_inactive_index():
     assert vf.psd_check(batch)[0]
 
 
+def test_support_cut_goes_with_its_batch():
+    # the cache is weak-keyed: a collected batch takes its arrays with it
+    batch = sample_riesz(RieszSpec.build(u=[1.2, 0.0, 0.7, 0.0], seed=2, count=600))
+    assert vf.psd_check(batch)[0]
+    key, cut = weakref.ref(batch), weakref.ref(vf._support_cut(batch)[3])
+    del batch
+    gc.collect()
+    assert key() is None and cut() is None
+
+
 def test_sample_batch_stack_is_read_only():
     spec = RieszSpec.build(u=[1.0, 0.5], count=3)
     stack = np.ones((3, 2, 2))
@@ -688,7 +715,7 @@ def test_sample_batch_stack_is_read_only():
     with pytest.raises(ValueError):
         batch.matrices[0, 0, 0] = 2.0
     with pytest.raises(ValueError):
-        batch.support_pivots[0, 0] = 2.0
+        vf._support_cut(batch)[1][0, 0] = 2.0
     # the caller's own array stays writable
     assert stack.flags.writeable and not batch.matrices.flags.writeable
     drawn = sample_riesz(spec)
