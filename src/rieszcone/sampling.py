@@ -27,7 +27,9 @@ K = Theta_12 (-Theta_0)^{-1} is the coupling mean map, L the lower Cholesky
 factor of the row covariance, and Z a tail x w standard normal matrix.  As
 W = sqrt(A) V with V orthogonal and a function of T alone, ``L Z V^T`` has
 the law of ``L Z`` given T, so ``M V^T = N`` in law.  No matrix square root
-is needed, and the rank is exactly w by construction.
+is needed, and the rank is exactly w by construction.  A run's draws are
+held side by side, so C T, K^T W and L Z are each one gemm per chunk where
+every draw's product is at least 2 x 2, with the bits of one call per draw.
 
 Determinism contract
 --------------------
@@ -259,24 +261,51 @@ def _draw_block(plan: _BlockPlan, rng: np.random.Generator, size: int):
     return g, o, z
 
 
+def _each_draw(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a @ b_i`` for every draw i, with the draws side by side: b is (k, n, p),
+    b[:, i] draw i's k x p matrix, and so is the result, (len(a), n, p).
+
+    Where each draw's product is at least 2 x 2, numpy's per-draw call is a
+    gemm, and one gemm of ``a`` by b as a (k, n p) array sums every entry in
+    the same order, so it is used.  Otherwise numpy calls gemv (or dot) per
+    draw, which OpenBLAS sums in another order than gemm, so that broadcast
+    is kept, over the draws in their own (n, k, p) layout.
+    """
+    k, n, p = b.shape
+    if len(a) > 1 and p > 1:
+        # b's p-float rows (its last axis must be contiguous) are copied
+        # whole, as opaque items: numpy copies that (k, n) array several
+        # times faster than a 3-d one with p floats innermost
+        rows = b.view(np.dtype((np.void, 8 * p)))[..., 0]
+        return (a @ np.ascontiguousarray(rows).view(float)).reshape(len(a), n, p)
+    return np.swapaxes(a @ np.ascontiguousarray(np.swapaxes(b, 0, 1)), 0, 1)
+
+
 def _gram_factor(plan: _BlockPlan, g, o, z) -> np.ndarray:
     """Stack of factors M = [W; K^T W + L Z] of one run, shape (n, m, width).
 
     W = C T is the Bartlett factor of the core, so M M^T is the run's draw on
     the trailing block of size m = width + tail (see the module docstring).
+    The draws are held side by side: T as (width, n, width), Z as
+    (tail, n, width) and M as (m, n, width).  ``_each_draw`` then forms C T
+    as one gemm over the chunk when width >= 2, and K^T W and L Z when
+    tail >= 2 as well; a width or tail of 1 keeps numpy's per-draw gemv,
+    whose sums OpenBLAS orders differently.  The stack returned is a strided
+    view of the side-by-side M.
     """
     n, w = g.shape
-    t = np.zeros((n, w, w))
+    t = np.zeros((w, n, w))
     diag = np.arange(w)
-    t[:, diag, diag] = np.sqrt(g)
+    t[diag, :, diag] = np.sqrt(g).T
     if w > 1:
         rows, cols = _strict_triangle(w, lower=True)
-        t[:, rows, cols] = o * np.sqrt(0.5)
-    m = np.empty((n, w + plan.tail, w))
-    m[:, :w] = plan.core_chol @ t
+        t[rows, :, cols] = (o * np.sqrt(0.5)).T
+    m = np.empty((w + plan.tail, n, w))
+    m[:w] = _each_draw(plan.core_chol, t)
     if plan.tail:
-        m[:, w:] = plan.coupling.T @ m[:, :w] + plan.noise_chol @ z
-    return m
+        m[w:] = (_each_draw(plan.coupling.T, m[:w])
+                 + _each_draw(plan.noise_chol, np.swapaxes(z, 0, 1)))
+    return np.swapaxes(m, 0, 1)
 
 
 def _draw_sum(plans, rng: np.random.Generator, out: np.ndarray) -> None:
@@ -284,10 +313,12 @@ def _draw_sum(plans, rng: np.random.Generator, out: np.ndarray) -> None:
     out[...] = 0.0
     for plan in plans:
         m = _gram_factor(plan, *_draw_block(plan, rng, len(out)))
-        # Keep the copy of M^T: given M and a view of its own transpose,
-        # numpy calls syrk once per draw, about 4x slower here than the one
-        # gemm that the copy gets.  Both sum each entry's w products in the
-        # same order, so the draws keep their bits (a test pins this).
+        # M is a view of the run's draws side by side, so each draw's rows
+        # lie n w floats apart, which gemm reads in place.  Keep the copy of
+        # M^T: given M and a view of its own transpose, numpy calls syrk once
+        # per draw, about 4x slower here than the one gemm that the copy
+        # gets.  Both sum each entry's w products in the same order, so the
+        # draws keep their bits (tests pin this).
         out[:, plan.start:, plan.start:] += m @ np.ascontiguousarray(np.swapaxes(m, -1, -2))
     # M M^T is symmetric in exact arithmetic, but nothing obliges a BLAS
     # product to round both triangles alike; mirroring the upper triangle

@@ -118,8 +118,17 @@ def _log_laplace(s, theta: SymElement, what: str) -> float:
 
 
 def laplace_exact(s, theta: SymElement) -> float:
-    """Closed-form transform Delta_s((-theta)^{-1}): exp of ``log_laplace_exact``."""
-    return math.exp(log_laplace_exact(s, theta))
+    """Closed-form transform Delta_s((-theta)^{-1}): exp of ``log_laplace_exact``.
+
+    A value past the largest float is a ``VerifyError`` that gives its log.
+    """
+    log_value = log_laplace_exact(s, theta)
+    try:
+        return math.exp(log_value)
+    except OverflowError:
+        raise VerifyError(
+            f"the transform is exp({log_value:.6g}), past the largest float; "
+            "log_laplace_exact gives its log") from None
 
 
 @dataclass(frozen=True)
@@ -146,6 +155,7 @@ def laplace_mc_chunks(spec: RieszSpec, chunks, zeta: SymElement,
     its weights' relative deviations from the exact ratio,
     d = expm1(<zeta - theta, X> - log ratio), to n, sum d and sum d^2; the
     estimate is ratio (1 + mean d) and z is mean d over its standard error.
+    A draw with an inf or NaN entry makes them NaN, and the report fails.
     Before any chunk is read, ``VarianceGuardError`` refuses a probe with
     -(2 zeta - theta) not positive definite (infinite weight variance), or
     whose relative weight variance rho = L(2 zeta - theta) L(theta) /
@@ -172,9 +182,13 @@ def laplace_mc_chunks(spec: RieszSpec, chunks, zeta: SymElement,
     diff = zeta.matrix - theta.matrix
     n, sum_d, sum_d2 = 0, 0.0, 0.0
     for chunk in chunks:
-        d = np.expm1(np.einsum("nij,ij->n", chunk, diff) - log_ratio)
+        exponent = np.einsum("nij,ij->n", chunk, diff)
+        d = np.expm1(exponent - log_ratio)
         n += len(d)
-        sum_d += float(d.sum())
+        # an inf or NaN entry makes its draw's exponent non-finite (inf * 0 is
+        # NaN) and its weight meaningless, so the sum is NaN and the report
+        # fails; an exponent of -inf would add an ordinary-looking d = -1
+        sum_d += float(d.sum()) if np.isfinite(exponent).all() else math.nan
         sum_d2 += float(d @ d)
     if n != spec.count:
         raise VerifyError(f"chunks held {n} draws, but the spec has {spec.count}")

@@ -332,13 +332,21 @@ def _reference_draw_sum(plans, rng, out):
     ([0.4, 0.0, 0.0, 3.0, 0.9, 0.0], 1e8, 1.0),
     ([0.6, 1.7, 0.0, 0.1, 0.0, 2.2, 0.8], 1e2, 1.0),
     ([1.5, 0.8, 0.0, 1.2, 0.6, 0.9, 0.0, 0.0], 10.0, 1.0),
-], ids=["r1", "r2_tiny_u", "r2_half", "r3", "r4", "r5", "r6", "r7", "r8"])
+    ([0.9, 0.0, 0.0], 1e4, 1.0),
+    ([1.3, 0.6, 0.0], 1e2, 1.0),
+    ([1.1, 0.8, 1.6, 0.0], 1e6, 1e-100),
+], ids=["r1", "r2_tiny_u", "r2_half", "r3", "r4", "r5", "r6", "r7", "r8",
+        "r3_w1_tail2", "r3_w2_tail1", "r4_w3_tail1"])
 def test_draw_sum_keeps_the_reference_bits(u, cond, scale):
-    # the gemm product and the cached index arrays must leave every bit as
-    # the syrk product left it; which kernel OpenBLAS runs is chosen on the
-    # CPU at hand, so this is checked where the tests run.  Two chunks, the
-    # second partial; shapes below 1, tails, u_p = 1e-300, and rotated tilts
-    # of condition up to 1e8 at scales 1e-150..1e150
+    # the gemm products and the cached index arrays must leave every bit as
+    # the per-draw products and the syrk product left it; which kernel
+    # OpenBLAS runs is chosen on the CPU at hand, so this is checked where
+    # the tests run.  Two chunks, the second partial; shapes below 1,
+    # u_p = 1e-300, and rotated tilts of condition up to 1e8 at scales
+    # 1e-150..1e150.  The runs (width, tail) cover every product class of
+    # sampling._each_draw: width 1 with tail 0, 1 and >= 2 (r1, r2_half,
+    # r3_w1_tail2), widths 2 and 3 with tail 1 (r3_w2_tail1, r4_w3_tail1),
+    # width >= 2 with tail >= 2 (r5, r8) and with tail 0 (r3, r7)
     r = len(u)
     q = np.linalg.qr(np.random.default_rng(r).standard_normal((r, r)))[0]
     neg = (q * np.geomspace(1.0, cond, r)) @ q.T
@@ -350,6 +358,28 @@ def test_draw_sum_keeps_the_reference_bits(u, cond, scale):
                             want[c * sp.CHUNK:(c + 1) * sp.CHUNK])
     got = sp.sample_riesz(spec).matrices
     assert got.tobytes() == want[:spec.count].tobytes()
+
+
+def test_draw_sum_keeps_the_reference_bits_on_random_laws():
+    # one chunk of each of 60 seeded random laws at r = 1..8, on rotated tilts
+    # of condition up to 1e4; the sweep must meet every run class that
+    # sampling._each_draw tells apart (width 1 or >= 2, tail 0, 1 or >= 2)
+    rng = np.random.default_rng(19)
+    classes = set()
+    for k in range(60):
+        r = int(rng.integers(1, 9))
+        u = rng.integers(0, 4097, size=r) / 1024.0
+        u[rng.random(r) < 0.4] = 0.0
+        q = np.linalg.qr(rng.standard_normal((r, r)))[0]
+        neg = (q * np.geomspace(1.0, 10.0 ** rng.uniform(0.0, 4.0), r)) @ q.T
+        spec = sp.RieszSpec.build(u=list(u), theta=SymElement.from_dense(-0.5 * (neg + neg.T)),
+                                  seed=k, count=sp.CHUNK)
+        classes |= {(min(p.width, 2), min(p.tail, 2)) for p in spec.plans}
+        want = np.empty((sp.CHUNK, r, r))
+        _reference_draw_sum(spec.plans, sp.sample_stream(spec.seed, 0), want)
+        got = sp.sample_riesz(spec).matrices
+        assert got.tobytes() == want.tobytes(), f"law {k}: u = {u.tolist()}"
+    assert classes == {(w, tail) for w in (1, 2) for tail in (0, 1, 2)}
 
 
 def test_sample_riesz_zero_parameter_is_point_mass_at_zero():

@@ -269,6 +269,33 @@ def test_log_laplace_exact_is_finite_where_the_transform_overflows():
         800.0 * math.log(4.0), rel=1e-14)
 
 
+def test_laplace_exact_refuses_a_value_past_the_largest_float():
+    # Delta_s(10 I) = 10^1600, about e^3684.1: the error gives the log value
+    theta = sym(-0.1 * np.eye(4))
+    with pytest.raises(vf.VerifyError, match=r"exp\(3684\.1\d*\).*log_laplace_exact"):
+        vf.laplace_exact([400.0] * 4, theta)
+    assert vf.log_laplace_exact([400.0] * 4, theta) == pytest.approx(
+        1600.0 * math.log(10.0), rel=1e-14)
+
+
+@pytest.mark.parametrize("entry, value", [((2, 2), math.inf), ((2, 2), math.nan),
+                                          ((0, 3), math.inf)],
+                         ids=["inf_diagonal", "nan_diagonal", "inf_off_diagonal"])
+def test_laplace_mc_fails_a_draw_with_a_non_finite_entry(wide_r8_batch, entry, value):
+    # draw 17 of the verify_wide_r8 operation-0 batch with one bad entry: an
+    # inf diagonal entry gives that draw an exponent of -inf below the tilt,
+    # and so an ordinary-looking d = -1, unless the exponent is checked
+    m = wide_r8_batch.matrices.copy()
+    i, j = entry
+    m[17, i, j] = m[17, j, i] = value
+    batch = sp.SampleBatch(wide_r8_batch.spec, m)
+    theta = wide_r8_batch.spec.theta.matrix
+    for c in (1.1, 1.3):
+        assert vf.laplace_mc(wide_r8_batch, sym(c * theta), z_threshold=5.0).passed
+        rep = vf.laplace_mc(batch, sym(c * theta), z_threshold=5.0)
+        assert not rep.passed and math.isnan(rep.z)
+
+
 # ----------------------------------------------------------------- quadrature
 
 
