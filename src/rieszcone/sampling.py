@@ -261,6 +261,21 @@ def _draw_block(plan: _BlockPlan, rng: np.random.Generator, size: int):
     return g, o, z
 
 
+def _contiguous(x: np.ndarray) -> np.ndarray:
+    """x as a C-contiguous array, copied only if it is not one already.
+
+    x's last axis must be contiguous.  Rows of several floats along it are
+    copied whole, as opaque items: numpy copies a stack of draws side by
+    side, or its transpose, several times faster that way than with only a
+    few floats in its innermost loop.  Rows of one float copy faster as
+    floats.
+    """
+    if x.flags.c_contiguous or x.shape[-1] == 1:
+        return np.ascontiguousarray(x)
+    rows = x.view(np.dtype((np.void, x.itemsize * x.shape[-1])))[..., 0]
+    return np.ascontiguousarray(rows).view(x.dtype).reshape(x.shape)
+
+
 def _each_draw(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """``a @ b_i`` for every draw i, with the draws side by side: b is (k, n, p),
     b[:, i] draw i's k x p matrix, and so is the result, (len(a), n, p).
@@ -273,12 +288,8 @@ def _each_draw(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """
     k, n, p = b.shape
     if len(a) > 1 and p > 1:
-        # b's p-float rows (its last axis must be contiguous) are copied
-        # whole, as opaque items: numpy copies that (k, n) array several
-        # times faster than a 3-d one with p floats innermost
-        rows = b.view(np.dtype((np.void, 8 * p)))[..., 0]
-        return (a @ np.ascontiguousarray(rows).view(float)).reshape(len(a), n, p)
-    return np.swapaxes(a @ np.ascontiguousarray(np.swapaxes(b, 0, 1)), 0, 1)
+        return (a @ _contiguous(b).reshape(k, n * p)).reshape(len(a), n, p)
+    return (a @ _contiguous(b.swapaxes(0, 1))).swapaxes(0, 1)
 
 
 def _gram_factor(plan: _BlockPlan, g, o, z) -> np.ndarray:
@@ -290,8 +301,8 @@ def _gram_factor(plan: _BlockPlan, g, o, z) -> np.ndarray:
     (tail, n, width) and M as (m, n, width).  ``_each_draw`` then forms C T
     as one gemm over the chunk when width >= 2, and K^T W and L Z when
     tail >= 2 as well; a width or tail of 1 keeps numpy's per-draw gemv,
-    whose sums OpenBLAS orders differently.  The stack returned is a strided
-    view of the side-by-side M.
+    whose sums OpenBLAS orders differently.  M is returned one draw after
+    another, as a contiguous stack.
     """
     n, w = g.shape
     t = np.zeros((w, n, w))
@@ -304,8 +315,8 @@ def _gram_factor(plan: _BlockPlan, g, o, z) -> np.ndarray:
     m[:w] = _each_draw(plan.core_chol, t)
     if plan.tail:
         m[w:] = (_each_draw(plan.coupling.T, m[:w])
-                 + _each_draw(plan.noise_chol, np.swapaxes(z, 0, 1)))
-    return np.swapaxes(m, 0, 1)
+                 + _each_draw(plan.noise_chol, z.swapaxes(0, 1)))
+    return _contiguous(m.swapaxes(0, 1))
 
 
 def _draw_sum(plans, rng: np.random.Generator, out: np.ndarray) -> None:
@@ -313,12 +324,14 @@ def _draw_sum(plans, rng: np.random.Generator, out: np.ndarray) -> None:
     out[...] = 0.0
     for plan in plans:
         m = _gram_factor(plan, *_draw_block(plan, rng, len(out)))
-        # M is a view of the run's draws side by side, so each draw's rows
-        # lie n w floats apart, which gemm reads in place.  Keep the copy of
-        # M^T: given M and a view of its own transpose, numpy calls syrk once
-        # per draw, about 4x slower here than the one gemm that the copy
-        # gets.  Both sum each entry's w products in the same order, so the
-        # draws keep their bits (tests pin this).
+        # _gram_factor holds the run's draws side by side, so that each of
+        # its products is one gemm per chunk, except where numpy's per-draw
+        # call is a gemv (width or tail 1), which sums in another order; the
+        # Gram product below stays one gemm per draw.  Keep the copy of M^T:
+        # given M and a view of its own transpose, numpy calls syrk once per
+        # draw, about 4x slower here than the one gemm that the copy gets.
+        # Both sum each entry's w products in the same order, so the draws
+        # keep their bits (tests pin this).
         out[:, plan.start:, plan.start:] += m @ np.ascontiguousarray(np.swapaxes(m, -1, -2))
     # M M^T is symmetric in exact arithmetic, but nothing obliges a BLAS
     # product to round both triangles alike; mirroring the upper triangle
