@@ -265,10 +265,9 @@ def _contiguous(x: np.ndarray) -> np.ndarray:
     """x as a C-contiguous array, copied only if it is not one already.
 
     x's last axis must be contiguous.  Rows of several floats along it are
-    copied whole, as opaque items: numpy copies a stack of draws side by
-    side, or its transpose, several times faster that way than with only a
-    few floats in its innermost loop.  Rows of one float copy faster as
-    floats.
+    copied whole, as opaque items: numpy copies a stack of draws from one
+    layout to the other several times faster that way than with only a few
+    floats in its innermost loop.  Rows of one float copy faster as floats.
     """
     if x.flags.c_contiguous or x.shape[-1] == 1:
         return np.ascontiguousarray(x)
@@ -301,8 +300,9 @@ def _gram_factor(plan: _BlockPlan, g, o, z) -> np.ndarray:
     (tail, n, width) and M as (m, n, width).  ``_each_draw`` then forms C T
     as one gemm over the chunk when width >= 2, and K^T W and L Z when
     tail >= 2 as well; a width or tail of 1 keeps numpy's per-draw gemv,
-    whose sums OpenBLAS orders differently.  M is returned one draw after
-    another, as a contiguous stack.
+    whose sums OpenBLAS orders differently.  The stack returned is a view
+    of the side-by-side M: gemm reads each draw's rows in place, n width
+    floats apart, faster than a copy of M one draw after another is made.
     """
     n, w = g.shape
     t = np.zeros((w, n, w))
@@ -316,7 +316,7 @@ def _gram_factor(plan: _BlockPlan, g, o, z) -> np.ndarray:
     if plan.tail:
         m[w:] = (_each_draw(plan.coupling.T, m[:w])
                  + _each_draw(plan.noise_chol, z.swapaxes(0, 1)))
-    return _contiguous(m.swapaxes(0, 1))
+    return m.swapaxes(0, 1)
 
 
 def _draw_sum(plans, rng: np.random.Generator, out: np.ndarray) -> None:
