@@ -264,13 +264,13 @@ def _draw_block(plan: _BlockPlan, rng: np.random.Generator, size: int):
 def _contiguous(x: np.ndarray) -> np.ndarray:
     """x as a C-contiguous array, copied only if it is not one already.
 
-    x's last axis must be contiguous.  Rows of several floats along it are
-    copied whole, as opaque items: numpy copies a stack of draws from one
-    layout to the other several times faster that way than with only a few
-    floats in its innermost loop.  Rows of one float copy faster as floats.
+    x's last axis must be contiguous.  Its rows along that axis are copied
+    whole, as opaque items: numpy copies a stack of draws from one layout to
+    the other several times faster that way than with only the few floats of
+    a row in its innermost loop.
     """
-    if x.flags.c_contiguous or x.shape[-1] == 1:
-        return np.ascontiguousarray(x)
+    if x.flags.c_contiguous:
+        return x
     rows = x.view(np.dtype((np.void, x.itemsize * x.shape[-1])))[..., 0]
     return np.ascontiguousarray(rows).view(x.dtype).reshape(x.shape)
 
@@ -301,8 +301,8 @@ def _gram_factor(plan: _BlockPlan, g, o, z) -> np.ndarray:
     as one gemm over the chunk when width >= 2, and K^T W and L Z when
     tail >= 2 as well; a width or tail of 1 keeps numpy's per-draw gemv,
     whose sums OpenBLAS orders differently.  The stack returned is a view
-    of the side-by-side M: gemm reads each draw's rows in place, n width
-    floats apart, faster than a copy of M one draw after another is made.
+    of the side-by-side M: the Gram product's gemm reads each draw's rows in
+    place, n width floats apart, in less time than a copy would take.
     """
     n, w = g.shape
     t = np.zeros((w, n, w))
@@ -324,10 +324,10 @@ def _draw_sum(plans, rng: np.random.Generator, out: np.ndarray) -> None:
     out[...] = 0.0
     for plan in plans:
         m = _gram_factor(plan, *_draw_block(plan, rng, len(out)))
-        # _gram_factor holds the run's draws side by side, so that each of
-        # its products is one gemm per chunk, except where numpy's per-draw
-        # call is a gemv (width or tail 1), which sums in another order; the
-        # Gram product below stays one gemm per draw.  Keep the copy of M^T:
+        # _gram_factor holds the run's draws side by side and forms each of
+        # its products as one gemm per chunk, except where numpy's per-draw
+        # call is a gemv (width or tail 1), which sums in another order.
+        # The Gram product below stays one gemm per draw.  Keep the copy of M^T:
         # given M and a view of its own transpose, numpy calls syrk once per
         # draw, about 4x slower here than the one gemm that the copy gets.
         # Both sum each entry's w products in the same order, so the draws
