@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 import time
 import weakref
 from dataclasses import dataclass, replace
@@ -45,7 +46,7 @@ import numpy as np
 
 from . import algebra, sampling
 from .algebra import SymElement
-from .gindikin import log_gamma_omega, param_from_u, u_from_s
+from .gindikin import log_gamma_omega, u_from_s
 from .sampling import CHUNK, RieszSpec, SampleBatch, TiltError, sample_riesz
 
 __all__ = [
@@ -69,9 +70,12 @@ __all__ = [
 ]
 
 _TINY = 1e-300
+_LOG_MAX = math.log(sys.float_info.max)  # exp of anything above it overflows
 SUPPORT_TOL = 1e-5  # rank_profile, psd_check: residual cut, relative to x_pp,
 GROWTH_TOL = 1e-15  # plus this times the draw's pivot growth (see _support_cut)
 ESS_FLOOR = 1000  # laplace_mc_chunks: fewest effective draws when rho > 1
+QUAD_N_START = 12  # quadrature_integral_r2: first per-axis node count,
+QUAD_RTOL = 1e-8  # and the relative change of two successive estimates that stops it
 
 
 class VerifyError(ValueError):
@@ -161,7 +165,8 @@ def laplace_mc_chunks(spec: RieszSpec, chunks, zeta: SymElement,
     whose relative weight variance rho = L(2 zeta - theta) L(theta) /
     L(zeta)^2 - 1 exceeds 1 and leaves count / (1 + rho) < ``ESS_FLOOR``
     effective draws (Kong 1992; Owen, *Monte Carlo theory, methods and
-    examples*, ch. 9).
+    examples*, ch. 9), and a ``VerifyError`` one whose exact ratio is past
+    the largest float.
     """
     theta = spec.theta
     if zeta.r != theta.r:
@@ -179,6 +184,8 @@ def laplace_mc_chunks(spec: RieszSpec, chunks, zeta: SymElement,
             f"too few effective draws: the weights' relative variance is "
             f"exp({log1p_rho:.4g}) - 1, so {spec.count} draws are worth "
             f"{ess:.3g}, below ESS_FLOOR = {ESS_FLOOR}")
+    if log_ratio > _LOG_MAX:
+        raise VerifyError(f"the transform ratio is exp({log_ratio:.6g}), past the largest float")
     diff = zeta.matrix - theta.matrix
     n, sum_d, sum_d2 = 0, 0.0, 0.0
     for chunk in chunks:
@@ -246,9 +253,7 @@ def _gauss_rule(jacobi: bool, n: int, exponent: float):
     return rule
 
 
-def quadrature_integral_r2(s, theta: SymElement, moment=None,
-                           n_start: int = 12, n_max: int = 192,
-                           rtol: float = 1e-8) -> float:
+def quadrature_integral_r2(s, theta: SymElement, moment=None, n_max: int = 192) -> float:
     """Integral of Delta_{s-3/2}(x) e^{<theta,x>} [moment(a,b,c)] over the cone.
 
     Here x = [[a, b], [b, c]] ranges over the open rank-2 cone and the flat
@@ -270,8 +275,8 @@ def quadrature_integral_r2(s, theta: SymElement, moment=None,
     the rule's own weight: a diagonal tilt keeps a factor e^{theta_ii a / 2}
     on each axis, so the oracle stays a genuine integration.
 
-    The per-axis node count doubles from ``n_start`` until two successive
-    estimates agree to ``rtol`` relative, else ``QuadratureError``.  The
+    The per-axis node count doubles from ``QUAD_N_START`` until two successive
+    estimates agree to ``QUAD_RTOL`` relative, else ``QuadratureError``.  The
     residual gets harder to integrate as rho approaches 1.  Over random tilts
     with diagonal entries e^{U(-3,3)} and random s (20 per rho), every tilt
     with rho <= 0.85 converged, to within 3.1e-11 of the closed form, about
@@ -298,7 +303,7 @@ def quadrature_integral_r2(s, theta: SymElement, moment=None,
     prefactor = math.sqrt(2.0) * lam_a ** -s1 * lam_c ** -s2
 
     prev = None
-    n = n_start
+    n = QUAD_N_START
     while n <= n_max:
         xa, wa = _gauss_rule(False, n, s1 - 1.0)
         xc, wc = _gauss_rule(False, n, s2 - 1.0)
@@ -314,18 +319,18 @@ def quadrature_integral_r2(s, theta: SymElement, moment=None,
             f *= moment(a[:, None, None], np.multiply.outer(root_ac, v),
                         c[None, :, None])
         total = prefactor * float(wa @ (f @ wv) @ wc)
-        if prev is not None and abs(total - prev) <= rtol * max(abs(total), _TINY):
+        if prev is not None and abs(total - prev) <= QUAD_RTOL * max(abs(total), _TINY):
             return total
         prev = total
         n *= 2
     raise QuadratureError(
-        f"tensor rule did not stabilize to {rtol:.1e} by {n_max} nodes per axis"
+        f"tensor rule did not stabilize to {QUAD_RTOL:.1e} by {n_max} nodes per axis"
     )
 
 
-def quadrature_check_r2(s, theta: SymElement, **kw) -> float:
+def quadrature_check_r2(s, theta: SymElement) -> float:
     """Relative discrepancy between the cone integral and its closed form."""
-    integral = quadrature_integral_r2(s, theta, **kw)
+    integral = quadrature_integral_r2(s, theta)
     s = np.asarray(s, dtype=float)
     closed = math.exp(log_gamma_omega(s, 2, 1.0)) * laplace_exact(s, theta)
     return abs(integral / closed - 1.0)
@@ -528,7 +533,7 @@ _CUTS = weakref.WeakKeyDictionary()  # batch -> its _support_cut
 
 
 def _support_cut(batch: SampleBatch):
-    """(active mask, d, diagonals x, cut on |d|, finite), read-only and kept while
+    """(active mask, d, diagonals x, cut on |d|, all finite), read-only and kept while
     the batch, which must not change (see ``SampleBatch``), lives.
 
     A draw is S S^T, S lower triangular with zero columns where u_p = 0, so one
@@ -536,7 +541,8 @@ def _support_cut(batch: SampleBatch):
     the pivot there, elsewhere the residual against the earlier active indices
     (0 in exact arithmetic), 0 past a zero pivot and -inf at a zero pivot over a
     nonzero column.  The pass takes each chunk's x while it is in cache, and
-    ``finite`` per draw, as the elimination never reads between inactive indices.
+    whether every entry is finite, as the elimination never reads between
+    inactive indices.
     The cut x_pp (SUPPORT_TOL + GROWTH_TOL g_p) multiplies, as a leading inactive
     x_pp is 0; g_p, the product of x_kk / d_k over the positive active pivots at
     k <= p, widens it where a tiny pivot (a small gamma draw) magnifies rounding.
@@ -548,7 +554,7 @@ def _support_cut(batch: SampleBatch):
     active = np.asarray(batch.spec.param.u) > 0.0
     d = np.empty(batch.matrices.shape[:2], order="F")
     x = np.empty_like(d)
-    finite = np.empty(len(batch), dtype=bool)
+    finite = True
     with np.errstate(invalid="ignore", over="ignore"):  # a non-finite draw fails anyway
         for i in range(0, len(batch), CHUNK):
             chunk = batch.matrices[i:i + CHUNK]
@@ -556,8 +562,7 @@ def _support_cut(batch: SampleBatch):
             d[i:i + CHUNK] = piv if fallback_from is None else np.where(
                 np.arange(len(active)) < fallback_from[:, None], piv, 0.0)
             x[i:i + CHUNK] = np.diagonal(chunk, axis1=1, axis2=2)
-            ok = np.isfinite(chunk)  # per draw only if some entry is not finite: ~2.5x faster
-            finite[i:i + CHUNK] = ok.all() or ok.all(axis=(1, 2))
+            finite = finite and bool(np.isfinite(chunk).all())
         cut = np.ones_like(d)
         np.divide(x, d, out=cut, where=active & (d > 0.0))
         for p in range(1, cut.shape[1]):  # np.cumprod(axis=1)'s products, ~7x faster
@@ -565,7 +570,7 @@ def _support_cut(batch: SampleBatch):
         cut *= GROWTH_TOL
         cut += SUPPORT_TOL
         cut *= x
-    for arr in (active, d, x, cut, finite):
+    for arr in (active, d, x, cut):
         arr.flags.writeable = False
     _CUTS[batch] = active, d, x, cut, finite
     return _CUTS[batch]
@@ -583,7 +588,7 @@ def rank_profile(batch: SampleBatch, expected: int) -> RankProfile:
     return RankProfile(
         expected=expected, n=n, counts=counts,
         frac_expected=frac_expected, frac_at_most=frac_at_most,
-        passed=bool(finite.all() and frac_at_most == 1.0 and frac_expected >= 0.999),
+        passed=bool(finite and frac_at_most == 1.0 and frac_expected >= 0.999),
     )
 
 
@@ -592,7 +597,7 @@ def psd_check(batch: SampleBatch):
     minus the cut, an x_pp is negative or an entry is not finite.  The worst ratio is
     a draw's most negative d or x_pp over its largest |x_pp|, or inf for a non-finite draw."""
     _, d, x, cut, finite = _support_cut(batch)
-    if not finite.all():
+    if not finite:
         return False, math.inf
     ok = not ((d < -cut).any() or (x < 0.0).any())
     worst = -np.minimum(d, x).min(axis=1) / np.maximum(np.abs(x).max(axis=1), _TINY)
@@ -610,7 +615,7 @@ def _dyadic_u(rng, r, scale=4.0, zero_frac=0.4):
 
 def _selftest_admissibility(seed, rounds):
     rng = np.random.default_rng([seed, 101])
-    from .gindikin import build_partition, s_from_u
+    from .gindikin import build_partition, membership_report, s_from_u
     ok_roundtrip = True
     ok_recompose = True
     for _ in range(rounds):
@@ -624,17 +629,10 @@ def _selftest_admissibility(seed, rounds):
             total = np.sum(np.asarray(part.s_blocks), axis=0)
             if not np.array_equal(total, np.asarray(param.s)):
                 ok_recompose = False
-    grid = {}
     expected = {0.0: True, 0.25: False, 0.5: True, 0.75: False, 1.0: True, 1.25: True}
-    ok_grid = True
-    for p, want in expected.items():
-        try:
-            u_from_s([p, p, p])
-            got = True
-        except Exception:
-            got = False
-        grid[str(p)] = got
-        ok_grid = ok_grid and (got == want)
+    # only a rejection reads as False: any other error fails the section
+    grid = {str(p): membership_report(s=[p] * 3)["in_xi"] for p in expected}
+    ok_grid = grid == {str(p): want for p, want in expected.items()}
     passed = ok_roundtrip and ok_recompose and ok_grid
     return {
         "pass": passed,
@@ -671,52 +669,41 @@ def _selftest_quadrature(full: bool):
     }
 
 
-def _selftest_rank_one_law(seed, n):
-    r = 2
-    spec = RieszSpec.build(s=[0.5] * r, theta=SymElement(-0.5 * np.eye(r)),
-                           seed=seed, count=n)
+# the scalar-tilt laws: theta = -c I and probes zeta = -p I, where the transform
+# ratio is (c / p)^(s_1 + ... + s_r) and the mean diag(s) / c (Gindikin's
+# theorem); s = (1.2, 0.5, 1.2, 1.0) is u = (1.2, 0, 0.7, 0)
+_LAWS = {
+    "rank_one_law": {"s": (0.5, 0.5), "c": 0.5, "probes": (0.55, 0.6, 0.75, 1.0, 1.25)},
+    "generic_singular_law": {"s": (1.2, 0.5, 1.2, 1.0), "c": 1.0, "probes": (1.25,)},
+}
+
+
+def _selftest_law(seed, n, s, c, probes):
+    """n draws at theta = -c I: the mean within 5 SE of diag(s) / c, each probe
+    zeta = -p I passing ``laplace_mc`` with its exact ratio (c / p)^sum(s), and
+    the rank at ``rank_support``."""
+    r = len(s)
+    spec = RieszSpec.build(s=s, theta=SymElement(-c * np.eye(r)), seed=seed, count=n)
     batch = sample_riesz(spec)
-    mean = batch.mean()
+    # the mean first: std's temporaries are freed before _support_cut's arrays exist
     se = batch.matrices.std(axis=0, ddof=1) / math.sqrt(n)
-    mean_z = float(np.max(np.abs(mean - np.eye(r)) / np.maximum(se, _TINY)))
-    zetas = [-0.55, -0.6, -0.75, -1.0, -1.25]
-    zs = []
+    mean_z = float(np.max(np.abs(batch.mean() - np.diag(spec.param.s) / c)
+                          / np.maximum(se, _TINY)))
     ok = mean_z <= 5.0
-    for c in zetas:
-        rep = laplace_mc(batch, SymElement(c * np.eye(r)))
-        diff = c * np.eye(r) - spec.theta.matrix
-        det_form = float(np.linalg.det(np.eye(r) - 2.0 * diff) ** -0.5)
-        agree = abs(rep.exact - det_form) <= 1e-12 * det_form
-        zs.append(rep.z)
-        ok = ok and rep.passed and agree
-    profile = rank_profile(batch, expected=1)
-    ok = ok and profile.passed
+    reports = []
+    for p in probes:
+        rep = laplace_mc(batch, SymElement(-p * np.eye(r)))
+        closed = (c / p) ** sum(spec.param.s)
+        ok = ok and rep.passed and abs(rep.exact - closed) <= 1e-12 * closed
+        reports.append(rep.to_json_dict())
+    profile = rank_profile(batch, expected=spec.param.rank_support)
     return {
-        "pass": bool(ok),
+        "pass": bool(ok and profile.passed),
         "seed": seed,
         "n": n,
         "mean_max_z": mean_z,
-        "laplace_z": zs,
+        "laplace": reports,
         "rank": profile.to_json_dict(),
-    }
-
-
-def _selftest_generic_law(seed, n):
-    spec = RieszSpec.build(u=[1.2, 0.0, 0.7, 0.0], seed=seed, count=n)
-    batch = sample_riesz(spec)
-    rep = laplace_mc(batch, SymElement(-1.25 * np.eye(4)))
-    profile = rank_profile(batch, expected=2)
-    mean = batch.mean()
-    se = batch.matrices.std(axis=0, ddof=1) / math.sqrt(n)
-    mean_z = float(np.max(np.abs(mean - np.diag(spec.param.s)) / np.maximum(se, _TINY)))
-    ok = rep.passed and profile.passed and mean_z <= 5.0
-    return {
-        "pass": bool(ok),
-        "seed": seed,
-        "n": n,
-        "laplace": rep.to_json_dict(),
-        "rank": profile.to_json_dict(),
-        "mean_max_z": mean_z,
     }
 
 
@@ -755,25 +742,27 @@ def _selftest_identities(r_values, trials, seed):
     return {"pass": ident_pass, "seed": seed, "trials": trials, "max_rel_err": ident}
 
 
-def run_selftest(r_values=(2, 3, 4, 5, 6), trials: int = 500,
-                 mc_samples: int = 200000, quad_full: bool = True,
-                 seed: int = 0) -> dict:
-    """Run every oracle family at the requested scale; aggregate to one verdict.
+def run_selftest(r_values=(2, 3, 4, 5, 6), trials: int = 500, seed: int = 0) -> dict:
+    """Run every oracle family at the scale ``trials`` sets; aggregate to one verdict.
 
-    Smoke scale (e.g. trials=50, mc_samples=20000, quad_full=False) finishes
-    in a couple of seconds; the default desk scale stays under a minute.
-    Each section reports its own ``elapsed_s``, and each seeded one the
-    ``seed`` it ran with, so a failing section can be replayed alone
-    through its ``_selftest_*`` function.  A section that raises fails with
-    the run's ``seed`` and its ``error`` ("<type>: <message>"); the rest run.
+    Below 500 trials is the smoke scale: max(2000, 400 trials) draws per law
+    and one quadrature point, a couple of seconds at trials=50.  From 500
+    trials on, each law takes 200 000 draws and the quadrature its full
+    grid.  Each section reports its own ``elapsed_s``, and each seeded one
+    the ``seed`` it ran with, so a failing section can be replayed alone
+    through its ``_selftest_*`` function: a law through ``_selftest_law``
+    with its row of ``_LAWS``.  A section that raises fails with the run's
+    ``seed`` and its ``error`` ("<type>: <message>"); the rest run.
     """
     t0 = time.perf_counter()
+    smoke = trials < 500
+    n = max(2000, 400 * trials) if smoke else 200000
     runs = {
         "identities": lambda: _selftest_identities(r_values, trials, seed),
         "admissibility": lambda: _selftest_admissibility(seed, rounds=10000),
-        "quadrature": lambda: _selftest_quadrature(quad_full),
-        "rank_one_law": lambda: _selftest_rank_one_law(seed, mc_samples),
-        "generic_singular_law": lambda: _selftest_generic_law(seed, mc_samples),
+        "quadrature": lambda: _selftest_quadrature(not smoke),
+        "rank_one_law": lambda: _selftest_law(seed, n, **_LAWS["rank_one_law"]),
+        "generic_singular_law": lambda: _selftest_law(seed, n, **_LAWS["generic_singular_law"]),
         "determinism": lambda: _selftest_determinism(seed),
     }
     sections = {}

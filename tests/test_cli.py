@@ -545,6 +545,15 @@ def test_verify_refuses_probes_with_too_few_effective_draws(capsys, argv):
     assert "variance" in err
 
 
+def test_verify_ratio_past_the_largest_float_exits_3(capsys):
+    # the ratio 0.99928^-1e6 is about e^720.3: refused before any draw
+    code, out, err = run(capsys, "verify", "--s", "500000,500000", "--n", "2",
+                         "--zeta", _diag_json(-0.99928, 2))
+    assert code == 3 and out == ""
+    assert err == ("rieszcone verify: the transform ratio is exp(720.259), "
+                   "past the largest float\n")
+
+
 def test_verify_at_large_s_reports_finite_numbers(capsys):
     # the transforms themselves overflow a float here, their ratio does not
     code, out, err = run(capsys, "verify", "--s", "400,400",

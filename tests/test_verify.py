@@ -236,6 +236,18 @@ def test_laplace_mc_refuses_before_reading_a_chunk():
         vf.laplace_mc_chunks(spec, Untouchable(), sym(-0.2 * np.eye(2)))
 
 
+def test_laplace_mc_refuses_a_ratio_past_the_largest_float_before_reading_a_chunk():
+    # s = (5e5, 5e5), theta = -I, zeta = -0.99928 I: the ratio is
+    # 0.99928^-1e6, about e^720.3, while log(1 + rho) is about 0.52
+    def untouchable():
+        raise AssertionError("a refused probe read a chunk")
+        yield
+
+    spec = RieszSpec.build(s=[5e5, 5e5], count=2)
+    with pytest.raises(vf.VerifyError, match=r"ratio is exp\(720\.2\d*\), past the largest"):
+        vf.laplace_mc_chunks(spec, untouchable(), sym(-0.99928 * np.eye(2)))
+
+
 def test_laplace_mc_refuses_chunks_that_are_not_the_spec_draws():
     # the ESS guard judged spec.count draws; a short or empty stream must not
     # be scored (empty used to divide by zero, three draws used to pass)
@@ -366,7 +378,7 @@ def test_selftest_runs_without_scipy():
         [sys.executable, "-c",
          "import sys\n"
          "from rieszcone import verify\n"
-         "verify.run_selftest(trials=2, mc_samples=2000)\n"
+         "verify.run_selftest(r_values=(2,))\n"
          "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
         capture_output=True, text=True,
     )
@@ -765,8 +777,7 @@ def test_psd_check():
 
 
 def test_run_selftest_smoke_scale():
-    out = vf.run_selftest(r_values=(2,), trials=40, mc_samples=4000,
-                          quad_full=False, seed=0)
+    out = vf.run_selftest(r_values=(2,), trials=40, seed=0)
     assert out["pass"] is True
     assert set(out["sections"]) == {
         "identities", "admissibility", "quadrature", "rank_one_law",
@@ -778,12 +789,15 @@ def test_run_selftest_smoke_scale():
 
 
 def test_run_selftest_reports_a_raising_section(monkeypatch, capsys):
-    def broken(seed, n):
-        raise ValueError("operands could not be broadcast together")
+    law = vf._selftest_law
 
-    monkeypatch.setattr(vf, "_selftest_generic_law", broken)
-    out = vf.run_selftest(r_values=(2,), trials=10, mc_samples=2000,
-                          quad_full=False, seed=4)
+    def broken(seed, n, s, c, probes):
+        if len(s) == 4:  # the generic singular law
+            raise ValueError("operands could not be broadcast together")
+        return law(seed, n, s, c, probes)
+
+    monkeypatch.setattr(vf, "_selftest_law", broken)
+    out = vf.run_selftest(r_values=(2,), trials=10, seed=4)
     sec = out["sections"]["generic_singular_law"]
     assert out["pass"] is False
     assert sec["pass"] is False and sec["seed"] == 4
@@ -800,9 +814,28 @@ def test_run_selftest_reports_a_raising_section(monkeypatch, capsys):
     assert report["sections"]["generic_singular_law"]["error"].startswith("ValueError: ")
 
 
+def test_selftest_admissibility_grid_fails_on_a_crash(monkeypatch):
+    # only a rejection reads as "not admissible": a crash at a point that is
+    # not admissible anyway must fail the section, not pass it
+    from rieszcone import gindikin
+
+    real = gindikin.u_from_s
+
+    def crashing(s, *args, **kwargs):
+        if np.array_equal(np.asarray(s, dtype=float), [0.25] * 3):
+            raise TypeError("unsupported operand")
+        return real(s, *args, **kwargs)
+
+    monkeypatch.setattr(vf, "u_from_s", crashing)
+    monkeypatch.setattr(gindikin, "u_from_s", crashing)
+    out = vf.run_selftest(r_values=(2,), trials=10, seed=0)
+    sec = out["sections"]["admissibility"]
+    assert out["pass"] is False and sec["pass"] is False
+    assert sec["error"] == "TypeError: unsupported operand"
+
+
 def test_selftest_sections_report_seed_and_time():
-    out = vf.run_selftest(r_values=(2,), trials=40, mc_samples=4000,
-                          quad_full=False, seed=3)
+    out = vf.run_selftest(r_values=(2,), trials=40, seed=3)
     for name, sec in out["sections"].items():
         # the quadrature section draws nothing, so it names no seed
         assert sec.get("seed") == (None if name == "quadrature" else 3), name
