@@ -8,7 +8,6 @@ samplers for the (possibly singular) measures, and verification oracles
 from .algebra import (  # noqa: F401
     SymElement,
     spectral,
-    minors,
 )
 from .gindikin import (  # noqa: F401
     GindikinParam,

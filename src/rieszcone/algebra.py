@@ -5,8 +5,8 @@ The ambient space is Sym(r, R) with the symmetrized product
 The package needs only a few primitives on it: validated symmetric matrices
 that are symmetric bit for bit, the LAPACK eigenvalues that decide whether
 a tilt is negative definite, and one hand-rolled elimination whose pivots
-give the leading principal minors and the log generalized power that the
-closed-form transforms use.
+give the log generalized power that the closed-form transforms use and,
+stepping at a mask of indices, the support verdicts of ``verify``.
 
 The diagonal Jordan frame c_1, ..., c_r (standard basis projectors, in index
 order) is fixed once and for all; every "leading block" below is leading with
@@ -29,7 +29,6 @@ __all__ = [
     "SymElement",
     "spectral",
     "require_negative_definite",
-    "minors",
     "log_generalized_power",
 ]
 
@@ -109,10 +108,10 @@ class SymElement:
             raise AlgebraError('expected an object {"r": int, "data": [[...], ...]}')
         r = obj["r"]
         data = np.asarray(obj["data"], dtype=float)
-        if not isinstance(r, int) or data.shape != (r, r):
+        if not isinstance(r, int) or isinstance(r, bool) or data.shape != (r, r):
             raise ShapeMismatchError(
-                f'"data" must be an {r} x {r} array, got shape {data.shape}'
-            )
+                f'"r" must be an integer and "data" an r x r array, got r = {r!r} '
+                f"and shape {data.shape}")
         return SymElement.from_dense(data)
 
     # -- views ----------------------------------------------------------
@@ -170,7 +169,7 @@ def require_negative_definite(x: SymElement, error: type, what: str,
         )
 
 
-# -- pivots, minors and the generalized power --------------------------------
+# -- pivots and the generalized power ----------------------------------------
 
 
 def _pivots(sym: np.ndarray, active=None):
@@ -178,12 +177,12 @@ def _pivots(sym: np.ndarray, active=None):
 
     One pass of symmetric Gaussian elimination over the stack held batch-last,
     dividing before multiplying, a_ij -= a_ik (a_kj / p_k): on a cone point no
-    intermediate value exceeds sqrt(a_ii a_jj), at any scale.  Past a pivot that
-    is exactly zero, which stays 0, the trailing block becomes the identity;
-    ``fallback_from`` (None while no pivot is zero) records per matrix the first
-    minor that the pivots no longer give.  With a boolean mask ``active`` it steps
-    at the active indices only; an inactive entry is the residual against them,
-    and a zero pivot over a nonzero column, which no PSD matrix has, reads -inf.
+    intermediate value exceeds sqrt(a_ii a_jj), at any scale.  A pivot that is exactly
+    zero stays 0 and eliminates nothing, so the entries after it are no pivots;
+    ``fallback_from`` (None while no pivot is zero) gives per matrix how many leading
+    entries are: r, or one past its first zero pivot.  With a boolean mask ``active``
+    it steps at the active indices only; an inactive entry is the residual against
+    them, and a zero pivot over a nonzero column, which no PSD matrix has, reads -inf.
     """
     n, r = sym.shape[:2]
     a = sym.transpose(1, 2, 0).copy()
@@ -194,36 +193,13 @@ def _pivots(sym: np.ndarray, active=None):
             hit = piv == 0.0
             if fallback_from is None:
                 fallback_from = np.full(n, r)
-            fallback_from[hit] = k + 1
+            fallback_from[hit & (fallback_from == r)] = k + 1
             if active is not None:
                 a[k, k, hit & a[k + 1:, k].any(axis=0)] = -np.inf
             a[k + 1:, k, hit] = 0.0
-            a[k + 1:, k + 1:, hit] = np.eye(r - k - 1)[:, :, None]
             piv = np.where(hit, 1.0, piv)
         a[k + 1:, k + 1:] -= a[k + 1:, k, None] * (a[None, k, k + 1:] / piv)
     return np.diagonal(a), fallback_from
-
-
-def minors(x) -> np.ndarray:
-    """All leading principal minors (Delta_1, ..., Delta_r) of an (n, r, r) stack, (n, r).
-
-    Each matrix first gets its upper triangle mirrored into the lower one, as
-    ``SymElement`` does; one matrix x is the stack ``x.matrix[None]``.  The
-    minors are the running products of the elimination pivots.  Past a
-    pivot that is exactly zero, a matrix's minors fall back to direct
-    determinants of its leading blocks; the other matrices are unaffected.
-    """
-    stack = np.asarray(x, dtype=float)
-    if stack.ndim != 3 or stack.shape[1] != stack.shape[2]:
-        raise ShapeMismatchError(f"expected an (n, r, r) stack, got shape {stack.shape}")
-    sym = np.where(_strict_lower(stack.shape[1]), np.swapaxes(stack, 1, 2), stack)
-    piv, fallback_from = _pivots(sym)
-    out = np.cumprod(piv, axis=1)
-    if fallback_from is not None:
-        for k in range(int(fallback_from.min()), sym.shape[1]):
-            rows = np.flatnonzero(fallback_from <= k)
-            out[rows, k] = np.linalg.det(sym[rows, : k + 1, : k + 1])
-    return out
 
 
 def log_generalized_power(x: SymElement, s) -> float:

@@ -224,19 +224,27 @@ def _plan_block(theta_dense: np.ndarray, start: int, width: int,
     return _BlockPlan(start, width, tail, shapes, core_chol, coupling, noise_chol)
 
 
+def _run_mean(core_chol, coupling, noise_chol, spread) -> np.ndarray:
+    """A run's mean draw E[M M^T] = [[A, A K], [K^T A, K^T A K + w L L^T]], with
+    A = C D C^T and D = E[T T^T] = diag(``spread``), spread_p = shape_p + p/2."""
+    w = len(spread)
+    out = np.empty((w + coupling.shape[1],) * 2)
+    out[:w, :w] = (core_chol * spread) @ core_chol.T
+    out[:w, w:] = out[:w, :w] @ coupling
+    out[w:, :w] = out[:w, w:].T
+    out[w:, w:] = coupling.T @ out[:w, w:] + w * noise_chol @ noise_chol.T
+    return out
+
+
 def _check_draw_scale(core_chol, coupling, noise_chol, shapes) -> None:
     """Raise TiltError if the run's draw scale times ``DRAW_HEADROOM`` passes the largest float.
 
-    The scale is the largest diagonal entry of the run's mean draw
-    E[M M^T] = [[A, A K], [K^T A, K^T A K + w L L^T]], A = C D C^T, with
-    D = E[T T^T] = diag(shape_p + p/2) and each shape raised to at least 1, so
-    that the rare large variate of a small shape stays covered.
-    """
+    The scale is the largest diagonal entry of ``_run_mean`` with each shape raised
+    to at least 1, so that the rare large variate of a small shape stays covered."""
     spread = np.maximum(shapes, 1.0) + 0.5 * np.arange(len(shapes))
     with np.errstate(over="ignore", invalid="ignore"):
-        core = (core_chol * spread) @ core_chol.T
-        tail = coupling.T @ core @ coupling + len(shapes) * noise_chol @ noise_chol.T
-        scale = np.concatenate([np.diagonal(core), np.diagonal(tail)]).max()  # NaN refuses
+        mean = _run_mean(core_chol, coupling, noise_chol, spread)
+    scale = np.diagonal(mean).max()  # NaN refuses
     if not scale <= np.finfo(float).max / DRAW_HEADROOM:
         raise TiltError(
             f"tilt is too small for its draws: their scale {scale:.3e} times "

@@ -17,10 +17,10 @@ Every check here runs two genuinely independent routes and compares them:
   integrated.  The rule converges for rho up to about 0.85 whatever the
   scaling of the diagonal, and raises ``QuadratureError`` as rho nears 1
   (see ``quadrature_integral_r2``).
-* ``identity_suite`` checks the algebra behind the sampler on random
-  batches: each of its nine identities puts this package's ``algebra`` or
-  ``sampling`` code (minors, elimination pivots, a tilt's run plans, the
-  Bartlett factors and their sum) against an independent LAPACK route.
+* ``identity_suite`` checks the code behind the sampler and its verdicts on
+  random batches: each of its nine identities puts ``algebra`` or ``sampling``
+  code (elimination pivots, a tilt's run plans and their mean, the Bartlett
+  factors and their sum, the support pass) against an independent LAPACK route.
 * ``rank_profile`` checks the almost-sure rank of singular draws, and
   ``psd_check`` that every draw is finite and positive semidefinite, both
   from ``_support_cut``: one support-aware elimination per ``CHUNK`` of the
@@ -46,7 +46,7 @@ import numpy as np
 
 from . import algebra, sampling
 from .algebra import SymElement
-from .gindikin import log_gamma_omega, u_from_s
+from .gindikin import build_partition, log_gamma_omega, membership_report, s_from_u, u_from_s
 from .sampling import CHUNK, RieszSpec, SampleBatch, TiltError, sample_riesz
 
 __all__ = [
@@ -386,45 +386,35 @@ def _ref_factor(theta, w, g, o, z):
 def _identity_case(rng, r, l, n):
     """The random case that every identity reads at split level l.
 
-    ``y``: n interior cone points, ``y_inv`` their inverses; ``t``: n lower-triangular
-    matrices with a diagonal in [1/2, 2]; ``plans``: the package plans, on one
-    rotated tilt of condition at most 4, of a run at 0 of width l and, when
-    r - l >= 2, of a run at l + 1 that fills the rest.  ``raws``: n raw draws
-    of each run from one stream; ``drawn``: ``_draw_sum`` on a replay of that
-    stream; ``factor``: the package factor of the first run's raw draws;
-    ``refs``: each run's ``_ref_factor``.  The sampler helpers are looked up
-    on ``sampling`` at call time, so a test can substitute a faulty one.
+    ``y``: n interior cone points; ``t``: n lower-triangular matrices with a diagonal
+    in [1/2, 2]; ``plans``: the package plans, on ``theta``, a rotated tilt of
+    condition at most 4, of a run at 0 of width l and, when r - l >= 2, of a run at
+    l + 1 that fills the rest, with gamma shapes ``u`` (0 at l; ``active`` is u > 0).
+    ``raws``: n raw draws of each run from one stream; ``drawn``: ``_draw_sum`` on a
+    replay of that stream, ``support`` its ``_support_d``; ``factor``: the package
+    factor of the first run's raw draws; ``refs``: each run's ``_ref_factor``.  The
+    helpers are looked up at call time, so a test can substitute a faulty one.
     """
     y = _gram(rng.standard_normal((n, r, r))) + 1e-3 * np.eye(r)
     t = np.tril(rng.standard_normal((n, r, r)), -1)
     t[:, np.arange(r), np.arange(r)] = rng.uniform(0.5, 2.0, (n, r))
     q = np.linalg.qr(rng.standard_normal((r, r)))[0]
     theta = SymElement(-(q * rng.uniform(0.5, 2.0, r)) @ q.T).matrix
-    runs = [(0, l)] + ([(l + 1, r - l - 1)] if r - l >= 2 else [])
-    plans = [sampling._plan_block(theta, start, w, rng.uniform(1.0, 3.0, w))
-             for start, w in runs]
+    u, plans = np.zeros(r), []
+    for start, w in [(0, l)] + ([(l + 1, r - l - 1)] if r - l >= 2 else []):
+        u[start:start + w] = rng.uniform(1.0, 3.0, w)
+        plans.append(sampling._plan_block(theta, start, w, u[start:start + w]))
     key = int(rng.integers(1 << 62))
     stream = np.random.default_rng(key)
     raws = [sampling._draw_block(plan, stream, n) for plan in plans]
     drawn = np.empty((n, r, r))
     sampling._draw_sum(plans, np.random.default_rng(key), drawn)
     return SimpleNamespace(
-        r=r, l=l, y=y, y_inv=np.linalg.inv(y), t=t, plans=plans, raws=raws, drawn=drawn,
+        r=r, l=l, y=y, t=t, theta=theta, u=u, active=u > 0.0, plans=plans, raws=raws,
+        drawn=drawn, support=_support_d(drawn, u > 0.0),
         factor=sampling._gram_factor(plans[0], *raws[0]),
         refs=[_ref_factor(theta[p.start:, p.start:], p.width, *raw)
               for p, raw in zip(plans, raws)])
-
-
-def _id_minor_complement(c):
-    lead = algebra.minors(c.y_inv)[:, c.l - 1]
-    return _rel_error(lead, np.linalg.det(c.y[:, c.l:, c.l:]) / np.linalg.det(c.y))
-
-
-def _id_minor_ratios(c):
-    mins = algebra.minors(c.y_inv)
-    inv_trail = np.linalg.inv(c.y[:, c.l:, c.l:])
-    want = [np.linalg.det(inv_trail[:, :p, :p]) for p in range(1, c.r - c.l + 1)]
-    return _rel_error(mins[:, c.l:] / mins[:, c.l - 1, None], np.stack(want, axis=1))
 
 
 def _id_pivot_schur(c):
@@ -436,7 +426,7 @@ def _id_pivot_schur(c):
 
 
 def _id_pivot_reversal(c):
-    # pivot r+1-l of J y J is a ratio of trailing minors of y, the identity
+    # pivot r+1-l of J y J is a ratio of trailing determinants of y, the identity
     # behind log_laplace_exact's inverse-free closed form
     y, l = c.y, c.l
     piv = algebra._pivots(y[:, ::-1, ::-1])[0][:, c.r - l]
@@ -462,10 +452,17 @@ def _id_factor_gram(c):
     return _rel_error(_gram(c.factor), _gram(c.refs[0][0]))
 
 
-def _id_factor_rank(c):
-    # rank l: the tail block equals its projection through the core block
-    g, l = _gram(c.factor), c.l
-    return _rel_error(g[:, l:, l:], g[:, l:, :l] @ np.linalg.solve(g[:, :l, :l], g[:, :l, l:]))
+def _id_plan_mean(c):
+    # the runs' means sum to the gradient of log Delta_s((-theta)^{-1}) (Gindikin), with
+    # y = (-theta)^{-1}: E[X] = sum_k (s_k - s_{k+1}) y[:, :k] y[:k, :k]^{-1} y[:k, :]
+    got = np.zeros((c.r, c.r))
+    for p in c.plans:
+        got[p.start:, p.start:] += sampling._run_mean(
+            p.core_chol, p.coupling, p.noise_chol, p.shapes + 0.5 * np.arange(p.width))
+    y, s = np.linalg.inv(-c.theta), s_from_u(c.u)
+    e = s - np.append(s[1:], 0.0)
+    want = sum(ek * y[:, :k] @ np.linalg.solve(y[:k, :k], y[:k, :]) for k, ek in enumerate(e, 1))
+    return _rel_error(got[None], want[None])
 
 
 def _id_run_placement(c):
@@ -476,16 +473,31 @@ def _id_run_placement(c):
     return _rel_error(c.drawn, want) if mirrored else math.inf
 
 
+def _id_support_pivots(c):
+    # with A the active indices, the pivot at an active p is det X[A<=p] / det X[A<p]
+    sub = c.drawn[:, c.active][:, :, c.active]
+    sign, logdet = (np.stack(v, axis=1) for v in zip(
+        *(np.linalg.slogdet(sub[:, :k, :k]) for k in range(sub.shape[1] + 1))))
+    want = sign[:, 1:] * sign[:, :-1] * np.exp(np.diff(logdet, axis=1))
+    return _rel_error(c.support[:, c.active], want)
+
+
+def _id_support_residual(c):
+    # an inactive residual, as a share of its x_qq, is 0 in exact arithmetic
+    idle = ~c.active
+    return float(np.max(np.abs(c.support[:, idle]) / c.drawn[:, idle, idle]))
+
+
 _IDENTITIES = [
-    ("minor_complement", _id_minor_complement),
-    ("minor_ratios", _id_minor_ratios),
     ("pivot_schur", _id_pivot_schur),
     ("pivot_reversal", _id_pivot_reversal),
     ("triangular_equivariance", _id_triangular_equivariance),
     ("bartlett_pivots", _id_bartlett_pivots),
     ("factor_gram", _id_factor_gram),
-    ("factor_rank", _id_factor_rank),
+    ("plan_mean", _id_plan_mean),
     ("run_placement", _id_run_placement),
+    ("support_pivots", _id_support_pivots),
+    ("support_residual", _id_support_residual),
 ]
 
 IDENTITY_NAMES = tuple(name for name, _ in _IDENTITIES)
@@ -501,8 +513,8 @@ def identity_suite(r: int, trials: int = 500, seed: int = 0,
     (``_identity_case``); each reports its worst relative discrepancy over
     the levels, and a NaN fails.
     """
-    if r < 2:
-        raise VerifyError("the identity suite needs rank at least 2")
+    if r < 2 or trials < 1:
+        raise VerifyError(f"the identity suite needs r >= 2 and trials >= 1, got {r} and {trials}")
     cases = (_identity_case(np.random.default_rng([seed, r, l]), r, l, trials)
              for l in range(1, r))
     errors = np.array([[check(case) for _, check in _IDENTITIES] for case in cases])
@@ -532,6 +544,14 @@ class RankProfile:
 _CUTS = weakref.WeakKeyDictionary()  # batch -> its _support_cut
 
 
+def _support_d(stack, active):
+    """d of an (n, r, r) stack: ``algebra._pivots`` stepping at the ``active`` indices,
+    set to 0 past each matrix's first zero pivot, where its entries are no pivots."""
+    piv, fallback_from = algebra._pivots(stack, active)
+    return piv if fallback_from is None else np.where(
+        np.arange(len(active)) < fallback_from[:, None], piv, 0.0)
+
+
 def _support_cut(batch: SampleBatch):
     """(active mask, d, diagonals x, cut on |d|, all finite), read-only and kept while
     the batch, which must not change (see ``SampleBatch``), lives.
@@ -558,9 +578,7 @@ def _support_cut(batch: SampleBatch):
     with np.errstate(invalid="ignore", over="ignore"):  # a non-finite draw fails anyway
         for i in range(0, len(batch), CHUNK):
             chunk = batch.matrices[i:i + CHUNK]
-            piv, fallback_from = algebra._pivots(chunk, active)
-            d[i:i + CHUNK] = piv if fallback_from is None else np.where(
-                np.arange(len(active)) < fallback_from[:, None], piv, 0.0)
+            d[i:i + CHUNK] = _support_d(chunk, active)
             x[i:i + CHUNK] = np.diagonal(chunk, axis1=1, axis2=2)
             finite = finite and bool(np.isfinite(chunk).all())
         cut = np.ones_like(d)
@@ -615,7 +633,6 @@ def _dyadic_u(rng, r, scale=4.0, zero_frac=0.4):
 
 def _selftest_admissibility(seed, rounds):
     rng = np.random.default_rng([seed, 101])
-    from .gindikin import build_partition, membership_report, s_from_u
     ok_roundtrip = True
     ok_recompose = True
     for _ in range(rounds):

@@ -159,17 +159,25 @@ def test_require_negative_definite_at_extreme_scale():
             al.require_negative_definite(sym(1e200 * np.eye(2)), _Refused, "x", margin=1e-10)
 
 
-# ---------------------------------------------------------------- minors
+# ------------------------------------------------ pivots as leading minors
+
+
+def _minors(stack):
+    """Leading principal minors of a stack, as the running products of its pivots."""
+    return np.cumprod(al._pivots(np.asarray(stack, dtype=float))[0], axis=1)
 
 
 def test_minors_frozen_values():
-    assert np.array_equal(al.minors(sym(np.diag([2.0, 3.0, 4.0])).matrix[None])[0], [2, 6, 24])
-    assert np.array_equal(al.minors(sym([[2, 1], [1, 1]]).matrix[None])[0], [2, 1])
+    assert np.array_equal(_minors(np.diag([2.0, 3.0, 4.0])[None])[0], [2, 6, 24])
+    assert np.array_equal(_minors(sym([[2, 1], [1, 1]]).matrix[None])[0], [2, 1])
 
 
 def test_minors_zero_pivot_falls_back():
-    # leading 1x1 minor is exactly 0; the full determinant is -1
-    assert np.array_equal(al.minors(sym([[0, 1], [1, 0]]).matrix[None])[0], [0, -1])
+    # the leading 1x1 minor is exactly 0, so the next entry is no pivot, and
+    # fallback_from says that only the first is one
+    piv, fallback_from = al._pivots(sym([[0, 1], [1, 0]]).matrix[None])
+    assert piv[0, 0] == 0.0 and fallback_from.tolist() == [1]
+    assert al._pivots(np.eye(2)[None])[1] is None
 
 
 @pytest.mark.parametrize("r", [2, 3, 5])
@@ -177,78 +185,46 @@ def test_minors_match_direct_determinants(r):
     rng = np.random.default_rng(23 + r)
     for _ in range(50):
         x = random_sym(rng, r)
-        m = al.minors(x.matrix[None])[0]
+        m = _minors(x.matrix[None])[0]
         want = [np.linalg.det(x.dense()[: k + 1, : k + 1]) for k in range(r)]
         assert_allclose(m, want, rtol=1e-9, atol=1e-12)
 
 
-def _scalar_minors(d):
+def _scalar_pivots(d):
     """The one-matrix elimination, divide before multiply, written out as a reference."""
-    r = d.shape[0]
     a = d.copy()
-    out = np.empty(r)
-    prefix = 1.0
-    for k in range(r):
-        piv = a[k, k]
-        prefix *= piv
-        out[k] = prefix
-        if k < r - 1:
-            if piv == 0.0:
-                for j in range(k + 1, r):
-                    out[j] = float(np.linalg.det(d[: j + 1, : j + 1]))
-                break
-            a[k + 1:, k + 1:] -= np.outer(a[k + 1:, k], a[k, k + 1:] / piv)
-    return out
+    for k in range(d.shape[0] - 1):
+        a[k + 1:, k + 1:] -= np.outer(a[k + 1:, k], a[k, k + 1:] / a[k, k])
+    return np.diagonal(a)
 
 
 @pytest.mark.parametrize("r", range(1, 9))
 def test_minors_of_a_stack_match_one_matrix_at_a_time_bitwise(r):
     rng = np.random.default_rng(70 + r)
     x = rng.standard_normal((40, r, r))
-    # an inverse is only symmetric up to roundoff: the stack path must
-    # mirror its upper triangle exactly as SymElement does
     for stack in (np.linalg.inv(x @ np.swapaxes(x, 1, 2) + np.eye(r)), x):
-        got = al.minors(stack)
+        stack = np.array([SymElement(m).matrix for m in stack])
+        got = al._pivots(stack)[0]
         assert got.shape == (40, r)
-        mirrored = [SymElement(m).matrix for m in stack]
-        want = np.array([_scalar_minors(m) for m in mirrored])
-        one = np.array([al.minors(m[None])[0] for m in stack])
+        want = np.array([_scalar_pivots(m) for m in stack])
+        one = np.array([al._pivots(m[None])[0][0] for m in stack])
         assert got.tobytes() == want.tobytes() == one.tobytes()
 
 
-def test_minors_of_a_stack_fall_back_only_where_a_pivot_is_zero(monkeypatch):
-    first = [[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]]   # pivot 1 is 0
+def test_minors_of_a_stack_fall_back_only_where_a_pivot_is_zero():
+    first = [[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]]   # pivots 1 and 2 are 0
     second = [[1.0, 1.0, 0.0], [1.0, 1.0, 2.0], [0.0, 2.0, 5.0]]  # pivot 2 is 0
-    # pivot 1 is 0, and eliminating past it would make pivot 2 zero as well
-    third = [[0.0, 1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
+    third = [[0.0, 1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 1.0]]   # pivot 1 is 0
     rng = np.random.default_rng(3)
     regular = [random_cone(rng, 3).matrix for _ in range(2)]
     stack = np.array([first, regular[0], second, regular[1], third])
-    seen = []
-    true_det = np.linalg.det
-
-    def spy(a):
-        seen.append(np.asarray(a).shape)
-        return true_det(a)
-
-    monkeypatch.setattr(np.linalg, "det", spy)
-    got = al.minors(stack)
-    monkeypatch.undo()
-    # the first and last matrices fall back for Delta_2 and Delta_3, the
-    # third for Delta_3
-    assert seen == [(2, 2, 2), (3, 3, 3)]
-    assert np.array_equal(got[0], [0.0, -1.0, -1.0])
-    assert np.array_equal(got[2], [1.0, 0.0, -4.0])
-    assert np.array_equal(got[4], [0.0, -1.0, -1.0])
+    got, fallback_from = al._pivots(stack)
+    # each matrix records its first zero pivot only; the others run to the end
+    assert fallback_from.tolist() == [1, 3, 2, 3, 1]
+    assert got[0, 0] == 0.0 and got[4, 0] == 0.0
+    assert np.array_equal(got[2, :2], [1.0, 0.0])
     for i in (1, 3):
-        assert got[i].tobytes() == _scalar_minors(stack[i]).tobytes()
-
-
-def test_minors_rejects_a_stack_that_is_not_square():
-    with pytest.raises(al.ShapeMismatchError):
-        al.minors(np.zeros((3, 2, 4)))
-    with pytest.raises(al.ShapeMismatchError):
-        al.minors(np.eye(3))
+        assert got[i].tobytes() == _scalar_pivots(stack[i]).tobytes()
 
 
 def test_generalized_power_frozen_values():
@@ -302,12 +278,12 @@ def test_log_generalized_power_rescales_only_at_extreme_scale(power):
     x = random_cone(rng, 4)
     s = np.array([2.0, 1.5, 1.5, 0.5])
     e = np.append(s[:-1] - s[1:], s[-1])
-    m = al.minors(x.matrix[None])[0]
+    m = [np.linalg.det(x.matrix[:k + 1, :k + 1]) for k in range(4)]
     plain = sum(e[k] * math.log(m[k]) for k in range(4) if e[k] != 0.0)
     assert al.log_generalized_power(x, s) == pytest.approx(plain, rel=1e-14)
     big = SymElement(2.0 ** power * x.matrix)
     with np.errstate(over="ignore", invalid="ignore"):
-        m_big = al.minors(big.matrix[None])[0]
+        m_big = np.array([np.linalg.det(big.matrix[:k + 1, :k + 1]) for k in range(4)])
     assert not (np.isfinite(m_big) & (m_big != 0.0)).all()
     want = plain + s.sum() * power * math.log(2.0)
     assert al.log_generalized_power(big, s) == pytest.approx(want, rel=1e-14)

@@ -156,6 +156,8 @@ def _spec_with_theta(data):
     (("sample", "--u", "1,1", "--n", "2", "--theta", _diag_json(-1e-310, 2)), 3),
     # so is one whose draws would overflow (here at about draw 4 000)
     (("sample", "--u", "1,1", "--n", "20000", "--theta", _diag_json(-5e-308, 2)), 3),
+    # JSON true is no rank, though Python's bool is an int
+    (("sample", "--u", "1", "--n", "2", "--theta", '{"r": true, "data": [[-1.0]]}'), 3),
 ])
 def test_rejections_exit_with_their_documented_code(capsys, tmp_path, argv, code):
     argv = list(argv)

@@ -55,8 +55,9 @@ def test_log_laplace_exact_scale_identity_at_extreme_scale(power):
     a = rng.standard_normal((4, 4))
     theta = sym(-(a @ a.T + 0.5 * np.eye(4)))
     scaled = SymElement(2.0 ** power * theta.matrix)
+    y = np.linalg.inv(-scaled.matrix)
     with np.errstate(over="ignore", invalid="ignore"):
-        m = algebra.minors(np.linalg.inv(-scaled.matrix)[None])[0]
+        m = np.array([np.linalg.det(y[:k, :k]) for k in range(1, 5)])
     assert not (np.isfinite(m) & (m != 0.0)).all()
     for s in ([1.0, 1.5, 2.0, 2.5], [1.2, 0.5, 1.2, 1.0]):
         want = vf.log_laplace_exact(s, theta) - sum(s) * power * math.log(2.0)
@@ -460,23 +461,36 @@ def test_identity_suite_is_deterministic():
 def test_identity_suite_needs_rank_two():
     with pytest.raises(vf.VerifyError):
         vf.identity_suite(1)
+    # and a trial, refused before numpy sees an empty case
+    for trials in (0, -1):
+        with pytest.raises(vf.VerifyError, match="trials >= 1"):
+            vf.identity_suite(3, trials=trials)
 
 
-def test_identity_suite_catches_broken_minors(monkeypatch):
-    # negative control: a biased minor routine must trip the two
-    # minor-based identities and leave those that never call minors untouched
-    true_minors = algebra.minors
+def _failed(r):
+    return {rep.name for rep in vf.identity_suite(r, trials=20, seed=0) if not rep.passed}
 
-    def biased(x):
-        m = true_minors(x)
-        return m * (1.0 + 1e-4 * np.arange(1, m.shape[-1] + 1))
 
-    monkeypatch.setattr(algebra, "minors", biased)
-    failed = {rep.name for rep in vf.identity_suite(3, trials=10, seed=0)
-              if not rep.passed}
-    assert "minor_complement" in failed
-    assert "minor_ratios" in failed
-    assert "factor_gram" not in failed
+def test_identity_suite_catches_a_support_pass_that_ignores_the_mask(monkeypatch):
+    # negative control: eliminating at the inactive index divides by its
+    # residual, a rounding error, and garbles every later pivot
+    true_pivots = algebra._pivots
+    monkeypatch.setattr(algebra, "_pivots", lambda sym, active=None: true_pivots(sym))
+    for r in (3, 4, 5):
+        assert "support_pivots" in _failed(r)
+
+
+def test_identity_suite_catches_a_run_that_starts_one_index_early(monkeypatch):
+    # negative control: a second run at l instead of l + 1 puts draws on the
+    # index that u leaves empty, so its residual is of the order of x_ll
+    true_plan = sp._plan_block
+
+    def early(theta, start, width, shapes):
+        return true_plan(theta, start - (start > 0), width, shapes)
+
+    monkeypatch.setattr(sp, "_plan_block", early)
+    for r in (3, 4, 5):
+        assert "support_residual" in _failed(r)
 
 
 def _noise_scaled(plan, theta):
@@ -487,6 +501,10 @@ def _square_coupling_transposed(plan, theta):
     if plan.width != plan.tail:
         return plan
     return dataclasses.replace(plan, coupling=plan.coupling.T)
+
+
+def _shapes_raised(plan, theta):
+    return dataclasses.replace(plan, shapes=plan.shapes + 0.05)
 
 
 def _schur_sign_flipped(plan, theta):
@@ -502,6 +520,7 @@ def _schur_sign_flipped(plan, theta):
     (_noise_scaled, "factor_gram"),
     (_square_coupling_transposed, "factor_gram"),
     (_schur_sign_flipped, "bartlett_pivots"),
+    (_shapes_raised, "plan_mean"),
 ])
 def test_identity_suite_catches_broken_plans(monkeypatch, fault, identity):
     # negative control: a plan with a wrong constant must trip the identity
@@ -714,13 +733,11 @@ def test_psd_check_fails_a_zero_pivot_over_a_nonzero_column():
                            np.array([[[0.0, 1.0], [1.0, 0.0]]]))
     assert not vf.psd_check(batch)[0]
     assert vf._support_cut(batch)[1].tolist() == [[-np.inf, 0.0]]
-    # minors shares the elimination and keeps its determinants
-    assert algebra.minors(batch.matrices).tolist() == [[0.0, -1.0]]
 
 
 def test_a_zero_active_pivot_lowers_the_counted_rank():
-    # past an exactly zero pivot the elimination's trailing block is the
-    # identity, whose pivots must not count toward a rank
+    # the entries past an exactly zero pivot are no pivots, and must not
+    # count toward a rank
     draws = np.zeros((2, 3, 3))
     draws[1] = np.diag([0.0, 2.0, 3.0])
     batch = sp.SampleBatch(RieszSpec.build(u=[1.0, 1.0, 1.0], count=2), draws)
