@@ -240,11 +240,10 @@ def _check_draw_scale(core_chol, coupling, noise_chol, shapes) -> None:
     """Raise TiltError if the run's draw scale times ``DRAW_HEADROOM`` passes the largest float.
 
     The scale is the largest diagonal entry of ``_run_mean`` with each shape raised
-    to at least 1, so that the rare large variate of a small shape stays covered."""
+    to at least 1, so that the rare large variate of a small shape stays covered; NaN refuses."""
     spread = np.maximum(shapes, 1.0) + 0.5 * np.arange(len(shapes))
     with np.errstate(over="ignore", invalid="ignore"):
-        mean = _run_mean(core_chol, coupling, noise_chol, spread)
-    scale = np.diagonal(mean).max()  # NaN refuses
+        scale = np.diagonal(_run_mean(core_chol, coupling, noise_chol, spread)).max()
     if not scale <= np.finfo(float).max / DRAW_HEADROOM:
         raise TiltError(
             f"tilt is too small for its draws: their scale {scale:.3e} times "

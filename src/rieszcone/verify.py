@@ -453,8 +453,8 @@ def _id_factor_gram(c):
 
 
 def _id_plan_mean(c):
-    # the runs' means sum to the gradient of log Delta_s((-theta)^{-1}) (Gindikin), with
-    # y = (-theta)^{-1}: E[X] = sum_k (s_k - s_{k+1}) y[:, :k] y[:k, :k]^{-1} y[:k, :]
+    # the runs' means sum to E[X], the gradient in theta of the log transform (Gindikin):
+    # with y = (-theta)^{-1}, E[X] = sum_k (s_k - s_{k+1}) y[:, :k] y[:k, :k]^{-1} y[:k, :]
     got = np.zeros((c.r, c.r))
     for p in c.plans:
         got[p.start:, p.start:] += sampling._run_mean(
@@ -513,8 +513,9 @@ def identity_suite(r: int, trials: int = 500, seed: int = 0,
     (``_identity_case``); each reports its worst relative discrepancy over
     the levels, and a NaN fails.
     """
-    if r < 2 or trials < 1:
-        raise VerifyError(f"the identity suite needs r >= 2 and trials >= 1, got {r} and {trials}")
+    if not (sampling._is_int(r) and sampling._is_int(trials) and r >= 2 and trials >= 1):
+        raise VerifyError(
+            f"identity_suite needs integers r >= 2 and trials >= 1, got {r!r} and {trials!r}")
     cases = (_identity_case(np.random.default_rng([seed, r, l]), r, l, trials)
              for l in range(1, r))
     errors = np.array([[check(case) for _, check in _IDENTITIES] for case in cases])

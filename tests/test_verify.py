@@ -461,8 +461,8 @@ def test_identity_suite_is_deterministic():
 def test_identity_suite_needs_rank_two():
     with pytest.raises(vf.VerifyError):
         vf.identity_suite(1)
-    # and a trial, refused before numpy sees an empty case
-    for trials in (0, -1):
+    # and a whole number of trials, at least one, refused before numpy sees them
+    for trials in (0, -1, 2.5, True):
         with pytest.raises(vf.VerifyError, match="trials >= 1"):
             vf.identity_suite(3, trials=trials)
 
