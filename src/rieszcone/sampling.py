@@ -9,17 +9,11 @@ a Gaussian coupling B as ``[[A, sqrt(A) B], [B^T sqrt(A), B^T B]]``.
 
 The core uses a triangular (Bartlett-type) construction: with C the lower
 Cholesky factor of (-eta)^{-1} for the tilt's Schur complement eta, and T
-lower triangular with T_pp^2 ~ Gamma(u_p - (p-1)/2) and subdiagonal entries
-N(0, 1/2), the core is (C T)(C T)^T.  The coupling rows are Gaussian with
-mean sqrt(A) . Theta_12 (-Theta_0)^{-1} and row covariance
+lower triangular with T_pp^2 ~ Gamma(u_p) for the run's u coordinates and
+subdiagonal entries N(0, 1/2), the core is (C T)(C T)^T.  The coupling rows
+are Gaussian with mean sqrt(A) . Theta_12 (-Theta_0)^{-1} and row covariance
 (1/2) (-Theta_0)^{-1}, where Theta_12, Theta_0 are the tilt blocks to the
 right of / below the core.
-
-The gamma shapes are computed from the run's block parameter as
-(u_p + t/2) - t/2, with t the position in the run, so each keeps a relative
-error of about 1e-16 * t / u_p against u_p; the draw bits are pinned to that
-rounding.  Where it would give a shape <= 0 (an admissible u_p below about
-1e-16 t, such as ``--u 1,1e-300``) the shape is u_p itself.
 
 That factor is ``N N^T`` with ``N = [sqrt(A); B^T]``, and the sampler builds
 it as ``M M^T`` with ``M = [W; K^T W + L Z]``: W = C T (so W W^T = A),
@@ -28,25 +22,30 @@ factor of the row covariance, and Z a tail x w standard normal matrix.  As
 W = sqrt(A) V with V orthogonal and a function of T alone, ``L Z V^T`` has
 the law of ``L Z`` given T, so ``M V^T = N`` in law.  No matrix square root
 is needed, and the rank is exactly w by construction.  A run's draws are
-held side by side, so C T, K^T W and L Z are each one gemm per chunk where
-every draw's product is at least 2 x 2, with the bits of one call per draw.
+held side by side, so C T, K^T W and L Z are each one gemm per chunk.  The
+runs' factors sit side by side in one stack S, each at its start, and the
+chunk's draws are S S^T, one Gram product per chunk.
 
 Determinism contract
 --------------------
 Draws are generated in fixed chunks of ``CHUNK`` consecutive indices.  Chunk
 c (draws c*CHUNK .. c*CHUNK + CHUNK - 1) is generated entirely from its own
-counter-based stream ``Generator(Philox(key=(seed, c)))``.  Within a chunk
+stream ``Generator(SFC64(SeedSequence(words)))``, ``words`` being the low and
+high 32-bit halves of seed and then of c (``sample_stream``).  Within a chunk
 the draw order is fixed: for each support run in order, (1) one array of
 CHUNK gamma variates per diagonal index in index order (a shape below 1
 consumes a gamma array and then a uniform array), (2) one normal array for
 the triangular subdiagonals, (3) one normal array for the coupling block.
 A full chunk is always drawn and assembled, then truncated to the requested
 count.  Repeat runs therefore give identical bits, and a longer run extends
-a shorter one.  ``sample_chunks`` is the only sampler: every draw, whatever
-its support, goes through the chunk above.  It draws the chunks one at a
-time, in order, on the calling thread, and ``sample_riesz`` has the same
-chunks drawn in place into one batch.  Both accept a ``workers`` count for
-compatibility; it changes neither the bits nor the speed.
+a shorter one.  The bits also depend on the order in which BLAS sums the
+products.  They changed once, from versions that drew from Philox streams
+keyed by (seed, c) and summed the runs' products one by one.
+``sample_chunks`` is the only sampler: every draw, whatever its support,
+goes through the chunk above.  It draws the chunks one at a time, in order,
+on the calling thread, and ``sample_riesz`` has the same chunks drawn in
+place into one batch.  Both accept a ``workers`` count for compatibility;
+it changes neither the bits nor the speed.
 
 The writers (``write_ndjson``, ``write_json``, ``write_csv``) consume the
 chunks as they come, so a run of any length holds O(CHUNK * r^2) floats.
@@ -102,7 +101,7 @@ __all__ = [
 ]
 
 TILT_MARGIN = 1e-10
-CHUNK = 512  # draws per counter-based stream in sample_riesz
+CHUNK = 512  # draws per stream in sample_riesz
 # _plan_block: a run's draw scale times this must stay below the largest float.
 # An entry beyond 1e3 times the scale needs a variate some 500 times its mean
 # (or above 500 for a shape below 1), which no stream yields in practice:
@@ -128,13 +127,17 @@ def _is_int(value) -> bool:
 
 
 def sample_stream(seed: int, index: int) -> np.random.Generator:
-    """Counter-based stream: Philox keyed by (seed, index).
+    """SFC64 stream seeded by a SeedSequence of (seed, index) as four 32-bit words.
 
-    Both must lie in [0, 2**64).  ``sample_riesz`` keys one stream per chunk
-    of ``CHUNK`` draws, with the chunk number as the index.
+    Both must lie in [0, 2**64).  Each is split into its low and high words,
+    so every pair keys its own stream: numpy would trim ``[seed, index]`` to
+    each int's own word count, and (2**32 + 5, 7) would meet (5, 1 + 7 * 2**32).
+    ``sample_riesz`` keys one stream per chunk of ``CHUNK`` draws, with the
+    chunk number as the index.
     """
-    key = np.array([seed, index], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+    words = np.array([seed & 0xFFFFFFFF, seed >> 32, index & 0xFFFFFFFF, index >> 32],
+                     dtype=np.uint32)
+    return np.random.Generator(np.random.SFC64(np.random.SeedSequence(words)))
 
 
 def sample_gamma(shape: float, rng: np.random.Generator, size=None):
@@ -172,19 +175,6 @@ def _neg_inverse(a: np.ndarray, what: str) -> np.ndarray:
     return inv
 
 
-def _gamma_shapes(u_block, u_run) -> np.ndarray:
-    """Gamma shapes u_p of a run's triangular diagonal, bit-stable.
-
-    The shapes are computed as (u_p + t/2) - t/2 from the run's block
-    parameter, t being p's position in the run, so they keep a relative
-    error of about 1e-16 * t / u_p.  That rounding fixes the sampler's bits,
-    so it stays; only where it gives a shape <= 0 (u_p below about 1e-16 t)
-    is u_p itself, which is positive in a run, used instead.
-    """
-    shapes = np.asarray(u_block) - 0.5 * np.arange(len(u_block))
-    return np.where(shapes > 0.0, shapes, np.asarray(u_run))
-
-
 @dataclass(frozen=True)
 class _BlockPlan:
     """Per-run constants derived from the tilt (fixed across samples)."""
@@ -192,7 +182,7 @@ class _BlockPlan:
     start: int
     width: int
     tail: int
-    shapes: np.ndarray       # gamma shapes for the triangular diagonal
+    shapes: np.ndarray       # gamma shapes for the triangular diagonal: the run's u
     core_chol: np.ndarray    # C with C C^T = (-eta)^{-1}
     coupling: np.ndarray     # Theta_12 (-Theta_0)^{-1}, shape (width, tail)
     noise_chol: np.ndarray   # L with L L^T = (1/2)(-Theta_0)^{-1}
@@ -286,16 +276,10 @@ def _each_draw(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """``a @ b_i`` for every draw i, with the draws side by side: b is (k, n, p),
     b[:, i] draw i's k x p matrix, and so is the result, (len(a), n, p).
 
-    Where each draw's product is at least 2 x 2, numpy's per-draw call is a
-    gemm, and one gemm of ``a`` by b as a (k, n p) array sums every entry in
-    the same order, so it is used.  Otherwise numpy calls gemv (or dot) per
-    draw, which OpenBLAS sums in another order than gemm, so that broadcast
-    is kept, over the draws in their own (n, k, p) layout.
+    It is one product of ``a`` by b viewed as a (k, n p) array.
     """
     k, n, p = b.shape
-    if len(a) > 1 and p > 1:
-        return (a @ _contiguous(b).reshape(k, n * p)).reshape(len(a), n, p)
-    return (a @ _contiguous(b.swapaxes(0, 1))).swapaxes(0, 1)
+    return (a @ _contiguous(b).reshape(k, n * p)).reshape(len(a), n, p)
 
 
 def _gram_factor(plan: _BlockPlan, g, o, z) -> np.ndarray:
@@ -304,12 +288,10 @@ def _gram_factor(plan: _BlockPlan, g, o, z) -> np.ndarray:
     W = C T is the Bartlett factor of the core, so M M^T is the run's draw on
     the trailing block of size m = width + tail (see the module docstring).
     The draws are held side by side: T as (width, n, width), Z as
-    (tail, n, width) and M as (m, n, width).  ``_each_draw`` then forms C T
-    as one gemm over the chunk when width >= 2, and K^T W and L Z when
-    tail >= 2 as well; a width or tail of 1 keeps numpy's per-draw gemv,
-    whose sums OpenBLAS orders differently.  The stack returned is a view
-    of the side-by-side M: the Gram product's gemm reads each draw's rows in
-    place, n width floats apart, in less time than a copy would take.
+    (tail, n, width) and M as (m, n, width), so that ``_each_draw`` forms
+    C T, K^T W and L Z as one product over the chunk each.  The stack
+    returned is a view of the side-by-side M, which ``_draw_sum`` copies
+    into its place in the chunk's stack S.
     """
     n, w = g.shape
     t = np.zeros((w, n, w))
@@ -327,23 +309,28 @@ def _gram_factor(plan: _BlockPlan, g, o, z) -> np.ndarray:
 
 
 def _draw_sum(plans, rng: np.random.Generator, out: np.ndarray) -> None:
-    """Fill ``out`` (size, r, r) with draws of the sum of the runs' factors."""
-    out[...] = 0.0
-    for plan in plans:
-        m = _gram_factor(plan, *_draw_block(plan, rng, len(out)))
-        # _gram_factor holds the run's draws side by side and forms each of
-        # its products as one gemm per chunk, except where numpy's per-draw
-        # call is a gemv (width or tail 1), which sums in another order.
-        # The Gram product below stays one gemm per draw.  Keep the copy of M^T:
-        # given M and a view of its own transpose, numpy calls syrk once per
-        # draw, about 4x slower here than the one gemm that the copy gets.
-        # Both sum each entry's w products in the same order, so the draws
-        # keep their bits (tests pin this).
-        out[:, plan.start:, plan.start:] += m @ np.ascontiguousarray(np.swapaxes(m, -1, -2))
-    # M M^T is symmetric in exact arithmetic, but nothing obliges a BLAS
+    """Fill ``out`` (size, r, r) with draws of the sum of the runs' factors.
+
+    Each run's factor M goes to rows ``start:`` of its own columns of one
+    zeroed (size, r, sum of widths) stack S, so that the sum of the runs'
+    M M^T is S S^T, one Gram product for the chunk.
+    """
+    n, r = len(out), out.shape[-1]
+    factors = [_gram_factor(plan, *_draw_block(plan, rng, n)) for plan in plans]
+    # S is allocated after the factors: allocated before them, it made them
+    # about a fifth slower to form for one run of width 16 (one BLAS thread)
+    s = np.zeros((n, r, sum(plan.width for plan in plans)))
+    col = 0
+    for plan, m in zip(plans, factors):
+        s[:, plan.start:, col:col + plan.width] = m
+        col += plan.width
+    # keep the copy of S^T: given S and a view of its own transpose, numpy
+    # calls syrk once per draw, up to twice as slow as the gemm the copy gets
+    np.matmul(s, np.ascontiguousarray(s.swapaxes(1, 2)), out=out)
+    # S S^T is symmetric in exact arithmetic, but nothing obliges a BLAS
     # product to round both triangles alike; mirroring the upper triangle
     # makes every stored draw symmetric bit for bit
-    rows, cols = _strict_triangle(out.shape[-1], lower=False)
+    rows, cols = _strict_triangle(r, lower=False)
     out[:, cols, rows] = out[:, rows, cols]
 
 
@@ -386,8 +373,8 @@ class RieszSpec:
         part = self.partition
         object.__setattr__(self, "plans", tuple(
             _plan_block(self.theta.matrix, start, width,
-                        _gamma_shapes(ub, self.param.u[start:start + width]))
-            for start, width, ub in zip(part.starts, part.lengths, part.u_blocks)
+                        np.array(self.param.u[start:start + width]))
+            for start, width in zip(part.starts, part.lengths)
         ))
 
     @property

@@ -38,6 +38,14 @@ def test_sample_stream_is_keyed_by_seed_and_index():
     assert not np.array_equal(a, d)
 
 
+def test_sample_stream_keys_are_one_to_one():
+    # seed and index go in as two 32-bit words each; numpy would trim a plain
+    # [seed, index] to each int's own word count, and these two keys would meet
+    a = sp.sample_stream(2**32 + 5, 7).random(4)
+    b = sp.sample_stream(5, 1 + 7 * 2**32).random(4)
+    assert not np.array_equal(a, b)
+
+
 def test_sample_gamma_draw_budget():
     # shape >= 1 consumes one gamma draw, shape < 1 a gamma then a uniform;
     # downstream code relies on this accounting for reproducibility
@@ -217,7 +225,8 @@ def test_spec_rejects_a_tilt_whose_draws_would_overflow():
 
 
 def test_spec_seed_range():
-    # seeds key Philox directly, so values outside [0, 2**64) would alias
+    # seeds go into the stream key as two 32-bit words, so values outside
+    # [0, 2**64) have no key of their own and are refused
     for bad in (-1, 1 << 64):
         with pytest.raises(sp.SamplerError, match="seed"):
             sp.RieszSpec.build(u=[1.0], seed=bad)
@@ -225,6 +234,11 @@ def test_spec_seed_range():
     zero = sp.RieszSpec.build(u=[1.0], seed=0, count=3)
     assert not np.array_equal(sp.sample_riesz(top).matrices,
                               sp.sample_riesz(zero).matrices)
+
+
+def test_spec_gamma_shapes_are_the_runs_u():
+    # a plan's shapes are u itself; (u_p + p/2) - p/2 read 0.30000000000000004
+    assert sp.RieszSpec.build(u=[0.1, 0.3]).plans[0].shapes.tolist() == [0.1, 0.3]
 
 
 def test_spec_json_takes_s_or_u():
@@ -300,25 +314,30 @@ def test_sample_riesz_draws_are_exactly_symmetric():
 
 
 def _reference_draw_sum(plans, rng, out):
-    """``_draw_sum`` as it was before its product multiplied by a copy of M^T:
-    ``m @ np.swapaxes(m, -1, -2)``, which numpy sends to syrk, and the index
-    arrays built afresh on every call."""
-    out[...] = 0.0
+    """A plain copy of ``_draw_sum``: each run's products as one product over
+    the chunk's draws side by side, the runs' factors side by side in one
+    stack S, one Gram product S S^T, and the index arrays built afresh."""
+    n, r = len(out), out.shape[-1]
+    s = np.zeros((n, r, sum(plan.width for plan in plans)))
+    col = 0
     for plan in plans:
-        g, o, z = sp._draw_block(plan, rng, len(out))
-        n, w = g.shape
-        t = np.zeros((n, w, w))
-        diag = np.arange(w)
-        t[:, diag, diag] = np.sqrt(g)
+        g, o, z = sp._draw_block(plan, rng, n)
+        w, tail = plan.width, plan.tail
+        t = np.zeros((w, n, w))
+        t[np.arange(w), :, np.arange(w)] = np.sqrt(g).T
         if w > 1:
             rows, cols = np.tril_indices(w, -1)
-            t[:, rows, cols] = o * np.sqrt(0.5)
-        m = np.empty((n, w + plan.tail, w))
-        m[:, :w] = plan.core_chol @ t
-        if plan.tail:
-            m[:, w:] = plan.coupling.T @ m[:, :w] + plan.noise_chol @ z
-        out[:, plan.start:, plan.start:] += m @ np.swapaxes(m, -1, -2)
-    rows, cols = np.triu_indices(out.shape[-1], 1)
+            t[rows, :, cols] = (o * np.sqrt(0.5)).T
+        m = np.empty((w + tail, n, w))
+        m[:w] = (plan.core_chol @ t.reshape(w, n * w)).reshape(w, n, w)
+        if tail:
+            z = np.ascontiguousarray(z.swapaxes(0, 1)).reshape(tail, n * w)
+            m[w:] = (plan.coupling.T @ m[:w].reshape(w, n * w)
+                     + plan.noise_chol @ z).reshape(tail, n, w)
+        s[:, plan.start:, col:col + w] = m.swapaxes(0, 1)
+        col += w
+    out[...] = s @ np.ascontiguousarray(s.swapaxes(1, 2))
+    rows, cols = np.triu_indices(r, 1)
     out[:, cols, rows] = out[:, rows, cols]
 
 
@@ -338,15 +357,15 @@ def _reference_draw_sum(plans, rng, out):
 ], ids=["r1", "r2_tiny_u", "r2_half", "r3", "r4", "r5", "r6", "r7", "r8",
         "r3_w1_tail2", "r3_w2_tail1", "r4_w3_tail1"])
 def test_draw_sum_keeps_the_reference_bits(u, cond, scale):
-    # the gemm products and the cached index arrays must leave every bit as
-    # the per-draw products and the syrk product left it; which kernel
-    # OpenBLAS runs is chosen on the CPU at hand, so this is checked where
-    # the tests run.  Two chunks, the second partial; shapes below 1,
+    # the sampler's bits must stay those of the plain copy above; which
+    # kernel OpenBLAS runs is chosen on the CPU at hand, so this is checked
+    # where the tests run.  Two chunks, the second partial; shapes below 1,
     # u_p = 1e-300, and rotated tilts of condition up to 1e8 at scales
-    # 1e-150..1e150.  The runs (width, tail) cover every product class of
-    # sampling._each_draw: width 1 with tail 0, 1 and >= 2 (r1, r2_half,
-    # r3_w1_tail2), widths 2 and 3 with tail 1 (r3_w2_tail1, r4_w3_tail1),
-    # width >= 2 with tail >= 2 (r5, r8) and with tail 0 (r3, r7)
+    # 1e-150..1e150.  numpy picks its BLAS call by the operands' shapes, so
+    # the runs (width, tail) cover every shape that sampling._each_draw
+    # meets: width 1 with tail 0, 1 and >= 2 (r1, r2_half, r3_w1_tail2),
+    # widths 2 and 3 with tail 1 (r3_w2_tail1, r4_w3_tail1), width >= 2
+    # with tail >= 2 (r5, r8) and with tail 0 (r3, r7)
     r = len(u)
     q = np.linalg.qr(np.random.default_rng(r).standard_normal((r, r)))[0]
     neg = (q * np.geomspace(1.0, cond, r)) @ q.T
@@ -362,8 +381,8 @@ def test_draw_sum_keeps_the_reference_bits(u, cond, scale):
 
 def test_draw_sum_keeps_the_reference_bits_on_random_laws():
     # one chunk of each of 60 seeded random laws at r = 1..8, on rotated tilts
-    # of condition up to 1e4; the sweep must meet every run class that
-    # sampling._each_draw tells apart (width 1 or >= 2, tail 0, 1 or >= 2)
+    # of condition up to 1e4; the sweep must meet every operand shape class
+    # of sampling._each_draw's products (width 1 or >= 2, tail 0, 1 or >= 2)
     rng = np.random.default_rng(19)
     classes = set()
     for k in range(60):
