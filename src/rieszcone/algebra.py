@@ -178,28 +178,24 @@ def _pivots(sym: np.ndarray, active=None):
     One pass of symmetric Gaussian elimination over the stack held batch-last,
     dividing before multiplying, a_ij -= a_ik (a_kj / p_k): on a cone point no
     intermediate value exceeds sqrt(a_ii a_jj), at any scale.  A pivot that is exactly
-    zero stays 0 and eliminates nothing, so the entries after it are no pivots;
-    ``fallback_from`` (None while no pivot is zero) gives per matrix how many leading
-    entries are: r, or one past its first zero pivot.  With a boolean mask ``active``
-    it steps at the active indices only; an inactive entry is the residual against
-    them, and a zero pivot over a nonzero column, which no PSD matrix has, reads -inf.
+    zero stays 0 and ends its matrix's elimination: every entry after it reads 0, as
+    none of them is a pivot.  With a boolean mask ``active`` it steps at the active
+    indices only; an inactive entry is the residual against them, and a zero pivot
+    over a nonzero column, which no PSD matrix has, reads -inf.  Returns (n, r).
     """
-    n, r = sym.shape[:2]
+    r = sym.shape[1]
     a = sym.transpose(1, 2, 0).copy()
-    fallback_from = None
     for k in range(r - 1) if active is None else np.flatnonzero(active[:r - 1]):
         piv = a[k, k]
         if not piv.all():
             hit = piv == 0.0
-            if fallback_from is None:
-                fallback_from = np.full(n, r)
-            fallback_from[hit & (fallback_from == r)] = k + 1
             if active is not None:
                 a[k, k, hit & a[k + 1:, k].any(axis=0)] = -np.inf
-            a[k + 1:, k, hit] = 0.0
+            # the pivot's row, its column and the block after it, so all later entries read 0
+            a[k, k + 1:, hit] = a[k + 1:, k:, hit] = 0.0
             piv = np.where(hit, 1.0, piv)
         a[k + 1:, k + 1:] -= a[k + 1:, k, None] * (a[None, k, k + 1:] / piv)
-    return np.diagonal(a), fallback_from
+    return np.diagonal(a)
 
 
 def log_generalized_power(x: SymElement, s) -> float:
@@ -214,7 +210,7 @@ def log_generalized_power(x: SymElement, s) -> float:
     if s.shape != (x.r,):
         raise ShapeMismatchError(f"power parameter must have length {x.r}, got {s.shape}")
     with np.errstate(over="ignore", invalid="ignore"):
-        piv = _pivots(x.matrix[None])[0][0]
+        piv = _pivots(x.matrix[None])[0]
     if not (piv > 0.0).all():
         k = int(np.argmin(piv > 0.0))
         raise PowerDomainError(k + 1, float(piv[k]))

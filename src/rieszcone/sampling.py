@@ -129,12 +129,15 @@ def _is_int(value) -> bool:
 def sample_stream(seed: int, index: int) -> np.random.Generator:
     """SFC64 stream seeded by a SeedSequence of (seed, index) as four 32-bit words.
 
-    Both must lie in [0, 2**64).  Each is split into its low and high words,
-    so every pair keys its own stream: numpy would trim ``[seed, index]`` to
-    each int's own word count, and (2**32 + 5, 7) would meet (5, 1 + 7 * 2**32).
+    Both must be integers in [0, 2**64), else ``SamplerError``; each is split into its low
+    and high words, so every pair keys its own stream: numpy would trim ``[seed, index]``
+    to each int's own word count, and (2**32 + 5, 7) would meet (5, 1 + 7 * 2**32).
     ``sample_riesz`` keys one stream per chunk of ``CHUNK`` draws, with the
     chunk number as the index.
     """
+    if not all(_is_int(v) and 0 <= v < 1 << 64 for v in (seed, index)):
+        raise SamplerError(
+            f"seed and index must be integers in [0, 2**64), got {seed!r} and {index!r}")
     words = np.array([seed & 0xFFFFFFFF, seed >> 32, index & 0xFFFFFFFF, index >> 32],
                      dtype=np.uint32)
     return np.random.Generator(np.random.SFC64(np.random.SeedSequence(words)))
@@ -468,8 +471,8 @@ class SampleBatch:
 
     Draw i came from the stream of chunk ``i // CHUNK``.  ``matrices`` is a
     read-only view of the stack given, and the stack must not change after
-    construction: what is derived from a batch, such as the support verdicts
-    of ``verify``, may be kept while the batch lives.
+    construction: what is derived from a batch, such as the folded support
+    verdicts of ``verify``, may be kept while the batch lives.
     """
 
     def __init__(self, spec: RieszSpec, matrices: np.ndarray):

@@ -23,9 +23,10 @@ Every check here runs two genuinely independent routes and compares them:
   factors and their sum, the support pass) against an independent LAPACK route.
 * ``rank_profile`` checks the almost-sure rank of singular draws, and
   ``psd_check`` that every draw is finite and positive semidefinite, both
-  from ``_support_cut``: one support-aware elimination per ``CHUNK`` of the
+  from ``_support_fold``: one support-aware elimination per ``CHUNK`` of the
   batch (pivots where u_p > 0, residuals, 0 in exact arithmetic, where
-  u_p = 0), computed once and kept while the batch lives.
+  u_p = 0), folded chunk by chunk into a rank histogram, finiteness, PSD-ness
+  and the worst ratio, the four of them kept while the batch lives.
 
 Every whole-tilt check (the tilt of ``log_laplace_exact`` and
 ``quadrature_integral_r2``, the variance guard of ``laplace_mc_chunks``)
@@ -72,7 +73,7 @@ __all__ = [
 _TINY = 1e-300
 _LOG_MAX = math.log(sys.float_info.max)  # exp of anything above it overflows
 SUPPORT_TOL = 1e-5  # rank_profile, psd_check: residual cut, relative to x_pp,
-GROWTH_TOL = 1e-15  # plus this times the draw's pivot growth (see _support_cut)
+GROWTH_TOL = 1e-15  # plus this times the draw's pivot growth (see _support_fold)
 ESS_FLOOR = 1000  # laplace_mc_chunks: fewest effective draws when rho > 1
 QUAD_N_START = 12  # quadrature_integral_r2: first per-axis node count,
 QUAD_RTOL = 1e-8  # and the relative change of two successive estimates that stops it
@@ -209,12 +210,16 @@ def laplace_mc_chunks(spec: RieszSpec, chunks, zeta: SymElement,
     )
 
 
+def _batch_chunks(batch: SampleBatch):
+    """The batch's draws in ``CHUNK`` slices, as ``sample_chunks`` yields them."""
+    m = batch.matrices
+    return (m[i:i + CHUNK] for i in range(0, len(m), CHUNK))
+
+
 def laplace_mc(batch: SampleBatch, zeta: SymElement,
                z_threshold: float = 4.0) -> LaplaceReport:
     """``laplace_mc_chunks`` over the batch's ``CHUNK`` slices: the streamed report."""
-    m = batch.matrices
-    chunks = (m[i:i + CHUNK] for i in range(0, len(m), CHUNK))
-    return laplace_mc_chunks(batch.spec, chunks, zeta, z_threshold)
+    return laplace_mc_chunks(batch.spec, _batch_chunks(batch), zeta, z_threshold)
 
 
 # -- adaptive quadrature over the rank-2 cone ------------------------------
@@ -391,9 +396,9 @@ def _identity_case(rng, r, l, n):
     condition at most 4, of a run at 0 of width l and, when r - l >= 2, of a run at
     l + 1 that fills the rest, with gamma shapes ``u`` (0 at l; ``active`` is u > 0).
     ``raws``: n raw draws of each run from one stream; ``drawn``: ``_draw_sum`` on a
-    replay of that stream, ``support`` its ``_support_d``; ``factor``: the package
-    factor of the first run's raw draws; ``refs``: each run's ``_ref_factor``.  The
-    helpers are looked up at call time, so a test can substitute a faulty one.
+    replay of that stream, ``support`` its ``algebra._pivots`` at ``active``; ``factor``:
+    the package factor of the first run's raw draws; ``refs``: each run's ``_ref_factor``.
+    The helpers are looked up at call time, so a test can substitute a faulty one.
     """
     y = _gram(rng.standard_normal((n, r, r))) + 1e-3 * np.eye(r)
     t = np.tril(rng.standard_normal((n, r, r)), -1)
@@ -411,7 +416,7 @@ def _identity_case(rng, r, l, n):
     sampling._draw_sum(plans, np.random.default_rng(key), drawn)
     return SimpleNamespace(
         r=r, l=l, y=y, t=t, theta=theta, u=u, active=u > 0.0, plans=plans, raws=raws,
-        drawn=drawn, support=_support_d(drawn, u > 0.0),
+        drawn=drawn, support=algebra._pivots(drawn, u > 0.0),
         factor=sampling._gram_factor(plans[0], *raws[0]),
         refs=[_ref_factor(theta[p.start:, p.start:], p.width, *raw)
               for p, raw in zip(plans, raws)])
@@ -422,21 +427,21 @@ def _id_pivot_schur(c):
     y, l = c.y, c.l
     lead = np.linalg.solve(y[:, :l, :l], y[:, :l, l:l + 1])[..., 0]
     schur = y[:, l, l] - np.einsum("ni,ni->n", y[:, l, :l], lead)
-    return _rel_error(algebra._pivots(y)[0][:, l], schur)
+    return _rel_error(algebra._pivots(y)[:, l], schur)
 
 
 def _id_pivot_reversal(c):
     # pivot r+1-l of J y J is a ratio of trailing determinants of y, the identity
     # behind log_laplace_exact's inverse-free closed form
     y, l = c.y, c.l
-    piv = algebra._pivots(y[:, ::-1, ::-1])[0][:, c.r - l]
+    piv = algebra._pivots(y[:, ::-1, ::-1])[:, c.r - l]
     return _rel_error(piv, np.linalg.det(y[:, l - 1:, l - 1:]) / np.linalg.det(y[:, l:, l:]))
 
 
 def _id_triangular_equivariance(c):
     # Delta_k(t y t^T) = (t_11 ... t_kk)^2 Delta_k(y) for lower-triangular t
     y, t, l = c.y, c.t, c.l
-    piv = algebra._pivots(t @ y @ np.swapaxes(t, 1, 2))[0][:, l - 1]
+    piv = algebra._pivots(t @ y @ np.swapaxes(t, 1, 2))[:, l - 1]
     want = (t[:, l - 1, l - 1] ** 2 * np.linalg.det(y[:, :l, :l])
             / np.linalg.det(y[:, :l - 1, :l - 1]))
     return _rel_error(piv, want)
@@ -444,7 +449,7 @@ def _id_triangular_equivariance(c):
 
 def _id_bartlett_pivots(c):
     # the core W W^T with W = C T lower triangular has pivots C_pp^2 g_p
-    piv = algebra._pivots(_gram(c.factor[:, :c.l]))[0]
+    piv = algebra._pivots(_gram(c.factor[:, :c.l]))
     return _rel_error(piv, np.diagonal(c.refs[0][1]) ** 2 * c.raws[0][0])
 
 
@@ -542,68 +547,67 @@ class RankProfile:
         return {**fields, "counts": counts, "pass": self.passed}
 
 
-_CUTS = weakref.WeakKeyDictionary()  # batch -> its _support_cut
+_SUPPORT = weakref.WeakKeyDictionary()  # batch -> its _support_fold
 
 
-def _support_d(stack, active):
-    """d of an (n, r, r) stack: ``algebra._pivots`` stepping at the ``active`` indices,
-    set to 0 past each matrix's first zero pivot, where its entries are no pivots."""
-    piv, fallback_from = algebra._pivots(stack, active)
-    return piv if fallback_from is None else np.where(
-        np.arange(len(active)) < fallback_from[:, None], piv, 0.0)
-
-
-def _support_cut(batch: SampleBatch):
-    """(active mask, d, diagonals x, cut on |d|, all finite), read-only and kept while
-    the batch, which must not change (see ``SampleBatch``), lives.
+def _support_fold(active, chunks):
+    """(rank histogram, all finite, all PSD, worst ratio) of the draws in ``chunks``.
 
     A draw is S S^T, S lower triangular with zero columns where u_p = 0, so one
-    pass of ``algebra._pivots`` a ``CHUNK`` at a time steps only where u_p > 0: d is
-    the pivot there, elsewhere the residual against the earlier active indices
-    (0 in exact arithmetic), 0 past a zero pivot and -inf at a zero pivot over a
-    nonzero column.  The pass takes each chunk's x while it is in cache, and
-    whether every entry is finite, as the elimination never reads between
-    inactive indices.
-    The cut x_pp (SUPPORT_TOL + GROWTH_TOL g_p) multiplies, as a leading inactive
-    x_pp is 0; g_p, the product of x_kk / d_k over the positive active pivots at
-    k <= p, widens it where a tiny pivot (a small gamma draw) magnifies rounding.
-    d, x and the cut are (count, r) and in Fortran order, so that the reductions
-    over each draw's r entries read contiguous columns.
+    ``algebra._pivots`` per chunk steps only at the ``active`` indices, u_p > 0: d is
+    the pivot there, elsewhere the residual against the earlier active indices (0 in
+    exact arithmetic), 0 past a zero pivot and -inf at a zero pivot over a nonzero
+    column.  The cut x_pp (SUPPORT_TOL + GROWTH_TOL g_p) multiplies, as a leading
+    inactive x_pp is 0; g_p, the product of x_kk / d_k over the positive active pivots
+    at k <= p, widens it where a tiny pivot (a small gamma draw) magnifies rounding.
+    A draw's rank counts its positive active pivots and inactive |d| past the cut; it
+    is PSD unless a d is below minus the cut or an x_pp is negative; its ratio is its
+    most negative d or x_pp over its largest |x_pp|.  Finiteness is read from the
+    whole chunk, as the elimination never reads between inactive indices.  Each
+    chunk's d and x are in Fortran order, so that the reductions over a draw's r
+    entries read contiguous columns.
     """
-    if batch in _CUTS:
-        return _CUTS[batch]
-    active = np.asarray(batch.spec.param.u) > 0.0
-    d = np.empty(batch.matrices.shape[:2], order="F")
-    x = np.empty_like(d)
-    finite = True
+    hist = np.zeros(len(active) + 1, dtype=np.int64)
+    finite, psd, worst = True, True, -math.inf
     with np.errstate(invalid="ignore", over="ignore"):  # a non-finite draw fails anyway
-        for i in range(0, len(batch), CHUNK):
-            chunk = batch.matrices[i:i + CHUNK]
-            d[i:i + CHUNK] = _support_d(chunk, active)
-            x[i:i + CHUNK] = np.diagonal(chunk, axis1=1, axis2=2)
+        for chunk in chunks:
+            d = np.asfortranarray(algebra._pivots(chunk, active))
+            x = np.asfortranarray(np.diagonal(chunk, axis1=1, axis2=2))
+            cut = np.ones_like(d)
+            np.divide(x, d, out=cut, where=active & (d > 0.0))
+            for p in range(1, len(active)):  # np.cumprod(axis=1)'s products, ~2x faster
+                cut[:, p] *= cut[:, p - 1]
+            cut *= GROWTH_TOL
+            cut += SUPPORT_TOL
+            cut *= x
+            ranks = np.where(active, d > 0.0, np.abs(d) > cut).sum(axis=1)
+            hist += np.bincount(ranks, minlength=len(hist))
             finite = finite and bool(np.isfinite(chunk).all())
-        cut = np.ones_like(d)
-        np.divide(x, d, out=cut, where=active & (d > 0.0))
-        for p in range(1, cut.shape[1]):  # np.cumprod(axis=1)'s products, ~7x faster
-            cut[:, p] *= cut[:, p - 1]
-        cut *= GROWTH_TOL
-        cut += SUPPORT_TOL
-        cut *= x
-    for arr in (active, d, x, cut):
-        arr.flags.writeable = False
-    _CUTS[batch] = active, d, x, cut, finite
-    return _CUTS[batch]
+            psd = psd and not ((d < -cut).any() or (x < 0.0).any())
+            ratio = -np.minimum(d, x).min(axis=1) / np.maximum(np.abs(x).max(axis=1), _TINY)
+            worst = np.maximum(worst, ratio.max())  # a NaN ratio stays NaN
+    return hist, finite, psd, float(worst)
+
+
+def _support(batch: SampleBatch):
+    """``_support_fold`` of the batch, kept while the batch, which must not change
+    (see ``SampleBatch``), lives."""
+    if batch not in _SUPPORT:
+        _SUPPORT[batch] = _support_fold(np.asarray(batch.spec.param.u) > 0.0,
+                                        _batch_chunks(batch))
+    return _SUPPORT[batch]
 
 
 def rank_profile(batch: SampleBatch, expected: int) -> RankProfile:
-    """Rank histogram: positive active pivots plus inactive residuals past ``_support_cut``;
-    a non-finite draw fails the batch."""
-    active, d, _, cut, finite = _support_cut(batch)
-    ranks = np.where(active, d > 0.0, np.abs(d) > cut).sum(axis=1)
-    counts = {k: int(v) for k, v in enumerate(np.bincount(ranks)) if v}
-    n = len(ranks)
-    frac_expected = float((ranks == expected).sum() / n)
-    frac_at_most = float((ranks <= expected).sum() / n)
+    """The rank histogram of ``_support_fold``; a non-finite draw fails it, as does an
+    integer ``expected`` outside 0..r, and any other ``expected`` is a ``VerifyError``."""
+    if not sampling._is_int(expected):
+        raise VerifyError(f"expected must be an integer rank, got {expected!r}")
+    hist, finite, _, _ = _support(batch)
+    counts = {k: int(v) for k, v in enumerate(hist) if v}
+    n = len(batch)
+    frac_expected = counts.get(expected, 0) / n
+    frac_at_most = sum(v for k, v in counts.items() if k <= expected) / n
     return RankProfile(
         expected=expected, n=n, counts=counts,
         frac_expected=frac_expected, frac_at_most=frac_at_most,
@@ -612,15 +616,9 @@ def rank_profile(batch: SampleBatch, expected: int) -> RankProfile:
 
 
 def psd_check(batch: SampleBatch):
-    """(all_ok, worst ratio): a draw fails if a d entry of ``_support_cut`` is below
-    minus the cut, an x_pp is negative or an entry is not finite.  The worst ratio is
-    a draw's most negative d or x_pp over its largest |x_pp|, or inf for a non-finite draw."""
-    _, d, x, cut, finite = _support_cut(batch)
-    if not finite:
-        return False, math.inf
-    ok = not ((d < -cut).any() or (x < 0.0).any())
-    worst = -np.minimum(d, x).min(axis=1) / np.maximum(np.abs(x).max(axis=1), _TINY)
-    return ok, float(worst.max())
+    """(all PSD, worst ratio) of ``_support_fold``, or (False, inf) with a non-finite draw."""
+    _, finite, ok, worst = _support(batch)
+    return (ok, worst) if finite else (False, math.inf)
 
 
 # -- aggregated self-test ----------------------------------------------------
@@ -703,7 +701,6 @@ def _selftest_law(seed, n, s, c, probes):
     r = len(s)
     spec = RieszSpec.build(s=s, theta=SymElement(-c * np.eye(r)), seed=seed, count=n)
     batch = sample_riesz(spec)
-    # the mean first: std's temporaries are freed before _support_cut's arrays exist
     se = batch.matrices.std(axis=0, ddof=1) / math.sqrt(n)
     mean_z = float(np.max(np.abs(batch.mean() - np.diag(spec.param.s) / c)
                           / np.maximum(se, _TINY)))

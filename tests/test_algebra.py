@@ -164,7 +164,7 @@ def test_require_negative_definite_at_extreme_scale():
 
 def _minors(stack):
     """Leading principal minors of a stack, as the running products of its pivots."""
-    return np.cumprod(al._pivots(np.asarray(stack, dtype=float))[0], axis=1)
+    return np.cumprod(al._pivots(np.asarray(stack, dtype=float)), axis=1)
 
 
 def test_minors_frozen_values():
@@ -173,11 +173,9 @@ def test_minors_frozen_values():
 
 
 def test_minors_zero_pivot_falls_back():
-    # the leading 1x1 minor is exactly 0, so the next entry is no pivot, and
-    # fallback_from says that only the first is one
-    piv, fallback_from = al._pivots(sym([[0, 1], [1, 0]]).matrix[None])
-    assert piv[0, 0] == 0.0 and fallback_from.tolist() == [1]
-    assert al._pivots(np.eye(2)[None])[1] is None
+    # the leading 1x1 minor is exactly 0, so the next entry is no pivot and reads 0
+    assert al._pivots(sym([[0, 1], [1, 0]]).matrix[None]).tolist() == [[0.0, 0.0]]
+    assert al._pivots(np.eye(2)[None]).tolist() == [[1.0, 1.0]]
 
 
 @pytest.mark.parametrize("r", [2, 3, 5])
@@ -204,10 +202,10 @@ def test_minors_of_a_stack_match_one_matrix_at_a_time_bitwise(r):
     x = rng.standard_normal((40, r, r))
     for stack in (np.linalg.inv(x @ np.swapaxes(x, 1, 2) + np.eye(r)), x):
         stack = np.array([SymElement(m).matrix for m in stack])
-        got = al._pivots(stack)[0]
+        got = al._pivots(stack)
         assert got.shape == (40, r)
         want = np.array([_scalar_pivots(m) for m in stack])
-        one = np.array([al._pivots(m[None])[0][0] for m in stack])
+        one = np.array([al._pivots(m[None])[0] for m in stack])
         assert got.tobytes() == want.tobytes() == one.tobytes()
 
 
@@ -218,11 +216,10 @@ def test_minors_of_a_stack_fall_back_only_where_a_pivot_is_zero():
     rng = np.random.default_rng(3)
     regular = [random_cone(rng, 3).matrix for _ in range(2)]
     stack = np.array([first, regular[0], second, regular[1], third])
-    got, fallback_from = al._pivots(stack)
-    # each matrix records its first zero pivot only; the others run to the end
-    assert fallback_from.tolist() == [1, 3, 2, 3, 1]
-    assert got[0, 0] == 0.0 and got[4, 0] == 0.0
-    assert np.array_equal(got[2, :2], [1.0, 0.0])
+    got = al._pivots(stack)
+    # each matrix reads 0 from its first zero pivot on; the others run to the end
+    assert got[[0, 4]].tolist() == [[0.0, 0.0, 0.0]] * 2
+    assert got[2].tolist() == [1.0, 0.0, 0.0]
     for i in (1, 3):
         assert got[i].tobytes() == _scalar_pivots(stack[i]).tobytes()
 

@@ -46,6 +46,15 @@ def test_sample_stream_keys_are_one_to_one():
     assert not np.array_equal(a, b)
 
 
+def test_sample_stream_refuses_keys_outside_64_bits():
+    # refused before numpy sees them: it would raise its own OverflowError
+    for seed, index in [(-1, 0), (0, 2**64), (2**64, 0), (0, -1), (True, 0), (0, 1.0),
+                        (np.int64(3), 0)]:
+        with pytest.raises(sp.SamplerError, match=r"in \[0, 2\*\*64\)"):
+            sp.sample_stream(seed, index)
+    assert sp.sample_stream(2**64 - 1, 2**64 - 1).random() >= 0.0
+
+
 def test_sample_gamma_draw_budget():
     # shape >= 1 consumes one gamma draw, shape < 1 a gamma then a uniform;
     # downstream code relies on this accounting for reproducibility

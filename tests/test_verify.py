@@ -552,12 +552,22 @@ def test_rank_profile_reads_the_support():
     assert vf.rank_profile(batch, expected=4).frac_at_most == 1.0
 
 
+def test_rank_profile_refuses_a_non_integer_expected():
+    batch = sample_riesz(RieszSpec.build(u=[1.2, 0.0, 0.7, 0.0], seed=10, count=50))
+    # an integer outside 0..r is a failing profile
+    for expected in (-1, 5):
+        assert not vf.rank_profile(batch, expected=expected).passed
+    # anything else is refused, as a counts array must not be indexed with it
+    for expected in (2.0, 2.5, -1.0, True, np.int64(2), "2", None):
+        with pytest.raises(vf.VerifyError, match="integer rank"):
+            vf.rank_profile(batch, expected=expected)
+
+
 def test_rank_profile_and_psd_check_read_one_chunked_elimination(monkeypatch):
     spec = RieszSpec.build(u=[1.2, 0.0, 0.7, 0.0], seed=12, count=700)
     batch = sample_riesz(spec)
     mask = np.array([True, False, True, False])
     pivots = algebra._pivots
-    whole = pivots(batch.matrices, mask)[0]
     calls = []
 
     def counted(stack, active=None):
@@ -576,7 +586,6 @@ def test_rank_profile_and_psd_check_read_one_chunked_elimination(monkeypatch):
     # one call per chunk, for both verdicts together
     assert calls == [((sp.CHUNK, 4, 4), mask.tolist()),
                      ((700 - sp.CHUNK, 4, 4), mask.tolist())]
-    assert np.array_equal(vf._support_cut(batch)[1], whole)
 
 
 def _log_spaced_tilt(rng, r, cond):
@@ -623,6 +632,18 @@ def test_support_verdicts_pass_draws_with_a_tiny_pivot(op):
     batch = _wide_r8_batch(op)
     assert vf.rank_profile(batch, expected=5).passed
     assert vf.psd_check(batch)[0]
+
+
+@pytest.mark.parametrize("op", [809, 2907])
+def test_support_verdicts_need_the_pivot_growth_term(op, monkeypatch):
+    # one draw of each has an active pivot near 1e-15..1e-13 x_pp, behind which an
+    # inactive residual reads 1e-2 (809) and 7e-4 (2907) x_pp, past SUPPORT_TOL
+    batch = _wide_r8_batch(op)
+    assert vf.rank_profile(batch, expected=5).passed
+    assert vf.psd_check(batch)[0]
+    # without the growth term that draw counts one rank too high
+    monkeypatch.setattr(vf, "GROWTH_TOL", 0.0)
+    assert not vf.rank_profile(sp.SampleBatch(batch.spec, batch.matrices), expected=5).passed
 
 
 def _shift(m, sign):
@@ -675,15 +696,12 @@ def test_support_verdicts_catch_mutated_draws(wide_r8_batch, mutate, psd_ok, ran
 
 
 def _reference_verdicts(batch, expected):
-    """``rank_profile`` and ``psd_check`` as they were with every (count, r)
-    array in C order, the cut computed per verdict, and ``np.cumprod``:
-    (rank report, ok, worst ratio, cut)."""
+    """``rank_profile`` and ``psd_check`` with every (count, r) array of the whole
+    batch in C order and the cut computed per verdict: (rank report, ok, worst ratio)."""
     active = np.asarray(batch.spec.param.u) > 0.0
     d = np.empty(batch.matrices.shape[:2])
     for i in range(0, len(batch), sp.CHUNK):
-        piv, fallback_from = algebra._pivots(batch.matrices[i:i + sp.CHUNK], active)
-        d[i:i + sp.CHUNK] = piv if fallback_from is None else np.where(
-            np.arange(len(active)) < fallback_from[:, None], piv, 0.0)
+        d[i:i + sp.CHUNK] = algebra._pivots(batch.matrices[i:i + sp.CHUNK], active)
     x = np.diagonal(batch.matrices, axis1=1, axis2=2)
     cut = np.ones_like(d)
     np.cumprod(np.divide(x, d, out=cut, where=active & (d > 0.0)), axis=1, out=cut)
@@ -699,7 +717,7 @@ def _reference_verdicts(batch, expected):
         passed=bool(frac_at_most == 1.0 and frac_expected >= 0.999))
     ok = not ((d < -cut).any() or (x < 0.0).any())
     worst = -np.minimum(d, x).min(axis=1) / np.maximum(np.abs(x).max(axis=1), vf._TINY)
-    return profile, ok, float(worst.max()), cut
+    return profile, ok, float(worst.max())
 
 
 @pytest.mark.parametrize("mutate", [
@@ -711,19 +729,29 @@ def _reference_verdicts(batch, expected):
 ], ids=["sampled", "plus_eps_identity", "minus_eps_identity", "noise_at_inactive_6",
         "negative_diagonal"])
 def test_support_verdicts_match_the_c_order_reference(wide_r8_batch, mutate):
-    # the Fortran-order arrays, the cut shared by both verdicts and the
-    # column-wise cumprod change no count, no verdict and no bit of the ratio
+    # the fold over Fortran-order chunks, with the cut shared by both verdicts,
+    # changes no count, no verdict and no bit of the ratio
     m = wide_r8_batch.matrices.copy()
     if mutate is not None:
         mutate(m)
-    profile, ok, worst, cut = _reference_verdicts(sp.SampleBatch(wide_r8_batch.spec, m), 5)
+    profile, ok, worst = _reference_verdicts(sp.SampleBatch(wide_r8_batch.spec, m), 5)
     batch = sp.SampleBatch(wide_r8_batch.spec, m)
     assert vf.rank_profile(batch, expected=5) == profile
     got_ok, got_worst = vf.psd_check(batch)
     assert got_ok == ok and got_worst.hex() == worst.hex()
-    got_cut = vf._support_cut(batch)[3]
-    assert np.ascontiguousarray(got_cut).tobytes() == cut.tobytes()
-    assert vf._support_cut(batch)[1].flags.f_contiguous and got_cut.flags.f_contiguous
+
+
+def test_support_fold_of_streamed_chunks_matches_the_batch_verdicts():
+    # the fold takes sample_chunks' output as it is, last partial chunk included
+    spec = RieszSpec.build(u=[1.2, 0.0, 0.7, 0.0], seed=8, count=3 * sp.CHUNK + 5)
+    hist, finite, psd, worst = vf._support_fold(np.array([True, False, True, False]),
+                                                sp.sample_chunks(spec))
+    batch = sample_riesz(spec)
+    profile = vf.rank_profile(batch, expected=2)
+    ok, batch_worst = vf.psd_check(batch)
+    assert {k: v for k, v in enumerate(hist.tolist()) if v} == profile.counts == {2: len(batch)}
+    assert finite and profile.passed
+    assert psd == ok is True and worst.hex() == batch_worst.hex()
 
 
 def test_psd_check_fails_a_zero_pivot_over_a_nonzero_column():
@@ -731,8 +759,8 @@ def test_psd_check_fails_a_zero_pivot_over_a_nonzero_column():
     # zero, but the column below it is not, which no PSD matrix allows
     batch = sp.SampleBatch(RieszSpec.build(u=[1.0, 1.0], count=1),
                            np.array([[[0.0, 1.0], [1.0, 0.0]]]))
-    assert not vf.psd_check(batch)[0]
-    assert vf._support_cut(batch)[1].tolist() == [[-np.inf, 0.0]]
+    assert vf.psd_check(batch) == (False, math.inf)
+    assert algebra._pivots(batch.matrices, np.array([True, True])).tolist() == [[-np.inf, 0.0]]
 
 
 def test_a_zero_active_pivot_lowers_the_counted_rank():
@@ -755,13 +783,13 @@ def test_support_verdicts_pass_a_leading_inactive_index():
 
 
 def test_support_cut_goes_with_its_batch():
-    # the cache is weak-keyed: a collected batch takes its arrays with it
+    # the cache is weak-keyed: a collected batch takes its folded verdicts with it
     batch = sample_riesz(RieszSpec.build(u=[1.2, 0.0, 0.7, 0.0], seed=2, count=600))
     assert vf.psd_check(batch)[0]
-    key, cut = weakref.ref(batch), weakref.ref(vf._support_cut(batch)[3])
+    key, hist = weakref.ref(batch), weakref.ref(vf._SUPPORT[batch][0])
     del batch
     gc.collect()
-    assert key() is None and cut() is None
+    assert key() is None and hist() is None
 
 
 def test_sample_batch_stack_is_read_only():
@@ -770,8 +798,6 @@ def test_sample_batch_stack_is_read_only():
     batch = sp.SampleBatch(spec, stack)
     with pytest.raises(ValueError):
         batch.matrices[0, 0, 0] = 2.0
-    with pytest.raises(ValueError):
-        vf._support_cut(batch)[1][0, 0] = 2.0
     # the caller's own array stays writable
     assert stack.flags.writeable and not batch.matrices.flags.writeable
     drawn = sample_riesz(spec)
