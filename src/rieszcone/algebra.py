@@ -70,8 +70,7 @@ class SymElement:
     The constructor keeps the upper triangle of the square array it is given
     and mirrors it into the lower one, so the (i, j) and (j, i) entries of
     ``matrix`` are literally the same float; it does not check symmetry.  Use
-    ``from_dense`` to validate and ingest an arbitrary square array and
-    ``dense`` for a writable copy.
+    ``from_dense`` to validate and ingest an arbitrary square array.
     """
 
     matrix: np.ndarray
@@ -119,10 +118,6 @@ class SymElement:
     @property
     def r(self) -> int:
         return self.matrix.shape[0]
-
-    def dense(self) -> np.ndarray:
-        """A fresh, writable copy of the matrix."""
-        return self.matrix.copy()
 
     def to_json_dict(self) -> dict:
         return {"r": self.r, "data": self.matrix.tolist()}

@@ -342,16 +342,12 @@ def cmd_density(args: argparse.Namespace, parser: _Parser) -> int:
     param = u_from_s(args.s, d=args.d, zero_tol=args.zero_tol)
     if args.d != 1.0:
         raise NonSamplableError("only multiplicity d = 1 is supported")
-    if param.rank_support != param.r:
-        raise NonSamplableError(
-            "parameter is singular (some u_p = 0); the measure lives on the "
-            "cone boundary and has no density"
-        )
     try:
         x = _load_sym(args.x, "x")
     except TiltError as err:
         parser.error(str(err))
-    _emit({"s": list(param.s), "log_density": log_density_ac(param.s, x)})
+    log_density = log_density_ac(param.s, x, zero_tol=args.zero_tol)
+    _emit({"s": list(param.s), "log_density": log_density})
     return EXIT_OK
 
 

@@ -119,7 +119,8 @@ class TiltError(SamplerError):
 
 
 class NonSamplableError(SamplerError):
-    """The parameter is admissible but outside the sampled family (d != 1)."""
+    """The parameter is admissible but outside the sampled family (d != 1),
+    or singular where a density is asked for."""
 
 
 def _is_int(value) -> bool:
@@ -197,24 +198,19 @@ class _BlockPlan:
 
 def _plan_block(theta_dense: np.ndarray, start: int, width: int,
                 shapes: np.ndarray) -> _BlockPlan:
-    r = theta_dense.shape[0]
-    m = r - start
-    tail = m - width
+    """The run's plan from the tilt's trailing block at ``start``: core t1,
+    coupling t12 and trailing t0.  For a run that reaches the last index, t0
+    is 0 x 0 and the same formulas give the Schur complement t1, a coupling
+    of shape (width, 0) and a 0 x 0 noise factor."""
     sub = theta_dense[start:, start:]
-    t1 = sub[:width, :width]
-    if tail > 0:
-        t12 = sub[:width, width:]
-        neg_t0_inv = _neg_inverse(sub[width:, width:], "trailing tilt block")
-        eta = t1 + t12 @ neg_t0_inv @ t12.T  # Schur complement t1 - t12 t0^{-1} t12^T
-        coupling = t12 @ neg_t0_inv
-        noise_chol = np.linalg.cholesky(0.5 * neg_t0_inv)
-    else:
-        eta = t1
-        coupling = np.zeros((width, 0))
-        noise_chol = np.zeros((0, 0))
+    t1, t12 = sub[:width, :width], sub[:width, width:]
+    neg_t0_inv = _neg_inverse(sub[width:, width:], "trailing tilt block")
+    eta = t1 + t12 @ neg_t0_inv @ t12.T  # Schur complement t1 - t12 t0^{-1} t12^T
+    coupling = t12 @ neg_t0_inv
+    noise_chol = np.linalg.cholesky(0.5 * neg_t0_inv)
     core_chol = np.linalg.cholesky(_neg_inverse(eta, "tilt Schur complement"))
     _check_draw_scale(core_chol, coupling, noise_chol, shapes)
-    return _BlockPlan(start, width, tail, shapes, core_chol, coupling, noise_chol)
+    return _BlockPlan(start, width, len(sub) - width, shapes, core_chol, coupling, noise_chol)
 
 
 def _run_mean(core_chol, coupling, noise_chol, spread) -> np.ndarray:
@@ -294,20 +290,19 @@ def _gram_factor(plan: _BlockPlan, g, o, z) -> np.ndarray:
     (tail, n, width) and M as (m, n, width), so that ``_each_draw`` forms
     C T, K^T W and L Z as one product over the chunk each.  The stack
     returned is a view of the side-by-side M, which ``_draw_sum`` copies
-    into its place in the chunk's stack S.
+    into its place in the chunk's stack S.  Width 1 and tail 0 take the same
+    path: their empty triangle and empty coupling rows are zero-size products.
     """
     n, w = g.shape
     t = np.zeros((w, n, w))
     diag = np.arange(w)
     t[diag, :, diag] = np.sqrt(g).T
-    if w > 1:
-        rows, cols = _strict_triangle(w, lower=True)
-        t[rows, :, cols] = (o * np.sqrt(0.5)).T
+    rows, cols = _strict_triangle(w, lower=True)
+    t[rows, :, cols] = (o * np.sqrt(0.5)).T
     m = np.empty((w + plan.tail, n, w))
     m[:w] = _each_draw(plan.core_chol, t)
-    if plan.tail:
-        m[w:] = (_each_draw(plan.coupling.T, m[:w])
-                 + _each_draw(plan.noise_chol, z.swapaxes(0, 1)))
+    m[w:] = (_each_draw(plan.coupling.T, m[:w])
+             + _each_draw(plan.noise_chol, z.swapaxes(0, 1)))
     return m.swapaxes(0, 1)
 
 
@@ -537,21 +532,23 @@ def sample_riesz(spec: RieszSpec, workers: int = 1) -> SampleBatch:
 # -- densities and serialization -------------------------------------------
 
 
-def log_density_ac(s, x: SymElement) -> float:
+def log_density_ac(s, x: SymElement, zero_tol: float = 0.0) -> float:
     """Log density of the untilted measure at x, absolutely continuous case.
 
     Defined only when every recovered u coordinate is strictly positive
     (equivalently s_p > (p-1)/2 for all p); the value is
     log Delta_{s - (r+1)/2}(x) - log Gamma_Omega(s) for x in the open cone.
+    It alone refuses a singular parameter, with ``NonSamplableError``, also
+    one that ``zero_tol`` (which snaps u as in ``u_from_s``) makes singular.
     """
     x_r = x.r
-    param = u_from_s(s, d=1.0)
+    param = u_from_s(s, d=1.0, zero_tol=zero_tol)
     if param.r != x_r:
         raise SamplerError(f"parameter length {param.r} does not match rank {x_r}")
     if param.rank_support != param.r:
-        raise SamplerError(
-            "parameter is singular (some u_p = 0): no Lebesgue density exists"
-        )
+        raise NonSamplableError(
+            "parameter is singular (some u_p = 0); the measure lives on the "
+            "cone boundary and has no density")
     shift = np.asarray(param.s) - 0.5 * (x_r + 1)
     try:
         log_power = algebra.log_generalized_power(x, shift)

@@ -29,8 +29,8 @@ Every check here runs two genuinely independent routes and compares them:
   and the worst ratio, the four of them kept while the batch lives.
 
 Every whole-tilt check (the tilt of ``log_laplace_exact`` and
-``quadrature_integral_r2``, the variance guard of ``laplace_mc_chunks``)
-goes through ``algebra.require_negative_definite``.
+``quadrature_integral_r2``, the variance guard and zeta of
+``laplace_mc_chunks``) goes through ``algebra.require_negative_definite``.
 """
 
 from __future__ import annotations
@@ -75,6 +75,7 @@ _LOG_MAX = math.log(sys.float_info.max)  # exp of anything above it overflows
 SUPPORT_TOL = 1e-5  # rank_profile, psd_check: residual cut, relative to x_pp,
 GROWTH_TOL = 1e-15  # plus this times the draw's pivot growth (see _support_fold)
 ESS_FLOOR = 1000  # laplace_mc_chunks: fewest effective draws when rho > 1
+IDENTITY_TOL = 1e-9  # identity_suite: the worst relative error that passes
 QUAD_N_START = 12  # quadrature_integral_r2: first per-axis node count,
 QUAD_RTOL = 1e-8  # and the relative change of two successive estimates that stops it
 
@@ -103,18 +104,18 @@ def log_laplace_exact(s, theta: SymElement) -> float:
     (Faraut-Koranyi, ch. VII).  A tilt too close to singular for positive
     pivots is a ``TiltError`` too, which names the index of the failing pivot.
     """
-    return _log_laplace(s, theta, "tilt")
-
-
-def _log_laplace(s, theta: SymElement, what: str) -> float:
-    """``log_laplace_exact``, with errors that call theta ``what``."""
     param = u_from_s(s, d=1.0)
     if param.r != theta.r:
-        raise VerifyError(f"parameter length {param.r} does not match {what} rank {theta.r}")
-    algebra.require_negative_definite(theta, TiltError, what)
+        raise VerifyError(f"parameter length {param.r} does not match tilt rank {theta.r}")
+    algebra.require_negative_definite(theta, TiltError, "tilt")
+    return _log_laplace(param.s, theta, "tilt")
+
+
+def _log_laplace(s: tuple, theta: SymElement, what: str) -> float:
+    """The pivot path of ``log_laplace_exact``, for an s and theta the caller
+    has checked; pivots too small for it are a ``TiltError`` naming ``what``."""
     try:
-        return -algebra.log_generalized_power(SymElement(-theta.matrix[::-1, ::-1]),
-                                              param.s[::-1])
+        return -algebra.log_generalized_power(SymElement(-theta.matrix[::-1, ::-1]), s[::-1])
     except algebra.PowerDomainError as exc:
         raise TiltError(
             f"{what} is too close to singular for its closed form: index "
@@ -168,6 +169,11 @@ def laplace_mc_chunks(spec: RieszSpec, chunks, zeta: SymElement,
     effective draws (Kong 1992; Owen, *Monte Carlo theory, methods and
     examples*, ch. 9), and a ``VerifyError`` one whose exact ratio is past
     the largest float.
+
+    Each fact behind the three closed forms is checked once: theta by the
+    spec, 2 zeta - theta by the variance guard, and zeta here.  s is re-derived
+    once with no tolerance, refusing an s whose negative u_p the spec snapped
+    to 0 (``zero_tol``): its closed form is not that of the law drawn.
     """
     theta = spec.theta
     if zeta.r != theta.r:
@@ -175,8 +181,9 @@ def laplace_mc_chunks(spec: RieszSpec, chunks, zeta: SymElement,
     guard = SymElement(2.0 * zeta.matrix - theta.matrix)
     algebra.require_negative_definite(
         guard, VarianceGuardError, "2 zeta - theta (finite weight variance)")
-    s = spec.param.s
+    s = u_from_s(spec.param.s).s
     log_theta = _log_laplace(s, theta, "theta")
+    algebra.require_negative_definite(zeta, TiltError, "zeta")
     log_ratio = _log_laplace(s, zeta, "zeta") - log_theta
     log1p_rho = _log_laplace(s, guard, "2 zeta - theta") - log_theta - 2.0 * log_ratio
     ess = spec.count * math.exp(-log1p_rho)
@@ -508,15 +515,14 @@ _IDENTITIES = [
 IDENTITY_NAMES = tuple(name for name, _ in _IDENTITIES)
 
 
-def identity_suite(r: int, trials: int = 500, seed: int = 0,
-                   threshold: float = 1e-9) -> list:
+def identity_suite(r: int, trials: int = 500, seed: int = 0) -> list:
     """Run the nine structural identities at rank r over random batches.
 
     Each puts this package's ``algebra`` or ``sampling`` code against an
     independent LAPACK route.  Split level l in 1..r-1 draws one case of
     ``trials`` points from ``default_rng([seed, r, l])`` that all nine read
     (``_identity_case``); each reports its worst relative discrepancy over
-    the levels, and a NaN fails.
+    the levels, which passes up to ``IDENTITY_TOL``, and a NaN fails.
     """
     if not (sampling._is_int(r) and sampling._is_int(trials) and r >= 2 and trials >= 1):
         raise VerifyError(
@@ -525,7 +531,7 @@ def identity_suite(r: int, trials: int = 500, seed: int = 0,
              for l in range(1, r))
     errors = np.array([[check(case) for _, check in _IDENTITIES] for case in cases])
     return [IdentityReport(name=name, r=r, trials=trials, max_rel_error=float(worst),
-                           threshold=threshold, passed=bool(worst <= threshold))
+                           threshold=IDENTITY_TOL, passed=bool(worst <= IDENTITY_TOL))
             for name, worst in zip(IDENTITY_NAMES, errors.max(axis=0))]
 
 

@@ -29,16 +29,16 @@ def random_cone(rng, r):
 def test_packed_storage_roundtrip():
     a = np.array([[1.0, 2.0, 3.0], [2.0, 4.0, 5.0], [3.0, 5.0, 6.0]])
     x = sym(a)
-    assert np.array_equal(x.dense(), a)
+    assert np.array_equal(x.matrix, a)
     back = SymElement.from_json_dict(x.to_json_dict())
-    assert np.array_equal(back.dense(), a)
+    assert np.array_equal(back.matrix, a)
 
 
 def test_symmetry_is_exact_after_construction():
     # entries within the 1e-12 gate are accepted, then unified bitwise
     a = np.array([[1.0, 2.0], [2.0 + 5e-13, 3.0]])
     x = SymElement.from_dense(a)
-    d = x.dense()
+    d = x.matrix
     assert d[0, 1] == d[1, 0]
 
 
@@ -69,14 +69,12 @@ def test_lower_triangle_mirrors_upper_bitwise():
     assert x.r == 3
 
 
-def test_matrix_is_read_only_and_dense_is_a_copy():
+def test_matrix_is_read_only_and_the_input_is_copied():
     a = np.array([[2.0, 1.0], [1.0, 3.0]])
     x = sym(a)
     a[0, 0] = 9.0  # the input is copied, not aliased
     with pytest.raises(ValueError):
         x.matrix[0, 0] = 9.0
-    d = x.dense()
-    d[0, 0] = 9.0
     assert x.matrix[0, 0] == 2.0
 
 
@@ -96,7 +94,7 @@ def test_constructor_mirrors_upper_and_rejects_non_square():
 def test_inner_norm_is_frobenius():
     rng = np.random.default_rng(8)
     x = random_sym(rng, 4)
-    assert_allclose(x.norm(), np.linalg.norm(x.dense()), rtol=1e-13)
+    assert_allclose(x.norm(), np.linalg.norm(x.matrix), rtol=1e-13)
 
 
 def test_norm_survives_extreme_scales():
@@ -128,7 +126,7 @@ def test_spectral_invariants(r):
         evals = al.spectral(x)
         assert evals.shape == (r,)
         assert np.all(np.diff(evals) <= 0.0)
-        assert np.array_equal(evals, np.linalg.eigvalsh(x.dense())[::-1])
+        assert np.array_equal(evals, np.linalg.eigvalsh(x.matrix)[::-1])
 
 
 class _Refused(Exception):
@@ -184,7 +182,7 @@ def test_minors_match_direct_determinants(r):
     for _ in range(50):
         x = random_sym(rng, r)
         m = _minors(x.matrix[None])[0]
-        want = [np.linalg.det(x.dense()[: k + 1, : k + 1]) for k in range(r)]
+        want = [np.linalg.det(x.matrix[: k + 1, : k + 1]) for k in range(r)]
         assert_allclose(m, want, rtol=1e-9, atol=1e-12)
 
 

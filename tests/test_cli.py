@@ -647,6 +647,17 @@ def test_density_refuses_singular_parameter(capsys):
     assert code == 2 and "no density" in err
 
 
+def test_density_refuses_a_parameter_that_zero_tol_makes_singular(capsys):
+    # u_2 = 1e-10 is snapped to 0, so there is no density; without the
+    # tolerance the same s has one
+    x = '{"r":2,"data":[[1.0,0.0],[0.0,1.0]]}'
+    code, _, err = run(capsys, "density", "--s", "1,0.5000000001", "--zero-tol", "1e-9",
+                       "--x", x)
+    assert code == 2 and "no density" in err
+    code, _, _ = run(capsys, "density", "--s", "1,0.5000000001", "--x", x)
+    assert code == 0
+
+
 def test_density_off_cone_point_fails(capsys):
     code, _, err = run(capsys, "density", "--s", "2.0,1.5",
                        "--x", '{"r":2,"data":[[1.0,0.0],[0.0,-1.0]]}')

@@ -152,12 +152,12 @@ def test_spec_build_and_json_roundtrip():
     back = sp.RieszSpec.from_json_dict(obj)
     assert back.param == spec.param
     assert back.seed == spec.seed and back.count == spec.count
-    assert np.array_equal(back.theta.dense(), spec.theta.dense())
+    assert np.array_equal(back.theta.matrix, spec.theta.matrix)
 
 
 def test_spec_default_tilt_is_minus_identity():
     spec = sp.RieszSpec.build(u=[1.0, 1.0])
-    assert np.array_equal(spec.theta.dense(), -np.eye(2))
+    assert np.array_equal(spec.theta.matrix, -np.eye(2))
     # serialized form must not carry negative zeros
     flat = json.dumps(spec.to_json_dict())
     assert "-0.0" not in flat
@@ -410,6 +410,39 @@ def test_draw_sum_keeps_the_reference_bits_on_random_laws():
     assert classes == {(w, tail) for w in (1, 2) for tail in (0, 1, 2)}
 
 
+def _run_shape_laws(r):
+    """u vectors at rank r whose runs have width 1 or tail 0: one full-width
+    run, a run that ends at index r after p leading zeros, a lone width-1 run
+    at p, and a width-1 run at p beside a width-1 run at the last index."""
+    yield [1.0 + k / 7 for k in range(r)]
+    for p in range(r):
+        yield [0.0] * p + [0.4 + k / 5 for k in range(r - p)]
+        yield [0.0] * p + [0.6 + p / 3] + [0.0] * (r - p - 1)
+        if p < r - 2:
+            yield [0.0] * p + [0.3] + [0.0] * (r - p - 2) + [1.7]
+
+
+def test_draw_sum_keeps_the_reference_bits_on_every_run_shape():
+    # the sampler has one path for every run: a run of width 1 and a run with
+    # tail 0 go through the same products as any other, with zero-size
+    # operands, and must give the bits of the branched plain copy above.
+    # Every such law at r = 1..8, one chunk on a rotated tilt of condition
+    # 1e3 and one on -2.5 I, whose off-diagonal zeros are negative
+    classes = set()
+    for r in range(1, 9):
+        q = np.linalg.qr(np.random.default_rng(r).standard_normal((r, r)))[0]
+        neg = (q * np.geomspace(1.0, 1e3, r)) @ q.T
+        for theta in (SymElement.from_dense(-0.5 * (neg + neg.T)), SymElement(-2.5 * np.eye(r))):
+            for u in _run_shape_laws(r):
+                spec = sp.RieszSpec.build(u=u, theta=theta, seed=r, count=sp.CHUNK)
+                classes |= {(min(p.width, 2), min(p.tail, 1)) for p in spec.plans}
+                want, got = np.empty((2, sp.CHUNK, r, r))
+                _reference_draw_sum(spec.plans, sp.sample_stream(spec.seed, 0), want)
+                sp._draw_sum(spec.plans, sp.sample_stream(spec.seed, 0), got)
+                assert got.tobytes() == want.tobytes(), f"u = {u}, theta = {theta}"
+    assert classes == {(1, 0), (2, 0), (1, 1)}
+
+
 def test_sample_riesz_zero_parameter_is_point_mass_at_zero():
     batch = sp.sample_riesz(sp.RieszSpec.build(u=[0.0, 0.0, 0.0], count=7))
     assert np.array_equal(batch.matrices, np.zeros((7, 3, 3)))
@@ -439,7 +472,7 @@ def test_rank_one_law_matches_gaussian_oracle():
     spec = sp.RieszSpec.build(s=[0.5, 0.5, 0.5], theta=theta, seed=77,
                               count=30000)
     batch = sp.sample_riesz(spec, workers=2)
-    cov = 0.5 * np.linalg.inv(-theta.dense())
+    cov = 0.5 * np.linalg.inv(-theta.matrix)
     got = batch.mean()
     se = batch.matrices.std(axis=0, ddof=1) / math.sqrt(len(batch))
     assert np.all(np.abs(got - cov) < 5 * se)
@@ -490,7 +523,7 @@ def test_log_density_is_translation_consistent():
     hi = sp.log_density_ac(s + 1.0, x)
     from rieszcone.gindikin import log_gamma_omega
 
-    want = math.log(np.linalg.det(x.dense()))
+    want = math.log(np.linalg.det(x.matrix))
     want -= log_gamma_omega(s + 1.0, 3) - log_gamma_omega(s, 3)
     assert hi - lo == pytest.approx(want, rel=1e-10)
 
@@ -529,8 +562,12 @@ def test_log_density_where_entries_span_past_the_float_range():
 
 def test_log_density_refusals():
     x2 = SymElement.from_dense(np.eye(2))
-    with pytest.raises(sp.SamplerError, match="no Lebesgue density"):
+    with pytest.raises(sp.NonSamplableError, match="no density"):
         sp.log_density_ac([0.5, 0.5], x2)  # singular parameter
+    # u_2 = 1e-10: a density without a tolerance, none once zero_tol snaps it to 0
+    assert math.isfinite(sp.log_density_ac([1.0, 0.5 + 1e-10], x2))
+    with pytest.raises(sp.NonSamplableError, match="no density"):
+        sp.log_density_ac([1.0, 0.5 + 1e-10], x2, zero_tol=1e-9)
     with pytest.raises(sp.SamplerError):
         sp.log_density_ac([1.0, 1.0], SymElement.from_dense(np.diag([1.0, 0.0])))
     with pytest.raises(sp.SamplerError):
@@ -552,11 +589,11 @@ def test_write_ndjson_layout():
     assert header["partition"]["k"] == 1
     for i, line in enumerate(lines[1:]):
         el = SymElement.from_json_dict(json.loads(line))
-        assert np.array_equal(el.dense(), batch.matrices[i])
+        assert np.array_equal(el.matrix, batch.matrices[i])
 
 
 # The writers as they were before output was streamed, kept as the reference:
-# one SymElement, dense() and json.dumps per draw, and csv.writer with one
+# one SymElement and json.dumps per draw, and csv.writer with one
 # repr per value.  The streamed writers must reproduce their bytes exactly.
 
 

@@ -15,6 +15,7 @@ from scipy.special import roots_genlaguerre, roots_jacobi
 
 from rieszcone import algebra, cli, sampling as sp, verify as vf
 from rieszcone.algebra import SymElement
+from rieszcone.gindikin import NotInGindikinSetError
 from rieszcone.sampling import RieszSpec, sample_riesz
 
 
@@ -273,6 +274,34 @@ def test_laplace_mc_effective_sample_floor():
                 vf.laplace_mc_chunks(spec, iter(()), zeta)
         else:
             assert vf.laplace_mc(sample_riesz(spec), zeta).n == n
+
+
+def test_a_laplace_probe_checks_each_fact_once(wide_r8_batch, monkeypatch):
+    # theta was checked when the spec was built and 2 zeta - theta is the
+    # variance guard, so a probe runs two eigenvalue checks (the guard, zeta)
+    # and re-derives s once, with no tolerance
+    calls = {"spectral": 0, "u_from_s": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(algebra, "spectral", counted("spectral", algebra.spectral))
+    monkeypatch.setattr(vf, "u_from_s", counted("u_from_s", vf.u_from_s))
+    zeta = SymElement(1.1 * wide_r8_batch.spec.theta.matrix)
+    assert vf.laplace_mc(wide_r8_batch, zeta, z_threshold=5.0).passed
+    assert calls == {"spectral": 2, "u_from_s": 1}
+
+
+def test_laplace_mc_refuses_an_s_admissible_only_by_zero_tol():
+    # u_2 = -1e-10 is snapped to 0 when the spec is built, so the law drawn
+    # is not the one s names; the probe refuses before reading a chunk
+    spec = RieszSpec.build(s=[1.0, 0.4999999999], zero_tol=1e-9, count=20)
+    assert spec.param.u == (1.0, 0.0)
+    with pytest.raises(NotInGindikinSetError, match="u_2"):
+        vf.laplace_mc_chunks(spec, iter(()), sym(-1.1 * np.eye(2)))
 
 
 def test_log_laplace_exact_is_finite_where_the_transform_overflows():
@@ -624,20 +653,12 @@ def wide_r8_batch():
     return _wide_r8_batch(0)
 
 
-@pytest.mark.parametrize("op", [394, 423])
-def test_support_verdicts_pass_draws_with_a_tiny_pivot(op):
-    # one draw has an active pivot near 1e-11 x_pp (a small gamma variate),
-    # which magnifies the rounding in its later residuals to 2e-5..3e-4 x_pp:
-    # only the pivot-growth term of the cut keeps these exact draws passing
-    batch = _wide_r8_batch(op)
-    assert vf.rank_profile(batch, expected=5).passed
-    assert vf.psd_check(batch)[0]
-
-
 @pytest.mark.parametrize("op", [809, 2907])
 def test_support_verdicts_need_the_pivot_growth_term(op, monkeypatch):
-    # one draw of each has an active pivot near 1e-15..1e-13 x_pp, behind which an
-    # inactive residual reads 1e-2 (809) and 7e-4 (2907) x_pp, past SUPPORT_TOL
+    # one draw of each has an active pivot near 1e-15..1e-13 x_pp (a small gamma
+    # variate), which magnifies the rounding in a later inactive residual to
+    # 1e-2 (809) and 7e-4 (2907) x_pp, past SUPPORT_TOL: these exact draws pass
+    # the rank and PSD verdicts only through the cut's pivot-growth term
     batch = _wide_r8_batch(op)
     assert vf.rank_profile(batch, expected=5).passed
     assert vf.psd_check(batch)[0]
