@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import argparse
 import errno
+import functools
 import json
 import os
 import stat
@@ -119,7 +120,10 @@ def _load_sym(arg: str, what: str) -> SymElement:
         raise TiltError(f"cannot load {what}: {err}") from err
 
 
+@functools.lru_cache(maxsize=None)
 def _build_parser() -> _Parser:
+    """The command-line parser, built once per process and shared by every
+    ``main`` call: parsing keeps its state in the ``Namespace`` it returns."""
     p = _Parser(
         prog="rieszcone",
         description="Riesz measures on the PSD cone: admissibility checks, "

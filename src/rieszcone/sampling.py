@@ -48,12 +48,14 @@ place into one batch.  Both accept a ``workers`` count for compatibility;
 it changes neither the bits nor the speed.
 
 The writers (``write_ndjson``, ``write_json``, ``write_csv``) consume the
-chunks as they come, so a run of any length holds O(CHUNK * r^2) floats.
-Each draw's distinct entries (its packed upper triangle) are formatted once
-with ``repr``, and the mirrored lower triangle reuses those strings, which
-is exact because draws are symmetric bit for bit.  The bytes written
-therefore depend on the spec alone.  A non-finite entry is never a correct
-draw: the writers raise ``SamplerError`` on the first chunk that holds one.
+chunks as they come and format each in slices of ``SLICE`` draws, so a run
+of any length holds one chunk's floats and one slice's strings.  Each draw's
+distinct entries (its packed upper triangle) are formatted once with
+``repr``, and the mirrored lower triangle reuses those strings, which is
+exact because draws are symmetric bit for bit.  The bytes written therefore
+depend on the spec alone.  A non-finite entry is never a correct draw: the
+writers raise ``SamplerError`` on the first chunk that holds one, before
+writing any of it.
 
 The per-run constants (Cholesky factors and coupling map, ``_BlockPlan``)
 are derived from the tilt once, when a ``RieszSpec`` is constructed, so a
@@ -66,7 +68,9 @@ from __future__ import annotations
 import functools
 import hashlib
 import json
+import operator
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -102,6 +106,7 @@ __all__ = [
 
 TILT_MARGIN = 1e-10
 CHUNK = 512  # draws per stream in sample_riesz
+SLICE = 128  # draws per template fill in the writers
 # _plan_block: a run's draw scale times this must stay below the largest float.
 # An entry beyond 1e3 times the scale needs a variate some 500 times its mean
 # (or above 500 for a shape below 1), which no stream yields in practice:
@@ -561,42 +566,62 @@ def _header(spec: RieszSpec) -> dict:
     return {"spec": spec.to_json_dict(), "partition": spec.partition.to_json_dict()}
 
 
-def _draw_template(r: int, dumps) -> str:
-    """``dumps`` of an r x r draw, as a ``str.format`` template.
+def _draw_template(r: int, dumps) -> tuple[str, tuple]:
+    """``dumps`` of an r x r draw as a ``%`` template, and the packed entry of each field.
 
-    Field k stands for the k-th entry of the packed upper triangle, and the
-    mirrored lower triangle names the same fields, so each distinct entry is
-    formatted once (draws are symmetric bit for bit).
+    Field f stands for entry ``index[f]`` of the packed upper triangle, and
+    the mirrored lower triangle names the same entries, so each distinct
+    entry is formatted once (draws are symmetric bit for bit).
     """
     rows, cols = np.triu_indices(r)
     field = {(int(i), int(j)): k for k, (i, j) in enumerate(zip(rows, cols))}
-    marks = [[f"@{field[min(i, j), max(i, j)]}@" for j in range(r)] for i in range(r)]
-    text = dumps({"r": r, "data": marks}).replace("{", "{{").replace("}", "}}")
-    for k in range(len(field)):
-        text = text.replace(f'"@{k}@"', f"{{{k}}}")
-    return text
+    index = tuple(field[min(i, j), max(i, j)] for i in range(r) for j in range(r))
+    text = dumps({"r": r, "data": [["@"] * r for _ in range(r)]})
+    return text.replace("%", "%%").replace('"@"', "%s"), index
 
 
-def _write_chunks(fp, head: str, chunks, r: int, line: str, sep: str, tail: str) -> None:
-    """Write ``head``, each draw as ``line`` over its packed entries, ``tail``.
+def _write_chunks(fp, head: str, chunks, r: int, line: str, index: tuple,
+                  sep: str, tail: str) -> None:
+    """Write ``head``, each draw as ``line`` over its packed entries ``index``, ``tail``.
 
-    Draws are joined by ``sep``; each chunk is formatted in one pass, with
-    one ``repr`` per distinct entry, and written in one call.  A non-finite
-    entry is never a correct draw, so it raises ``SamplerError``.
+    Draws are joined by ``sep``.  A non-finite entry is never a correct
+    draw: its chunk raises ``SamplerError`` before any of it is written.
+    Each slice of up to ``SLICE`` draws is one ``%`` fill of ``line``
+    repeated over the slice, a template built once per slice length, with
+    one ``repr`` per distinct entry and each draw's fields gathered by one
+    ``itemgetter`` call.  Only one slice's strings are held at a time, and
+    none while the next chunk is drawn.
     """
     rows, cols = np.triu_indices(r)
-    fmt = line.format
+    m = len(rows)
+    # csv, and every format at r = 1, takes the packed entries in order: the
+    # gather is skipped there, as an itemgetter of one index returns no tuple
+    gather = None if index == tuple(range(m)) else operator.itemgetter(*index)
+    templates = {}
+
+    def fill(draws) -> str:
+        # a function of its own, so that nothing of the slice is still held
+        # while the next chunk is drawn
+        k = len(draws)
+        if k not in templates:
+            templates[k] = sep.join([line] * k)
+        # float.__repr__ is what repr() and json.dumps call for a float
+        fields = tuple(map(float.__repr__, draws[:, rows, cols].ravel().tolist()))
+        if gather is not None:
+            fields = tuple(chain.from_iterable(map(gather, zip(*[iter(fields)] * m))))
+        return templates[k] % fields
+
     fp.write(head)
     lead, done = "", 0
     for chunk in chunks:
-        packed = chunk[:, rows, cols]
-        finite = np.isfinite(packed).all(axis=1)
+        finite = np.isfinite(chunk[:, rows, cols]).all(axis=1)
         if not finite.all():
             raise SamplerError(f"draw {done + int(np.argmin(finite))} has a non-finite entry")
-        # float.__repr__ is what repr() and json.dumps call for a float
-        fp.write(lead + sep.join([fmt(*map(float.__repr__, row)) for row in packed.tolist()]))
-        lead = sep
-        done += len(packed)
+        for lo in range(0, len(chunk), SLICE):
+            fp.write(lead)
+            fp.write(fill(chunk[lo:lo + SLICE]))
+            lead = sep
+        done += len(chunk)
     fp.write(tail)
 
 
@@ -604,16 +629,17 @@ def write_ndjson(spec: RieszSpec, chunks, fp) -> None:
     """Header line (spec + partition echo) then one JSON matrix per line."""
     compact = functools.partial(json.dumps, separators=(",", ":"))
     r = spec.param.r
-    _write_chunks(fp, compact(_header(spec)) + "\n", chunks, r,
-                  _draw_template(r, compact) + "\n", "", "")
+    line, index = _draw_template(r, compact)
+    _write_chunks(fp, compact(_header(spec)) + "\n", chunks, r, line + "\n", index, "", "")
 
 
 def write_json(spec: RieszSpec, chunks, fp) -> None:
     """One indented JSON document: the header's fields plus ``"samples"``."""
     head, tail = json.dumps(dict(_header(spec), samples=["@S@"]), indent=2).split('"@S@"')
     r = spec.param.r
-    line = _draw_template(r, functools.partial(json.dumps, indent=2)).replace("\n", "\n    ")
-    _write_chunks(fp, head, chunks, r, line, ",\n    ", tail + "\n")
+    line, index = _draw_template(r, functools.partial(json.dumps, indent=2))
+    _write_chunks(fp, head, chunks, r, line.replace("\n", "\n    "), index,
+                  ",\n    ", tail + "\n")
 
 
 def write_csv(spec: RieszSpec, chunks, fp) -> None:
@@ -621,5 +647,5 @@ def write_csv(spec: RieszSpec, chunks, fp) -> None:
     r = spec.param.r
     rows, cols = np.triu_indices(r)
     head = ",".join(f"x_{i + 1}_{j + 1}" for i, j in zip(rows, cols)) + "\n"
-    line = ",".join(f"{{{k}}}" for k in range(len(rows))) + "\n"
-    _write_chunks(fp, head, chunks, r, line, "", "")
+    line = ",".join(["%s"] * len(rows)) + "\n"
+    _write_chunks(fp, head, chunks, r, line, tuple(range(len(rows))), "", "")

@@ -690,6 +690,47 @@ def test_selftest_smoke(capsys):
     assert "self-test PASS" in err
 
 
+# ------------------------------------------------------------- parser reuse
+
+
+def _outcome(capsys, argv):
+    """(exit code, stdout, stderr) of one ``main`` call, a usage exit included;
+    the timings of a ``--stats`` line are dropped, the rest of it kept."""
+    try:
+        code = cli.main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    out, err = capsys.readouterr()
+    if "--stats" in argv:
+        *lines, stats = err.splitlines()
+        stats = json.loads(stats)
+        for key in ("draw_s", "write_s", "draws_per_s"):
+            del stats[key]
+        err = lines + [stats]
+    return code, out, err
+
+
+def test_a_reused_parser_leaks_no_state(capsys, tmp_path):
+    assert cli._build_parser() is cli._build_parser()
+    spec_file = tmp_path / "spec.json"
+    spec_file.write_text(json.dumps({"u": [1.2, 0, 0.7, 0], "seed": 5, "n": 8}))
+    runs = [
+        ("sample", "--s", "1,1", "--n", "0"),
+        ("sample", "--spec", str(spec_file)),
+        ("sample", "--u", "1.2,0,0.7,0", "--stats"),
+        ("check", "--s", "1.0,0.5"),
+        ("verify", "--s", "0.5,0.5", "--zeta", '{"r":2,"data":[[-1.5,0],[0,-1.5]]}',
+         "--n", "500"),
+    ]
+    alone = []
+    for argv in runs:
+        cli._build_parser.cache_clear()
+        alone.append(_outcome(capsys, argv))
+    in_sequence = [_outcome(capsys, argv) for argv in runs]
+    assert [code for code, _, _ in alone] == [64, 0, 0, 0, 0]
+    assert in_sequence == alone
+
+
 # ------------------------------------------------------------- console script
 
 
