@@ -79,14 +79,11 @@ class _Parser(argparse.ArgumentParser):
 
 def _float_list(text: str):
     try:
-        values = [float(t) for t in text.split(",")]
+        return [float(t) for t in text.split(",")]
     except ValueError:
         raise argparse.ArgumentTypeError(
             f"expected a comma-separated list of numbers, got {text!r}"
         )
-    if not values:
-        raise argparse.ArgumentTypeError("empty list")
-    return values
 
 
 def _int_type(what: str, ok):

@@ -233,8 +233,8 @@ def build_partition(param: GindikinParam) -> BlockPartition:
     )
 
 
-def log_gamma_omega(s, r: int, d: float = 1.0) -> float:
-    """Log of the cone gamma integral at parameter s.
+def log_gamma_omega(s, *, d: float = 1.0) -> float:
+    """Log of the cone gamma integral at parameter s, of rank r = len(s).
 
     log Gamma(s) = ((n - r)/2) log(2 pi) + sum_j log Gamma(s_j - (j-1) d/2)
     with n = r + (d/2) r (r-1).  Raises ``GammaPoleError`` whenever any
@@ -242,8 +242,7 @@ def log_gamma_omega(s, r: int, d: float = 1.0) -> float:
     """
     ss = _as_float_vector(s, "s")
     _check_d(d)
-    if len(ss) != r:
-        raise GindikinError(f"s must have length r = {r}, got {len(ss)}")
+    r = len(ss)
     args = np.asarray(ss) - 0.5 * d * np.arange(r)
     if np.any(args <= 0):
         bad = int(np.argmax(args <= 0))

@@ -149,24 +149,20 @@ def sample_stream(seed: int, index: int) -> np.random.Generator:
     return np.random.Generator(np.random.SFC64(np.random.SeedSequence(words)))
 
 
-def sample_gamma(shape: float, rng: np.random.Generator, size=None):
-    """Gamma(shape, scale=1) variates, exact for every positive shape.
+def sample_gamma(shape: float, rng: np.random.Generator, size) -> np.ndarray:
+    """``size`` Gamma(shape, scale=1) variates, exact for every positive shape.
 
     Shapes below 1 are drawn as Gamma(shape + 1) * U^(1/shape), which keeps
     the generator's gamma method out of its rejection-heavy small-shape
     regime and costs exactly two stream draws per variate (a gamma draw of
-    ``size``, then a uniform draw of ``size``).  With ``size`` None the
-    result is one float, otherwise an array of that shape.
+    ``size``, then a uniform draw of ``size``).
     """
     if not shape > 0:
         raise SamplerError(f"gamma shape must be positive, got {shape}")
     if shape < 1.0:
         g = rng.gamma(shape + 1.0, size=size)
-        u = rng.random(size)
-        x = g * u ** (1.0 / shape)
-    else:
-        x = rng.gamma(shape, size=size)
-    return float(x) if size is None else x
+        return g * rng.random(size) ** (1.0 / shape)
+    return rng.gamma(shape, size=size)
 
 
 def _neg_inverse(a: np.ndarray, what: str) -> np.ndarray:
@@ -559,7 +555,7 @@ def log_density_ac(s, x: SymElement, zero_tol: float = 0.0) -> float:
         log_power = algebra.log_generalized_power(x, shift)
     except algebra.PowerDomainError:
         raise SamplerError("x is not in the open cone (nonpositive leading minor)") from None
-    return log_power - log_gamma_omega(param.s, x_r, 1.0)
+    return log_power - log_gamma_omega(param.s)
 
 
 def _header(spec: RieszSpec) -> dict:

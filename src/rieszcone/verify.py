@@ -29,8 +29,8 @@ Every check here runs two genuinely independent routes and compares them:
   and the worst ratio, the four of them kept while the batch lives.
 
 Every whole-tilt check (the tilt of ``log_laplace_exact`` and
-``quadrature_integral_r2``, the variance guard and zeta of
-``laplace_mc_chunks``) goes through ``algebra.require_negative_definite``.
+``quadrature_integral_r2``, the variance guard of ``laplace_mc_chunks``) goes
+through ``algebra.require_negative_definite``.
 """
 
 from __future__ import annotations
@@ -77,6 +77,7 @@ GROWTH_TOL = 1e-15  # plus this times the draw's pivot growth (see _support_fold
 ESS_FLOOR = 1000  # laplace_mc_chunks: fewest effective draws when rho > 1
 IDENTITY_TOL = 1e-9  # identity_suite: the worst relative error that passes
 QUAD_N_START = 12  # quadrature_integral_r2: first per-axis node count,
+QUAD_N_MAX = 192  # the last one it may reach,
 QUAD_RTOL = 1e-8  # and the relative change of two successive estimates that stops it
 
 
@@ -171,9 +172,12 @@ def laplace_mc_chunks(spec: RieszSpec, chunks, zeta: SymElement,
     the largest float.
 
     Each fact behind the three closed forms is checked once: theta by the
-    spec, 2 zeta - theta by the variance guard, and zeta here.  s is re-derived
-    once with no tolerance, refusing an s whose negative u_p the spec snapped
-    to 0 (``zero_tol``): its closed form is not that of the law drawn.
+    spec and 2 zeta - theta by the variance guard.  Those two make -zeta
+    positive definite too, as -zeta = (-(2 zeta - theta) + (-theta)) / 2, and
+    a zeta that rounding still spoils is a ``TiltError`` from its pivots.  s
+    is re-derived once with no tolerance, refusing an s whose negative u_p the
+    spec snapped to 0 (``zero_tol``): its closed form is not that of the law
+    drawn.
     """
     theta = spec.theta
     if zeta.r != theta.r:
@@ -183,7 +187,6 @@ def laplace_mc_chunks(spec: RieszSpec, chunks, zeta: SymElement,
         guard, VarianceGuardError, "2 zeta - theta (finite weight variance)")
     s = u_from_s(spec.param.s).s
     log_theta = _log_laplace(s, theta, "theta")
-    algebra.require_negative_definite(zeta, TiltError, "zeta")
     log_ratio = _log_laplace(s, zeta, "zeta") - log_theta
     log1p_rho = _log_laplace(s, guard, "2 zeta - theta") - log_theta - 2.0 * log_ratio
     ess = spec.count * math.exp(-log1p_rho)
@@ -265,8 +268,8 @@ def _gauss_rule(jacobi: bool, n: int, exponent: float):
     return rule
 
 
-def quadrature_integral_r2(s, theta: SymElement, moment=None, n_max: int = 192) -> float:
-    """Integral of Delta_{s-3/2}(x) e^{<theta,x>} [moment(a,b,c)] over the cone.
+def quadrature_integral_r2(s, theta: SymElement) -> float:
+    """Integral of Delta_{s-3/2}(x) e^{<theta,x>} over the cone.
 
     Here x = [[a, b], [b, c]] ranges over the open rank-2 cone and the flat
     measure is the one induced by the trace inner product, i.e.
@@ -288,14 +291,15 @@ def quadrature_integral_r2(s, theta: SymElement, moment=None, n_max: int = 192) 
     on each axis, so the oracle stays a genuine integration.
 
     The per-axis node count doubles from ``QUAD_N_START`` until two successive
-    estimates agree to ``QUAD_RTOL`` relative, else ``QuadratureError``.  The
-    residual gets harder to integrate as rho approaches 1.  Over random tilts
-    with diagonal entries e^{U(-3,3)} and random s (20 per rho), every tilt
-    with rho <= 0.85 converged, to within 3.1e-11 of the closed form, about
-    a third did at rho = 0.9 and none at rho = 0.95.  What counts is rho,
-    not the scaling or the condition number: a tilt of condition 100
-    rotated by 0.1 rad (rho = 0.70) converges, and rotated by 45 degrees
-    (rho = 0.98) it raises ``QuadratureError`` rather than return a number.
+    estimates agree to ``QUAD_RTOL`` relative, else ``QuadratureError`` past
+    ``QUAD_N_MAX``.  The residual gets harder to integrate as rho approaches
+    1.  Over random tilts with diagonal entries e^{U(-3,3)} and random s (20
+    per rho), every tilt with rho <= 0.85 converged, to within 3.1e-11 of the
+    closed form, about a third did at rho = 0.9 and none at rho = 0.95.  What
+    counts is rho, not the scaling or the condition number: a tilt of
+    condition 100 rotated by 0.1 rad (rho = 0.70) converges, and rotated by 45
+    degrees (rho = 0.98) it raises ``QuadratureError`` rather than return a
+    number.
     """
     s = np.asarray(s, dtype=float)
     if s.shape != (2,) or theta.r != 2:
@@ -316,7 +320,7 @@ def quadrature_integral_r2(s, theta: SymElement, moment=None, n_max: int = 192) 
 
     prev = None
     n = QUAD_N_START
-    while n <= n_max:
+    while n <= QUAD_N_MAX:
         xa, wa = _gauss_rule(False, n, s1 - 1.0)
         xc, wc = _gauss_rule(False, n, s2 - 1.0)
         v, wv = _gauss_rule(True, n, alpha)
@@ -327,16 +331,13 @@ def quadrature_integral_r2(s, theta: SymElement, moment=None, n_max: int = 192) 
         f += ((t11 + lam_a) * a)[:, None, None] + ((t22 + lam_c) * c)[None, :, None]
         with np.errstate(under="ignore"):
             np.exp(f, out=f)
-        if moment is not None:
-            f *= moment(a[:, None, None], np.multiply.outer(root_ac, v),
-                        c[None, :, None])
         total = prefactor * float(wa @ (f @ wv) @ wc)
         if prev is not None and abs(total - prev) <= QUAD_RTOL * max(abs(total), _TINY):
             return total
         prev = total
         n *= 2
     raise QuadratureError(
-        f"tensor rule did not stabilize to {QUAD_RTOL:.1e} by {n_max} nodes per axis"
+        f"tensor rule did not stabilize to {QUAD_RTOL:.1e} by {QUAD_N_MAX} nodes per axis"
     )
 
 
@@ -344,7 +345,7 @@ def quadrature_check_r2(s, theta: SymElement) -> float:
     """Relative discrepancy between the cone integral and its closed form."""
     integral = quadrature_integral_r2(s, theta)
     s = np.asarray(s, dtype=float)
-    closed = math.exp(log_gamma_omega(s, 2, 1.0)) * laplace_exact(s, theta)
+    closed = math.exp(log_gamma_omega(s)) * laplace_exact(s, theta)
     return abs(integral / closed - 1.0)
 
 
@@ -466,15 +467,13 @@ def _id_factor_gram(c):
 
 def _id_plan_mean(c):
     # the runs' means sum to E[X], the gradient in theta of the log transform (Gindikin):
-    # with y = (-theta)^{-1}, E[X] = sum_k (s_k - s_{k+1}) y[:, :k] y[:k, :k]^{-1} y[:k, :]
+    # E[X] = t diag(s) t^T with t the lower Cholesky factor of (-theta)^{-1}
     got = np.zeros((c.r, c.r))
     for p in c.plans:
         got[p.start:, p.start:] += sampling._run_mean(
             p.core_chol, p.coupling, p.noise_chol, p.shapes + 0.5 * np.arange(p.width))
-    y, s = np.linalg.inv(-c.theta), s_from_u(c.u)
-    e = s - np.append(s[1:], 0.0)
-    want = sum(ek * y[:, :k] @ np.linalg.solve(y[:k, :k], y[:k, :]) for k, ek in enumerate(e, 1))
-    return _rel_error(got[None], want[None])
+    t = np.linalg.cholesky(np.linalg.inv(-c.theta))
+    return _rel_error(got[None], ((t * s_from_u(c.u)) @ t.T)[None])
 
 
 def _id_run_placement(c):
@@ -681,7 +680,7 @@ def _selftest_quadrature(full: bool):
         rel = quadrature_check_r2(np.array(s), SymElement(t))
         worst = max(worst, rel)
         points.append({"s": list(s), "theta_diag": np.diag(t).tolist(), "rel_err": rel})
-    closed = math.exp(log_gamma_omega([2.0, 1.0], 2, 1.0))
+    closed = math.exp(log_gamma_omega([2.0, 1.0]))
     anchor_ok = abs(closed - math.sqrt(2.0 * math.pi) * math.sqrt(math.pi)) < 1e-12
     return {
         "pass": bool(worst <= 1e-6 and anchor_ok),

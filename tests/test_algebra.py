@@ -53,6 +53,12 @@ def test_rejects_asymmetric_and_nonsquare():
         SymElement.from_json_dict({"r": 2, "data": [[1.0]]})
 
 
+@pytest.mark.parametrize("obj", [[[1.0]], "2", None, {"r": 1}, {"data": [[1.0]]}])
+def test_from_json_dict_refuses_anything_but_an_object_with_r_and_data(obj):
+    with pytest.raises(al.AlgebraError, match="expected an object"):
+        SymElement.from_json_dict(obj)
+
+
 def test_rejects_empty_matrix():
     with pytest.raises(al.AlgebraError):
         SymElement.from_dense(np.zeros((0, 0)))
@@ -263,6 +269,12 @@ def test_generalized_power_domain():
     # negative pivot is refused even where its minor's exponent s_1 - s_2 is 0
     with pytest.raises(al.PowerDomainError):
         al.log_generalized_power(sym(np.diag([-1.0, -1.0])), [1.0, 1.0])
+
+
+def test_generalized_power_refuses_a_parameter_of_the_wrong_length():
+    for s in ([1.0], [1.0, 1.0, 1.0], [[1.0, 1.0]]):
+        with pytest.raises(al.ShapeMismatchError, match="must have length 2"):
+            al.log_generalized_power(sym(np.eye(2)), s)
 
 
 @pytest.mark.parametrize("power", [600, -600])

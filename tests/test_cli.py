@@ -1,3 +1,4 @@
+import errno
 import hashlib
 import json
 import math
@@ -465,6 +466,22 @@ def test_sample_out_that_cannot_be_opened_exits_64(capsys, monkeypatch, tmp_path
         err = capsys.readouterr().err
         assert err.splitlines()[-1].startswith(f"rieszcone: error: cannot open --out {bad}")
     assert list(tmp_path.iterdir()) == []
+
+
+def test_sample_out_that_cannot_be_renamed_into_place_exits_64(capsys, monkeypatch, tmp_path):
+    path = tmp_path / "draws.ndjson"
+    path.write_bytes(b"old bytes\n")
+
+    def refused(src, dst):
+        raise OSError(errno.EACCES, os.strerror(errno.EACCES))
+
+    monkeypatch.setattr(os, "replace", refused)
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["sample", "--s", "1,1", "--n", "3", "--out", str(path)])
+    assert exc.value.code == 64
+    err = capsys.readouterr().err
+    assert err.splitlines()[-1].startswith(f"rieszcone: error: cannot open --out {path}")
+    assert list(tmp_path.iterdir()) == [path] and path.read_bytes() == b"old bytes\n"
 
 
 def test_sample_out_keeps_symlink_and_mode(capsys, tmp_path):

@@ -220,11 +220,11 @@ def test_blockwise_recomposition_is_exact():
 
 
 def test_log_gamma_omega_rank_one():
-    assert gk.log_gamma_omega([2.7], 1) == pytest.approx(gammaln(2.7), rel=1e-14)
+    assert gk.log_gamma_omega([2.7]) == pytest.approx(gammaln(2.7), rel=1e-14)
 
 
 def test_log_gamma_omega_frozen_value():
-    got = gk.log_gamma_omega([2.0, 1.0], 2)
+    got = gk.log_gamma_omega([2.0, 1.0])
     assert got == pytest.approx(0.5 * math.log(2 * math.pi) + 0.5 * math.log(math.pi),
                                 rel=1e-14)
     assert math.exp(got) == pytest.approx(4.442882938158365, rel=1e-13)
@@ -232,16 +232,26 @@ def test_log_gamma_omega_frozen_value():
 
 def test_log_gamma_omega_pole():
     with pytest.raises(gk.GammaPoleError):
-        gk.log_gamma_omega([1.0, 0.5], 2)
+        gk.log_gamma_omega([1.0, 0.5])
+
+
+def test_log_gamma_omega_takes_its_rank_from_s():
+    # d is keyword-only: an old call that passed the rank second must not run
+    # with d = 2
+    with pytest.raises(TypeError):
+        gk.log_gamma_omega([2.0, 1.0], 2)
+    # r = 2, d = 2: (n - r) / 2 = 1 and the arguments are (2, 1)
+    assert gk.log_gamma_omega([2.0, 2.0], d=2.0) == pytest.approx(math.log(2 * math.pi),
+                                                                  rel=1e-14)
 
 
 def test_log_gamma_omega_shift_recursion():
     # Gamma(a+1) = a Gamma(a), one coordinate at a time
     s = np.array([2.2, 1.7, 1.4])
-    base = gk.log_gamma_omega(s, 3)
+    base = gk.log_gamma_omega(s)
     bumped = s.copy()
     bumped[1] += 1.0
-    got = gk.log_gamma_omega(bumped, 3)
+    got = gk.log_gamma_omega(bumped)
     assert got - base == pytest.approx(math.log(s[1] - 0.5), rel=1e-12)
 
 

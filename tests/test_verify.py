@@ -15,7 +15,7 @@ from scipy.special import roots_genlaguerre, roots_jacobi
 
 from rieszcone import algebra, cli, sampling as sp, verify as vf
 from rieszcone.algebra import SymElement
-from rieszcone.gindikin import NotInGindikinSetError
+from rieszcone.gindikin import NotInGindikinSetError, param_from_u
 from rieszcone.sampling import RieszSpec, sample_riesz
 
 
@@ -278,8 +278,8 @@ def test_laplace_mc_effective_sample_floor():
 
 def test_a_laplace_probe_checks_each_fact_once(wide_r8_batch, monkeypatch):
     # theta was checked when the spec was built and 2 zeta - theta is the
-    # variance guard, so a probe runs two eigenvalue checks (the guard, zeta)
-    # and re-derives s once, with no tolerance
+    # variance guard, which with theta makes -zeta positive definite too, so
+    # a probe runs one eigenvalue check and re-derives s once, with no tolerance
     calls = {"spectral": 0, "u_from_s": 0}
 
     def counted(name, fn):
@@ -292,7 +292,7 @@ def test_a_laplace_probe_checks_each_fact_once(wide_r8_batch, monkeypatch):
     monkeypatch.setattr(vf, "u_from_s", counted("u_from_s", vf.u_from_s))
     zeta = SymElement(1.1 * wide_r8_batch.spec.theta.matrix)
     assert vf.laplace_mc(wide_r8_batch, zeta, z_threshold=5.0).passed
-    assert calls == {"spectral": 2, "u_from_s": 1}
+    assert calls == {"spectral": 1, "u_from_s": 1}
 
 
 def test_laplace_mc_refuses_an_s_admissible_only_by_zero_tol():
@@ -436,7 +436,7 @@ def test_quadrature_refuses_a_nearly_singular_correlation():
         vf.quadrature_integral_r2([1.5, 1.2], sym([[-1.0, -0.99], [-0.99, -1.0]]))
 
 
-def test_quadrature_rejections():
+def test_quadrature_rejections(monkeypatch):
     with pytest.raises(vf.VerifyError):
         vf.quadrature_integral_r2([0.0, 1.0], sym(-np.eye(2)))
     with pytest.raises(vf.VerifyError):
@@ -445,28 +445,26 @@ def test_quadrature_rejections():
         vf.quadrature_integral_r2([1.0, 1.0], sym(np.eye(2)))
     with pytest.raises(vf.VerifyError):
         vf.quadrature_integral_r2([1.0, 1.0, 1.0], sym(-np.eye(3)))
+    monkeypatch.setattr(vf, "QUAD_N_MAX", vf.QUAD_N_START)
     with pytest.raises(vf.QuadratureError):
         # a single rule evaluation can never certify convergence
-        vf.quadrature_integral_r2([1.0, 1.0], sym(-np.eye(2)), n_max=12)
+        vf.quadrature_integral_r2([1.0, 1.0], sym(-np.eye(2)))
 
 
-def test_sampler_moments_match_quadrature():
-    """Dual-route check: raw first moments of the rank-2 law from the
-    tensor quadrature against the Monte Carlo sampler."""
+def test_sampler_mean_matches_the_closed_form():
+    """Dual-route check: the first moments of the rank-2 law from the sampler
+    against the closed form E[X] = t diag(s) t^T, t t^T = (-theta)^{-1}."""
     s = [1.4, 0.9]
     theta = OFFDIAG_TILT
-    mass = vf.quadrature_integral_r2(s, theta)
-    quad_mean = np.array([
-        vf.quadrature_integral_r2(s, theta, moment=lambda a, b, c: a),
-        vf.quadrature_integral_r2(s, theta, moment=lambda a, b, c: b),
-        vf.quadrature_integral_r2(s, theta, moment=lambda a, b, c: c),
-    ]) / mass
+    t = np.linalg.cholesky(np.linalg.inv(-theta.matrix))
+    mean = (t * s) @ t.T
+    want = np.array([mean[0, 0], mean[0, 1], mean[1, 1]])
     batch = sample_riesz(RieszSpec.build(s=s, theta=theta, seed=14,
                                          count=20000), workers=2)
     mc = batch.matrices
     draws = np.stack([mc[:, 0, 0], mc[:, 0, 1], mc[:, 1, 1]], axis=1)
     se = draws.std(axis=0, ddof=1) / math.sqrt(len(mc))
-    assert np.all(np.abs(draws.mean(axis=0) - quad_mean) < 5 * se)
+    assert np.all(np.abs(draws.mean(axis=0) - want) < 5 * se)
 
 
 # ------------------------------------------------------------- identity suite
@@ -896,6 +894,56 @@ def test_selftest_admissibility_grid_fails_on_a_crash(monkeypatch):
     sec = out["sections"]["admissibility"]
     assert out["pass"] is False and sec["pass"] is False
     assert sec["error"] == "TypeError: unsupported operand"
+
+
+def _faulty_roundtrip(monkeypatch):
+    # u comes back with u_1 one larger, s consistent with it
+    real = vf.u_from_s
+
+    def shifted(s, *args, **kwargs):
+        u = np.array(real(s, *args, **kwargs).u)
+        u[0] += 1.0
+        return param_from_u(u)
+
+    monkeypatch.setattr(vf, "u_from_s", shifted)
+
+
+def _faulty_recomposition(monkeypatch):
+    # the last run's length-r parameter is one too large in every entry
+    real = vf.build_partition
+
+    def skewed(param):
+        part = real(param)
+        if not part.k:
+            return part
+        last = tuple(x + 1.0 for x in part.s_blocks[-1])
+        return dataclasses.replace(part, s_blocks=part.s_blocks[:-1] + (last,))
+
+    monkeypatch.setattr(vf, "build_partition", skewed)
+
+
+def _faulty_identity(monkeypatch):
+    monkeypatch.setattr(vf, "_IDENTITIES", [
+        (name, (lambda case: 1.0) if name == "plan_mean" else check)
+        for name, check in vf._IDENTITIES])
+
+
+@pytest.mark.parametrize("fault, section, want", [
+    (_faulty_roundtrip, "admissibility", {"roundtrip_exact": False, "recomposition_exact": True}),
+    (_faulty_recomposition, "admissibility",
+     {"roundtrip_exact": True, "recomposition_exact": False}),
+    (_faulty_identity, "identities", {"failed": ["plan_mean"]}),
+], ids=["roundtrip", "recomposition", "identity"])
+def test_selftest_fails_on_a_faulty_step(fault, section, want, monkeypatch, capsys):
+    fault(monkeypatch)
+    code = cli.main(["selftest", "--trials", "5"])
+    captured = capsys.readouterr()
+    assert code == 1 and "self-test FAIL" in captured.err
+    sec = json.loads(captured.out)["sections"][section]
+    assert sec["pass"] is False
+    # the identity section flags its failures per rank, here r = 2..6
+    for flags in (sec["max_rel_err"].values() if section == "identities" else [sec]):
+        assert {key: flags.get(key) for key in want} == want
 
 
 def test_selftest_sections_report_seed_and_time():
