@@ -7,7 +7,8 @@ human prose goes to stderr.  Exit codes are scripting-stable:
 * 1  a check or verification failed, a draw had a non-finite entry, or the
      reader of stdout went away (a broken pipe)
 * 2  parameter outside the admissible set, non-numeric or non-finite (in
-     every command), or no density exists for it
+     every command), or no density exists for it, or its log Gamma_Omega (or
+     the log density) is past the largest float
 * 3  bad tilt: theta/zeta unreadable (from ``--theta``, ``--zeta`` or a
      ``--spec`` file), of the wrong rank, not negative definite or too near
      singular for positive pivots, too small for the sampler's inverse of it
@@ -16,8 +17,10 @@ human prose goes to stderr.  Exit codes are scripting-stable:
      transform ratio is past the largest float
 * 64 malformed command line
 
-Commands raise; ``main`` alone turns a library error into its code, through
-the ordered table ``EXIT_CODES``, and prints it as the one stderr line
+The parser states which flags a command needs or refuses together, and each
+subcommand names its ``cmd_*`` function as ``run``.  Commands raise; ``main``
+alone turns a library error into its code, through the ordered table
+``EXIT_CODES``, and prints it as the one stderr line
 ``rieszcone <command>: <error>``.
 """
 
@@ -33,7 +36,7 @@ import sys
 import time
 
 from .algebra import SymElement
-from .gindikin import GindikinError, membership_report, u_from_s
+from .gindikin import GindikinError, membership_report
 from .sampling import (
     CHUNK,
     NonSamplableError,
@@ -128,12 +131,22 @@ def _build_parser() -> _Parser:
     )
     sub = p.add_subparsers(dest="command", required=True)
 
-    def add_param_flags(sp, with_u=True, defaults=_FLAG_DEFAULTS):
-        sp.add_argument("--s", type=_float_list, metavar="LIST",
-                        help="parameter vector, comma separated")
+    def add_param_flags(sp, with_u=True, with_spec=False):
+        """A required --s, or exactly one of --s, --u (and --spec); --d and
+        --zero-tol, which default to None beside --spec for _build_spec."""
+        one_of = sp.add_mutually_exclusive_group(required=True) if with_u else sp
+        one_of.add_argument("--s", type=_float_list, metavar="LIST", required=not with_u,
+                            help="parameter vector, comma separated")
         if with_u:
-            sp.add_argument("--u", type=_float_list, metavar="LIST",
-                            help="nonnegative u coordinates, comma separated")
+            one_of.add_argument("--u", type=_float_list, metavar="LIST",
+                                help="nonnegative u coordinates, comma separated")
+        if with_spec:
+            one_of.add_argument(
+                "--spec", metavar="FILE",
+                help='JSON request {"s": [...] or "u": [...], "theta": {...}, "n": int, '
+                     '"seed": int}; mutually exclusive with --s, --u, --theta, --n, '
+                     "--seed, --d and --zero-tol")
+        defaults = dict.fromkeys(_FLAG_DEFAULTS) if with_spec else _FLAG_DEFAULTS
         sp.add_argument("--d", type=float, default=defaults["d"],
                         help="Peirce multiplicity (default 1)")
         sp.add_argument("--zero-tol", type=float, default=defaults["zero_tol"],
@@ -142,15 +155,10 @@ def _build_parser() -> _Parser:
 
     sp = sub.add_parser("check", help="membership verdict and block partition")
     add_param_flags(sp)
+    sp.set_defaults(run=cmd_check)
 
-    # the flags a --spec file stands in for default to None here, so that
-    # _build_spec can refuse one given beside it and fill in the rest
     sp = sub.add_parser("sample", help="draw tilted samples (NDJSON/JSON/CSV)")
-    add_param_flags(sp, defaults=dict.fromkeys(_FLAG_DEFAULTS))
-    sp.add_argument("--spec", metavar="FILE",
-                    help='JSON request {"s": [...] or "u": [...], "theta": {...}, '
-                         '"n": int, "seed": int}; mutually exclusive with --s, '
-                         "--u, --theta, --n, --seed, --d and --zero-tol")
+    add_param_flags(sp, with_spec=True)
     sp.add_argument("--theta", metavar="FILE_OR_JSON",
                     help="tilt matrix (default: minus the identity)")
     sp.add_argument("--n", type=_positive_int,
@@ -163,6 +171,7 @@ def _build_parser() -> _Parser:
     sp.add_argument("--out", metavar="PATH", help="write here instead of stdout")
     sp.add_argument("--stats", action="store_true",
                     help="print one JSON line of run statistics to stderr")
+    sp.set_defaults(run=cmd_sample)
 
     sp = sub.add_parser("verify",
                         help="Monte Carlo transform check against the closed form")
@@ -176,37 +185,30 @@ def _build_parser() -> _Parser:
     sp.add_argument("--seed", type=_seed, default=0)
     sp.add_argument("--workers", type=_positive_int, default=1,
                     help="accepted for compatibility; draws run on one thread")
-    sp.set_defaults(spec=None)
+    sp.set_defaults(run=cmd_verify, spec=None)
 
     sp = sub.add_parser("density", help="log density at a cone point (AC case only)")
     add_param_flags(sp, with_u=False)
     sp.add_argument("--x", metavar="FILE_OR_JSON", required=True,
                     help="evaluation point")
+    sp.set_defaults(run=cmd_density)
 
     sp = sub.add_parser("selftest", help="run the verification suite")
     sp.add_argument("--r", type=_at_least_two, help="restrict the identity sweep to one rank")
     sp.add_argument("--trials", type=_positive_int, default=500,
                     help="trials per identity; below 500 switches to smoke scale")
     sp.add_argument("--seed", type=_seed, default=0)
+    sp.set_defaults(run=cmd_selftest)
 
     return p
-
-
-def _emit(obj: dict, indent: int | None = 2):
-    print(json.dumps(obj, indent=indent))
-
-
-def _require_s_xor_u(args: argparse.Namespace, parser: _Parser):
-    if (args.s is None) == (args.u is None):
-        parser.error("give exactly one of --s or --u")
 
 
 # -- commands ----------------------------------------------------------------
 
 
-def cmd_check(args: argparse.Namespace) -> int:
+def cmd_check(args: argparse.Namespace, parser: _Parser) -> int:
     report = membership_report(s=args.s, u=args.u, d=args.d, zero_tol=args.zero_tol)
-    _emit(report)
+    print(json.dumps(report, indent=2))
     return EXIT_OK if report["in_xi"] else EXIT_NOT_ADMISSIBLE
 
 
@@ -226,10 +228,11 @@ def _spec_from_file(path: str, parser: _Parser) -> RieszSpec:
 
 
 def _build_spec(args: argparse.Namespace, parser: _Parser) -> RieszSpec:
-    """RieszSpec from ``--spec`` alone, or from flags over ``_FLAG_DEFAULTS``."""
+    """RieszSpec from ``--spec`` alone, or from flags over ``_FLAG_DEFAULTS``.
+    The parser refuses --s or --u beside --spec; the other flags are refused here."""
     if args.spec is not None:
         given = [f"--{name.replace('_', '-')}"
-                 for name in ("s", "u", "theta", *_FLAG_DEFAULTS)
+                 for name in ("theta", *_FLAG_DEFAULTS)
                  if getattr(args, name) is not None]
         if given:
             parser.error(f"--spec is mutually exclusive with {', '.join(given)}")
@@ -335,27 +338,27 @@ def cmd_verify(args: argparse.Namespace, parser: _Parser) -> int:
     spec = _build_spec(args, parser)
     zeta = _load_sym(args.zeta, "zeta")
     report = laplace_mc_chunks(spec, sample_chunks(spec, workers=args.workers), zeta)
-    _emit(report.to_json_dict())
+    print(json.dumps(report.to_json_dict(), indent=2))
     return EXIT_OK if report.passed else EXIT_FAIL
 
 
 def cmd_density(args: argparse.Namespace, parser: _Parser) -> int:
-    param = u_from_s(args.s, d=args.d, zero_tol=args.zero_tol)
+    # a bad --x is reported before a bad --s, which log_density_ac refuses
     if args.d != 1.0:
         raise NonSamplableError("only multiplicity d = 1 is supported")
     try:
         x = _load_sym(args.x, "x")
     except TiltError as err:
         parser.error(str(err))
-    log_density = log_density_ac(param.s, x, zero_tol=args.zero_tol)
-    _emit({"s": list(param.s), "log_density": log_density})
+    log_density = log_density_ac(args.s, x, zero_tol=args.zero_tol)
+    print(json.dumps({"s": args.s, "log_density": log_density}, indent=2))
     return EXIT_OK
 
 
-def cmd_selftest(args: argparse.Namespace) -> int:
+def cmd_selftest(args: argparse.Namespace, parser: _Parser) -> int:
     r_values = (args.r,) if args.r is not None else (2, 3, 4, 5, 6)
     summary = run_selftest(r_values=r_values, trials=args.trials, seed=args.seed)
-    _emit(summary)
+    print(json.dumps(summary, indent=2))
     verdict = "PASS" if summary["pass"] else "FAIL"
     print(f"self-test {verdict} in {summary['elapsed_s']}s", file=sys.stderr)
     return EXIT_OK if summary["pass"] else EXIT_FAIL
@@ -365,22 +368,7 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.command == "check":
-            _require_s_xor_u(args, parser)
-            code = cmd_check(args)
-        elif args.command == "sample":
-            if args.spec is None:
-                _require_s_xor_u(args, parser)
-            code = cmd_sample(args, parser)
-        elif args.command == "verify":
-            _require_s_xor_u(args, parser)
-            code = cmd_verify(args, parser)
-        elif args.command == "density":
-            if args.s is None:
-                parser.error("--s is required")
-            code = cmd_density(args, parser)
-        else:
-            code = cmd_selftest(args)
+        code = args.run(args, parser)
         # a reader that has gone raises here, not in the flush at exit
         sys.stdout.flush()
         return code

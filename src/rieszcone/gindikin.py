@@ -164,9 +164,10 @@ class BlockPartition:
     ``lengths[l]`` is the run length.  ``index_sets`` holds the 1-based
     positions inside each run; ``gap_sets`` the 1-based positions of the
     zero gaps around the runs (k+1 of them, first and last possibly empty).
-    ``u_blocks[l]`` is the run's own admissible u vector (length lengths[l])
-    and ``s_blocks[l]`` the length-r parameter of the run's degenerate
-    factor; the s_blocks sum to s entry by entry.
+    ``u_blocks[l]`` is the run's core parameter, u_p + (d/2)(p - start) for
+    p in the run (length lengths[l]), and ``s_blocks[l]`` the length-r
+    parameter of the run's degenerate factor; the s_blocks sum to s entry
+    by entry.
     """
 
     param: GindikinParam
@@ -238,7 +239,8 @@ def log_gamma_omega(s, *, d: float = 1.0) -> float:
 
     log Gamma(s) = ((n - r)/2) log(2 pi) + sum_j log Gamma(s_j - (j-1) d/2)
     with n = r + (d/2) r (r-1).  Raises ``GammaPoleError`` whenever any
-    shifted argument s_j - (j-1) d/2 is nonpositive (a pole of the integral).
+    shifted argument s_j - (j-1) d/2 is nonpositive (a pole of the integral),
+    and ``GindikinError`` when the log is past the largest float.
     """
     ss = _as_float_vector(s, "s")
     _check_d(d)
@@ -250,7 +252,13 @@ def log_gamma_omega(s, *, d: float = 1.0) -> float:
             f"gamma argument s_{bad + 1} - {bad}*d/2 = {args[bad]:.6g} is not positive"
         )
     half_dim = 0.25 * d * r * (r - 1)  # (n - r) / 2
-    return half_dim * math.log(2.0 * math.pi) + sum(math.lgamma(a) for a in args)
+    try:
+        value = half_dim * math.log(2.0 * math.pi) + sum(math.lgamma(a) for a in args)
+    except OverflowError:
+        value = math.inf
+    if not math.isfinite(value):
+        raise GindikinError(f"log Gamma_Omega(s) is past the largest float for s = {ss}")
+    return value
 
 
 def membership_report(s=None, u=None, d: float = 1.0, zero_tol: float = 0.0) -> dict:

@@ -161,7 +161,9 @@ def sample_gamma(shape: float, rng: np.random.Generator, size) -> np.ndarray:
         raise SamplerError(f"gamma shape must be positive, got {shape}")
     if shape < 1.0:
         g = rng.gamma(shape + 1.0, size=size)
-        return g * rng.random(size) ** (1.0 / shape)
+        # a Python float quotient: for a shape below 1/(largest float) it is
+        # inf without numpy's overflow warning, and U ** inf is 0
+        return g * rng.random(size) ** (1.0 / float(shape))
     return rng.gamma(shape, size=size)
 
 
@@ -344,14 +346,15 @@ class RieszSpec:
     negative definite with margin (smallest eigenvalue of -theta above
     1e-10 times the Frobenius norm); ``count`` is the number of samples and
     ``seed``, in [0, 2**64), keys every per-chunk stream.  Construction also
-    derives ``plans``, the per-run sampling constants, so every tilt error
-    surfaces here.
+    derives ``partition``, the parameter's support runs, and ``plans``, the
+    per-run sampling constants, so every tilt error surfaces here.
     """
 
     param: GindikinParam
     theta: SymElement
     seed: int = 0
     count: int = 1
+    partition: BlockPartition = field(init=False, repr=False, compare=False)
     plans: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -369,16 +372,12 @@ class RieszSpec:
             )
         algebra.require_negative_definite(self.theta, TiltError, "theta",
                                           margin=TILT_MARGIN)
-        part = self.partition
+        object.__setattr__(self, "partition", build_partition(self.param))
         object.__setattr__(self, "plans", tuple(
             _plan_block(self.theta.matrix, start, width,
                         np.array(self.param.u[start:start + width]))
-            for start, width in zip(part.starts, part.lengths)
+            for start, width in zip(self.partition.starts, self.partition.lengths)
         ))
-
-    @property
-    def partition(self) -> BlockPartition:
-        return build_partition(self.param)
 
     @classmethod
     def build(cls, s=None, u=None, theta: SymElement | None = None,
@@ -540,22 +539,25 @@ def log_density_ac(s, x: SymElement, zero_tol: float = 0.0) -> float:
     (equivalently s_p > (p-1)/2 for all p); the value is
     log Delta_{s - (r+1)/2}(x) - log Gamma_Omega(s) for x in the open cone.
     It alone refuses a singular parameter, with ``NonSamplableError``, also
-    one that ``zero_tol`` (which snaps u as in ``u_from_s``) makes singular.
+    one that ``zero_tol`` (which snaps u as in ``u_from_s``) makes singular,
+    and a log density past the largest float, with ``GindikinError``.
     """
-    x_r = x.r
     param = u_from_s(s, d=1.0, zero_tol=zero_tol)
-    if param.r != x_r:
-        raise SamplerError(f"parameter length {param.r} does not match rank {x_r}")
+    if param.r != x.r:
+        raise SamplerError(f"parameter length {param.r} does not match rank {x.r}")
     if param.rank_support != param.r:
         raise NonSamplableError(
             "parameter is singular (some u_p = 0); the measure lives on the "
             "cone boundary and has no density")
-    shift = np.asarray(param.s) - 0.5 * (x_r + 1)
+    shift = np.asarray(param.s) - 0.5 * (x.r + 1)
     try:
         log_power = algebra.log_generalized_power(x, shift)
     except algebra.PowerDomainError:
         raise SamplerError("x is not in the open cone (nonpositive leading minor)") from None
-    return log_power - log_gamma_omega(param.s)
+    value = log_power - log_gamma_omega(param.s)
+    if not np.isfinite(value):
+        raise GindikinError(f"log density {value} at x: past the largest float")
+    return value
 
 
 def _header(spec: RieszSpec) -> dict:

@@ -1,5 +1,6 @@
 import errno
 import hashlib
+import io
 import json
 import math
 import os
@@ -11,7 +12,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from rieszcone import cli
+from rieszcone import cli, sampling
 from rieszcone.sampling import CHUNK, RieszSpec
 
 
@@ -92,6 +93,7 @@ def test_usage_errors_exit_64(capsys, argv):
 
 
 I_2 = '{"r": 2, "data": [[1.0, 0.0], [0.0, 1.0]]}'
+I_3 = '{"r": 3, "data": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]}'
 NEG_I_3 = '{"r": 3, "data": [[-1, 0, 0], [0, -1, 0], [0, 0, -1]]}'
 NAN_2 = '{"r": 2, "data": [[NaN, 0.0], [0.0, -1.0]]}'
 INF_2 = '{"r": 2, "data": [[-1.0, 0.0], [0.0, -Infinity]]}'
@@ -159,6 +161,16 @@ def _spec_with_theta(data):
     (("sample", "--u", "1,1", "--n", "20000", "--theta", _diag_json(-5e-308, 2)), 3),
     # JSON true is no rank, though Python's bool is an int
     (("sample", "--u", "1", "--n", "2", "--theta", '{"r": true, "data": [[-1.0]]}'), 3),
+    # a log Gamma_Omega past the largest float: lgamma overflows, or the sum does
+    (("density", "--s", "1e306", "--x", '{"r":1,"data":[[1]]}'), 2),
+    (("density", "--s", "1.3e305,1.3e305,1.3e305", "--x", I_3), 2),
+    # the parser's rules: one of --s, --u (sample: or --spec), never two
+    (("sample", "--n", "2"), 64),
+    (("sample", "--spec", {"s": [1.0, 1.0]}, "--s", "1,1"), 64),
+    (("sample", "--spec", {"s": [1.0, 1.0]}, "--u", "1,1"), 64),
+    (("verify", "--s", "1,1", "--u", "1,1", "--zeta", THETA_2), 64),
+    # density loads --x before log_density_ac validates --s
+    (("density", "--s", "1,nan", "--x", "not-a-matrix"), 64),
 ])
 def test_rejections_exit_with_their_documented_code(capsys, tmp_path, argv, code):
     argv = list(argv)
@@ -688,6 +700,29 @@ def test_density_usage_errors(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["density", "--s", "2.0,1.5", "--x", "not-a-matrix"])
     assert exc.value.code == 64
+
+
+def test_each_request_fact_is_derived_once(capsys, monkeypatch):
+    # a spec's partition is built at construction and kept; density leaves
+    # u to log_density_ac
+    calls = []
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for mod, name in ((sampling, "build_partition"), (sampling, "u_from_s"), (cli, "u_from_s")):
+        if hasattr(mod, name):
+            monkeypatch.setattr(mod, name, counted(name, getattr(mod, name)))
+    spec = RieszSpec.build(u=[1.2, 0.0, 0.7, 0.0], count=3)
+    assert spec.partition is spec.partition
+    sampling.write_ndjson(spec, sampling.sample_chunks(spec), io.StringIO())
+    assert calls == ["build_partition"]
+    calls.clear()
+    code, _, _ = run(capsys, "density", "--s", "2.0,1.5", "--x", I_2)
+    assert code == 0 and calls == ["u_from_s"]
 
 
 def test_density_rejects_other_multiplicities(capsys):

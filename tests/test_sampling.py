@@ -90,6 +90,16 @@ def test_sample_gamma_rejects_nonpositive_shape():
         sp.sample_gamma(0.0, rng, 1)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_a_shape_below_the_smallest_reciprocal_draws_zeros_without_a_warning():
+    # a plan's shapes are numpy scalars, and 1 / 1e-310 overflows as one;
+    # as a Python float the exponent is inf and U ** inf is 0
+    for shape in (1e-310, np.float64(1e-310)):
+        assert not sp.sample_gamma(shape, sp.sample_stream(0, 0), 8).any()
+    spec = sp.RieszSpec.build(u=[1e-310], count=2)
+    assert not sp.sample_riesz(spec).matrices.any()
+
+
 # ------------------------------------------------------------------ one run
 
 
