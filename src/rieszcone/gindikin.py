@@ -15,7 +15,7 @@ log-scale cone gamma function that normalizes everything downstream.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -102,9 +102,12 @@ def s_from_u(u, d: float = 1.0) -> np.ndarray:
     return np.array(s)
 
 
-@dataclass(frozen=True)
-class GindikinParam:
-    """An admissible parameter: s together with its recovered u coordinates."""
+class GindikinParam(NamedTuple):
+    """An admissible parameter: s together with its recovered u coordinates.
+
+    A named tuple, immutable like every record here: an oracle builds
+    thousands of them, and a tuple costs a quarter of a frozen dataclass.
+    """
 
     r: int
     d: float
@@ -155,9 +158,8 @@ def param_from_u(u, d: float = 1.0) -> GindikinParam:
     return GindikinParam(r=len(uu), d=float(d), s=tuple(ss.tolist()), u=tuple(uu))
 
 
-@dataclass(frozen=True)
-class BlockPartition:
-    """Support-run decomposition of an admissible parameter.
+class BlockPartition(NamedTuple):
+    """Support-run decomposition of an admissible parameter, a named tuple.
 
     ``starts[l]`` counts the entries strictly before the (l+1)-th run of
     nonzero u values (so it is also the run's 0-based start index), and

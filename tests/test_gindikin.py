@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -143,6 +144,26 @@ def test_build_partition_hand_traced():
     assert part.lengths == (2, 1)
     assert part.index_sets == ((2, 3), (6,))
     assert part.gap_sets == ((1,), (4, 5), (7,))
+
+
+def test_records_are_immutable_and_keep_their_text():
+    param = gk.GindikinParam(r=3, d=1.0, s=(1.0, 0.5, 1.0), u=(1.0, 0.0, 0.5))
+    assert param == gk.u_from_s([1, 0.5, 1])
+    part = gk.build_partition(param)
+    assert part == gk.BlockPartition(
+        param=param, k=2, starts=(0, 2), lengths=(1, 1), u_blocks=((1.0,), (0.5,)),
+        s_blocks=((1.0, 0.5, 0.5), (0.0, 0.0, 0.5)))
+    for record, name in ((param, "s"), (part, "k"), (param, "extra")):
+        with pytest.raises(AttributeError):
+            setattr(record, name, None)
+    assert repr(part) == (
+        "BlockPartition(param=GindikinParam(r=3, d=1.0, s=(1.0, 0.5, 1.0), "
+        "u=(1.0, 0.0, 0.5)), k=2, starts=(0, 2), lengths=(1, 1), "
+        "u_blocks=((1.0,), (0.5,)), s_blocks=((1.0, 0.5, 0.5), (0.0, 0.0, 0.5)))")
+    assert json.dumps(part.to_json_dict()) == (
+        '{"in_xi": true, "s": [1.0, 0.5, 1.0], "u": [1.0, 0.0, 0.5], "d": 1.0, '
+        '"k": 2, "i": [0, 2], "j": [1, 1], "I": [[1], [3]], "I_prime": [[], [2], []], '
+        '"u_blocks": [[1.0], [0.5]], "s_blocks": [[1.0, 0.5, 0.5], [0.0, 0.0, 0.5]]}')
 
 
 def test_build_partition_single_run():

@@ -1,5 +1,6 @@
 import dataclasses
 import gc
+import hashlib
 import importlib.util
 import json
 import math
@@ -15,7 +16,13 @@ from scipy.special import roots_genlaguerre, roots_jacobi
 
 from rieszcone import algebra, cli, sampling as sp, verify as vf
 from rieszcone.algebra import SymElement
-from rieszcone.gindikin import NotInGindikinSetError, param_from_u
+from rieszcone.gindikin import (
+    NotInGindikinSetError,
+    build_partition,
+    param_from_u,
+    s_from_u,
+    u_from_s,
+)
 from rieszcone.sampling import RieszSpec, sample_riesz
 
 
@@ -159,13 +166,13 @@ def test_verify_cli_refuses_a_nearly_singular_zeta(capsys):
 
 
 def _oracle_battery_inputs():
-    """The r=32 and r=48 transform inputs of the benchmark's oracle battery."""
+    """The benchmark's oracle battery inputs at seed 0, operations 0-3."""
     path = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
     spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
     workloads = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(workloads)
     battery = workloads.OracleBattery(seed=0, tmpdir=None)
-    return [b for i in range(4) for b in battery.inputs(i)["big"]]
+    return [battery.inputs(i) for i in range(4)]
 
 
 # laplace_exact at those inputs, operations 0-3, r=32 then r=48 in each
@@ -178,10 +185,23 @@ _BATTERY_EXACT = [
 
 
 def test_laplace_exact_at_large_rank_is_frozen_bitwise():
-    for b, want in zip(_oracle_battery_inputs(), _BATTERY_EXACT, strict=True):
+    big = [b for inp in _oracle_battery_inputs() for b in inp["big"]]
+    for b, want in zip(big, _BATTERY_EXACT, strict=True):
         theta = SymElement.from_dense(b["theta"])
         spec = RieszSpec.build(u=b["u"], theta=theta)
         assert vf.laplace_exact(spec.param.s, theta) == float.fromhex(want)
+
+
+def test_admissibility_round_trips_are_frozen():
+    # the battery's 8 000 u -> s -> u round trips and partitions, operations
+    # 0-3: every field of each record, its repr and its JSON echo, hashed
+    digest = hashlib.sha256()
+    for inp in _oracle_battery_inputs():
+        for u in inp["us"]:
+            part = build_partition(u_from_s(s_from_u(u)))
+            digest.update(f"{part!r}\n{json.dumps(part.to_json_dict())}\n".encode())
+    assert digest.hexdigest() == (
+        "2fc5adf80ba1ddf14eae05f79ba4d0bde4ef87081b5d094d9070b1a3d3dd2583")
 
 
 # ----------------------------------------------------------------- mc checker
@@ -394,6 +414,7 @@ def test_gauss_rules_match_scipy(n):
         for jacobi, ref in ((False, roots_genlaguerre(n, a)),
                             (True, roots_jacobi(n, a, a))):
             nodes, weights = vf._gauss_rule(jacobi, n, a)
+            weights = weights * ref[1].sum()  # the rule's weights sum to 1
             if jacobi:
                 assert_allclose(nodes, ref[0], rtol=0.0, atol=1e-13)
             else:
@@ -428,6 +449,40 @@ def test_gauss_rules_are_cached_read_only():
         for a in vf._gauss_rule(jacobi, 12, 1.0):
             with pytest.raises(ValueError):
                 a[0] = 0.0
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("s, scale, converges", [
+    # the Laguerre masses Gamma(s_i) are past the largest float, or their
+    # product is: the rule's nodes sit too far from the integrand to converge
+    ((200.0, 200.0), 1.0, False),
+    ((171.5, 2.0), 1.0, False),
+    ((150.0, 150.0), 1.0, False),
+    # and at a size past any rule, every weighted node underflows
+    ((1e6, 1e6), 1.0, False),
+    # the same overflow at a size that converges, and rates whose powers
+    # underflow or overflow on their own
+    ((100.0, 100.0), 1.0, True),
+    ((5.0, 5.0), 1e100, True),
+    ((5.0, 5.0), 1e-100, True),
+    ((60.0, 60.0), 1e10, True),
+])
+def test_quadrature_at_large_scales_is_a_verdict_or_a_refusal(s, scale, converges):
+    # taken on a linear scale, these rows ended in an OverflowError, a NaN,
+    # or an overflow warning and a refusal after every node count
+    theta = sym(-scale * np.eye(2))
+    if converges:
+        assert vf.quadrature_check_r2(list(s), theta) <= 1e-6
+    else:
+        with pytest.raises(vf.QuadratureError):
+            vf.quadrature_check_r2(list(s), theta)
+
+
+def test_quadrature_integral_past_the_largest_float_is_refused():
+    theta = sym(-1e-100 * np.eye(2))
+    with pytest.raises(vf.QuadratureError, match="past the largest float"):
+        vf.quadrature_integral_r2([5.0, 5.0], theta)
+    assert vf.quadrature_check_r2([5.0, 5.0], theta) <= 1e-6
 
 
 def test_quadrature_refuses_a_nearly_singular_correlation():
@@ -917,7 +972,7 @@ def _faulty_recomposition(monkeypatch):
         if not part.k:
             return part
         last = tuple(x + 1.0 for x in part.s_blocks[-1])
-        return dataclasses.replace(part, s_blocks=part.s_blocks[:-1] + (last,))
+        return part._replace(s_blocks=part.s_blocks[:-1] + (last,))
 
     monkeypatch.setattr(vf, "build_partition", skewed)
 
