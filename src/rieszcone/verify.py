@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 import sys
 import time
 import weakref
@@ -164,7 +165,9 @@ def laplace_mc_chunks(spec: RieszSpec, chunks, zeta: SymElement,
     d = expm1(<zeta - theta, X> - log ratio), to n, sum d and sum d^2; the
     estimate is ratio (1 + mean d) and z is mean d over its standard error.
     A draw with an inf or NaN entry makes them NaN, and the report fails.
-    Before any chunk is read, ``VarianceGuardError`` refuses a probe with
+    Before any chunk is read, a ``VerifyError`` refuses a ``z_threshold`` that
+    is not a finite number above 0 (a bool is not one), and
+    ``VarianceGuardError`` a probe with
     -(2 zeta - theta) not positive definite (infinite weight variance), or
     whose relative weight variance rho = L(2 zeta - theta) L(theta) /
     L(zeta)^2 - 1 exceeds 1 and leaves count / (1 + rho) < ``ESS_FLOOR``
@@ -180,6 +183,9 @@ def laplace_mc_chunks(spec: RieszSpec, chunks, zeta: SymElement,
     spec snapped to 0 (``zero_tol``): its closed form is not that of the law
     drawn.
     """
+    if isinstance(z_threshold, bool) or not (
+            isinstance(z_threshold, numbers.Real) and 0.0 < z_threshold < math.inf):
+        raise VerifyError(f"z_threshold must be a finite number above 0, got {z_threshold!r}")
     theta = spec.theta
     if zeta.r != theta.r:
         raise VerifyError("zeta rank does not match the spec")
@@ -436,23 +442,33 @@ def _ref_factor(theta, w, g, o, z):
     neg_t0 = -theta[w:, w:]
     coupling = np.linalg.solve(neg_t0, theta[w:, :w])
     noise = np.linalg.cholesky(0.5 * np.linalg.inv(neg_t0))
-    return np.concatenate([c @ t, coupling @ (c @ t) + noise @ z], axis=1), c
+    ct = c @ t
+    return np.concatenate([ct, coupling @ ct + noise @ z], axis=1), c
+
+
+def _chol_pivots(x):
+    """Pivots Delta_k / Delta_{k-1} of a stack by LAPACK alone: the squared diagonals
+    of its Cholesky factors.  ``LinAlgError`` if a matrix is not positive definite."""
+    return np.diagonal(np.linalg.cholesky(x), axis1=1, axis2=2) ** 2
 
 
 def _cone_case(rng, r, n):
-    """The cone points that every split level of rank r reads, with their eliminations.
+    """The cone points that every split level of rank r reads, with their pivots
+    by the package and by LAPACK, each taken once.
 
     ``y``: n interior cone points; ``t``: n lower-triangular matrices with a diagonal
     in [1/2, 2]; ``pivots``, ``reversed_pivots`` and ``tilted_pivots``: the
-    ``algebra._pivots`` of y, of J y J (J the index reversal) and of t y t^T, each
-    run once and read by every level.
+    ``algebra._pivots`` of y, of J y J (J the index reversal) and of t y t^T;
+    ``ref_pivots`` and ``ref_reversed``: the ``_chol_pivots`` of y and of J y J.
     """
     y = _gram(rng.standard_normal((n, r, r))) + 1e-3 * np.eye(r)
     t = np.tril(rng.standard_normal((n, r, r)), -1)
     t[:, np.arange(r), np.arange(r)] = rng.uniform(0.5, 2.0, (n, r))
+    flipped = y[:, ::-1, ::-1]
     return SimpleNamespace(
-        y=y, t=t, pivots=algebra._pivots(y), reversed_pivots=algebra._pivots(y[:, ::-1, ::-1]),
-        tilted_pivots=algebra._pivots(t @ y @ np.swapaxes(t, 1, 2)))
+        y=y, t=t, pivots=algebra._pivots(y), reversed_pivots=algebra._pivots(flipped),
+        tilted_pivots=algebra._pivots(t @ y @ np.swapaxes(t, 1, 2)),
+        ref_pivots=_chol_pivots(y), ref_reversed=_chol_pivots(flipped))
 
 
 def _identity_case(rng, cone, l):
@@ -489,27 +505,20 @@ def _identity_case(rng, cone, l):
 
 def _id_pivot_schur(c):
     # pivot l + 1 = Delta_{l+1} / Delta_l: y_ll's Schur complement against y[:l, :l]
-    y, l = c.y, c.l
-    lead = np.linalg.solve(y[:, :l, :l], y[:, :l, l:l + 1])[..., 0]
-    schur = y[:, l, l] - np.einsum("ni,ni->n", y[:, l, :l], lead)
-    return _rel_error(c.pivots[:, l], schur)
+    return _rel_error(c.pivots[:, c.l], c.ref_pivots[:, c.l])
 
 
 def _id_pivot_reversal(c):
-    # pivot r+1-l of J y J is a ratio of trailing determinants of y, the identity
-    # behind log_laplace_exact's inverse-free closed form
-    y, l = c.y, c.l
-    piv = c.reversed_pivots[:, c.r - l]
-    return _rel_error(piv, np.linalg.det(y[:, l - 1:, l - 1:]) / np.linalg.det(y[:, l:, l:]))
+    # pivot r+1-l of J y J is det y[l-1:, l-1:] / det y[l:, l:], a ratio of trailing
+    # minors of y, the identity behind log_laplace_exact's inverse-free closed form
+    return _rel_error(c.reversed_pivots[:, c.r - c.l], c.ref_reversed[:, c.r - c.l])
 
 
 def _id_triangular_equivariance(c):
-    # Delta_k(t y t^T) = (t_11 ... t_kk)^2 Delta_k(y) for lower-triangular t
-    y, t, l = c.y, c.t, c.l
-    piv = c.tilted_pivots[:, l - 1]
-    want = (t[:, l - 1, l - 1] ** 2 * np.linalg.det(y[:, :l, :l])
-            / np.linalg.det(y[:, :l - 1, :l - 1]))
-    return _rel_error(piv, want)
+    # Delta_k(t y t^T) = (t_11 ... t_kk)^2 Delta_k(y) for lower-triangular t, so
+    # pivot k of t y t^T is t_kk^2 times pivot k of y
+    k = c.l - 1
+    return _rel_error(c.tilted_pivots[:, k], c.t[:, k, k] ** 2 * c.ref_pivots[:, k])
 
 
 def _id_bartlett_pivots(c):
@@ -542,11 +551,12 @@ def _id_run_placement(c):
 
 
 def _id_support_pivots(c):
-    # with A the active indices, the pivot at an active p is det X[A<=p] / det X[A<p]
-    sub = c.drawn[:, c.active][:, :, c.active]
-    sign, logdet = (np.stack(v, axis=1) for v in zip(
-        *(np.linalg.slogdet(sub[:, :k, :k]) for k in range(sub.shape[1] + 1))))
-    want = sign[:, 1:] * sign[:, :-1] * np.exp(np.diff(logdet, axis=1))
+    # with A the active indices, the pivot at an active p is det X[A<=p] / det X[A<p];
+    # a draw that LAPACK finds not positive definite on A is off the cone
+    try:
+        want = _chol_pivots(c.drawn[:, c.active][:, :, c.active])
+    except np.linalg.LinAlgError:
+        return math.inf
     return _rel_error(c.support[:, c.active], want)
 
 
@@ -575,16 +585,21 @@ def identity_suite(r: int, trials: int = 500, seed: int = 0) -> list:
     """Run the nine structural identities at rank r over random batches.
 
     Each puts this package's ``algebra`` or ``sampling`` code against an
-    independent LAPACK route.  The rank draws its ``trials`` cone points, and
-    runs their three eliminations, once, from ``default_rng([seed, r])``
-    (``_cone_case``); split level l in 1..r-1 adds its plan case from
-    ``default_rng([seed, r, l])`` (``_identity_case``), and all nine read it.
-    Each reports its worst relative discrepancy over the levels, which passes
-    up to ``IDENTITY_TOL``, and a NaN fails.
+    independent LAPACK route.  The rank draws its ``trials`` cone points from
+    ``default_rng([seed, r])``, with their three eliminations and two Cholesky
+    references, once (``_cone_case``); split level l in 1..r-1 adds its plan
+    case from ``default_rng([seed, r, l])`` (``_identity_case``), and all nine
+    read it, each cone identity its level's column of the shared pivots.  Each
+    reports its worst relative discrepancy over the levels, which passes up to
+    ``IDENTITY_TOL``; a NaN fails, and a draw off the cone on its active block
+    reads inf.  r >= 2, trials >= 1 and seed in [0, 2**64) must be integers,
+    else ``VerifyError``.
     """
-    if not (sampling._is_int(r) and sampling._is_int(trials) and r >= 2 and trials >= 1):
+    if not (all(map(sampling._is_int, (r, trials, seed)))
+            and r >= 2 and trials >= 1 and 0 <= seed < 1 << 64):
         raise VerifyError(
-            f"identity_suite needs integers r >= 2 and trials >= 1, got {r!r} and {trials!r}")
+            "identity_suite needs integers r >= 2, trials >= 1 and seed in [0, 2**64), "
+            f"got {r!r}, {trials!r} and {seed!r}")
     cone = _cone_case(np.random.default_rng([seed, r]), r, trials)
     cases = (_identity_case(np.random.default_rng([seed, r, l]), cone, l) for l in range(1, r))
     errors = np.array([[check(case) for _, check in _IDENTITIES] for case in cases])

@@ -239,8 +239,8 @@ def test_laplace_mc_variance_guard():
 
 def test_laplace_mc_threshold_is_respected():
     spec = RieszSpec.build(u=[1.0], seed=2, count=500)
-    rep = vf.laplace_mc(sample_riesz(spec), sym([[-1.3]]), z_threshold=0.0)
-    assert not rep.passed  # any nonzero z fails a zero threshold
+    rep = vf.laplace_mc(sample_riesz(spec), sym([[-1.3]]), z_threshold=1e-300)
+    assert not rep.passed  # any z of an ordinary size fails a tiny threshold
 
 
 def test_laplace_mc_refuses_before_reading_a_chunk():
@@ -256,6 +256,11 @@ def test_laplace_mc_refuses_before_reading_a_chunk():
         vf.laplace_mc_chunks(spec, Untouchable(), sym(-0.3 * np.eye(2)))
     with pytest.raises(vf.VarianceGuardError, match="finite weight variance"):
         vf.laplace_mc_chunks(spec, Untouchable(), sym(-0.2 * np.eye(2)))
+    # a threshold that no report could pass, or that is not a number, at the
+    # tilt itself, a probe every guard accepts
+    for bad in (math.nan, -1.0, 0.0, math.inf, "4", True, None):
+        with pytest.raises(vf.VerifyError, match="z_threshold must be a finite number"):
+            vf.laplace_mc_chunks(spec, Untouchable(), spec.theta, z_threshold=bad)
 
 
 def test_laplace_mc_refuses_a_ratio_past_the_largest_float_before_reading_a_chunk():
@@ -547,6 +552,11 @@ def test_identity_suite_needs_rank_two():
     for trials in (0, -1, 2.5, True):
         with pytest.raises(vf.VerifyError, match="trials >= 1"):
             vf.identity_suite(3, trials=trials)
+    # and a seed as the sampler takes one, an integer in [0, 2**64)
+    for seed in ("3", True, 2**70, 2**64, -1, 1.5, None):
+        with pytest.raises(vf.VerifyError, match=r"seed in \[0, 2\*\*64\)"):
+            vf.identity_suite(3, trials=2, seed=seed)
+    assert len(vf.identity_suite(2, trials=2, seed=2**64 - 1)) == len(vf.IDENTITY_NAMES)
 
 
 def _failed(r):
@@ -560,6 +570,71 @@ def test_identity_suite_catches_a_support_pass_that_ignores_the_mask(monkeypatch
     monkeypatch.setattr(algebra, "_pivots", lambda sym, active=None: true_pivots(sym))
     for r in (3, 4, 5):
         assert "support_pivots" in _failed(r)
+
+
+_CONE_IDENTITIES = {"pivot_schur", "pivot_reversal", "triangular_equivariance"}
+
+
+def test_identity_suite_catches_an_elimination_that_skips_its_last_step(monkeypatch):
+    # negative control: the last pivot left as the Schur complement against all
+    # but the index before it; no split level reads the tilted last pivot
+    true_pivots = algebra._pivots
+
+    def skip_last(sym, active=None):
+        if active is not None:
+            return true_pivots(sym, active)
+        keep = [*range(sym.shape[1] - 2), sym.shape[1] - 1]
+        last = true_pivots(sym[:, keep][:, :, keep])[:, -1:]
+        return np.concatenate([true_pivots(sym)[:, :-1], last], axis=1)
+
+    monkeypatch.setattr(algebra, "_pivots", skip_last)
+    for r in (3, 4, 5):
+        assert _failed(r) & _CONE_IDENTITIES == {"pivot_schur", "pivot_reversal"}
+
+
+def test_identity_suite_catches_scaled_pivots(monkeypatch):
+    # negative control: a relative error of 1e-6, a thousand times the tolerance
+    true_pivots = algebra._pivots
+    monkeypatch.setattr(algebra, "_pivots",
+                        lambda sym, active=None: true_pivots(sym, active) * (1.0 + 1e-6))
+    for r in (3, 4, 5):
+        assert _CONE_IDENTITIES <= _failed(r)
+
+
+def _scaled_draws(factor):
+    def draw_sum(true_draw_sum, plans, rng, out):
+        true_draw_sum(plans, rng, out)
+        out *= factor
+    return draw_sum
+
+
+def _runs_reversed(true_draw_sum, plans, rng, out):
+    true_draw_sum(plans[::-1], rng, out)
+
+
+def _patch_draw_sum(monkeypatch, fault):
+    true_draw_sum = sp._draw_sum
+    monkeypatch.setattr(sp, "_draw_sum", lambda *args: fault(true_draw_sum, *args))
+
+
+@pytest.mark.parametrize("fault", [_scaled_draws(1.0 + 1e-6), _runs_reversed],
+                         ids=["scaled", "runs_reversed"])
+def test_identity_suite_catches_a_faulty_draw_sum(monkeypatch, fault):
+    # negative control: the draws must be the runs' factors, drawn in plan
+    # order from the stream and placed at their starts, to rounding
+    _patch_draw_sum(monkeypatch, fault)
+    for r in (3, 4, 5):
+        assert "run_placement" in _failed(r)
+
+
+def test_identity_suite_reports_a_draw_off_the_cone(monkeypatch):
+    # negated draws are not positive definite on their active block: the suite
+    # reports them as failures rather than raise
+    _patch_draw_sum(monkeypatch, _scaled_draws(-1.0))
+    reports = {rep.name: rep for rep in vf.identity_suite(4, trials=20, seed=0)}
+    assert {name for name, rep in reports.items() if not rep.passed} == {
+        "run_placement", "support_pivots"}
+    assert reports["support_pivots"].max_rel_error == math.inf
 
 
 def test_identity_suite_catches_a_run_that_starts_one_index_early(monkeypatch):
