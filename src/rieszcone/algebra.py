@@ -122,18 +122,6 @@ class SymElement:
     def to_json_dict(self) -> dict:
         return {"r": self.r, "data": self.matrix.tolist()}
 
-    def norm(self) -> float:
-        """Frobenius norm (induced by the trace inner product).
-
-        ``np.linalg.norm`` squares the entries, so it overflows to inf from
-        about 1e154 and underflows to 0 below about 1e-162; only then is the
-        norm taken again by ``math.hypot``, which scales, so every positive
-        finite value keeps its bits.
-        """
-        with np.errstate(over="ignore"):
-            norm = float(np.linalg.norm(self.matrix))
-        return norm if 0.0 < norm < math.inf else math.hypot(*self.matrix.ravel().tolist())
-
     def __repr__(self):
         return f"SymElement(r={self.r}, data={self.matrix.tolist()})"
 
@@ -151,12 +139,14 @@ def require_negative_definite(x: SymElement, error: type, what: str,
     """Raise ``error`` unless -x is positive definite with relative margin.
 
     The largest eigenvalue of x must lie strictly below ``-margin`` times
-    the Frobenius norm of x, so the zero element never passes.  This is the
-    one place that decides whether a whole tilt is admissible; each caller
-    names the error type its own callers expect.
+    the Frobenius norm of x, ``math.hypot`` of its eigenvalues, which scales
+    and so holds at any scale of x; the zero element never passes.  This is
+    the one place that decides whether a whole tilt is admissible; each
+    caller names the error type its own callers expect.
     """
-    top = float(spectral(x)[0])
-    bound = -margin * x.norm()
+    eigenvalues = spectral(x).tolist()
+    top = eigenvalues[0]
+    bound = -margin * math.hypot(*eigenvalues)
     if not top < bound:
         raise error(
             f"{what} must be negative definite: largest eigenvalue {top:.3e} "

@@ -4,8 +4,9 @@ Machine-readable output (JSON / NDJSON / CSV) goes to stdout or ``--out``;
 human prose goes to stderr.  Exit codes are scripting-stable:
 
 * 0  success
-* 1  a check or verification failed, a draw had a non-finite entry, or the
-     reader of stdout went away (a broken pipe)
+* 1  a check or verification failed, a draw had a non-finite entry, the
+     reader of stdout went away (a broken pipe), or the x of ``density`` is
+     off the open cone or of a rank other than the parameter's length
 * 2  parameter outside the admissible set, non-numeric or non-finite (in
      every command), or no density exists for it, or its log Gamma_Omega (or
      the log density) is past the largest float
@@ -196,7 +197,8 @@ def _build_parser() -> _Parser:
     sp = sub.add_parser("selftest", help="run the verification suite")
     sp.add_argument("--r", type=_at_least_two, help="restrict the identity sweep to one rank")
     sp.add_argument("--trials", type=_positive_int, default=500,
-                    help="trials per identity; below 500 switches to smoke scale")
+                    help="trials per identity; each law takes "
+                         "min(200000, max(2000, 400 * trials)) draws")
     sp.add_argument("--seed", type=_seed, default=0)
     sp.set_defaults(run=cmd_selftest)
 

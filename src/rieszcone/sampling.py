@@ -494,7 +494,7 @@ def _chunks(spec: RieszSpec, buffer):
 
 
 def _check_workers(workers) -> None:
-    if not isinstance(workers, int) or workers < 1:
+    if not _is_int(workers) or workers < 1:
         raise SamplerError(f"workers must be a positive integer, got {workers!r}")
 
 

@@ -17,7 +17,7 @@ Every check here runs two genuinely independent routes and compares them:
   integrated.  The rule converges for rho up to about 0.85 whatever the
   scaling of the diagonal, and for s up to about 100 per entry (less as rho
   grows), and raises ``QuadratureError`` as rho nears 1 or s grows (see
-  ``quadrature_integral_r2``).
+  ``quadrature_check_r2``).
 * ``identity_suite`` checks the code behind the sampler and its verdicts on
   random batches: each of its nine identities puts ``algebra`` or ``sampling``
   code (elimination pivots, a tilt's run plans and their mean, the Bartlett
@@ -30,7 +30,7 @@ Every check here runs two genuinely independent routes and compares them:
   and the worst ratio, the four of them kept while the batch lives.
 
 Every whole-tilt check (the tilt of ``log_laplace_exact`` and
-``quadrature_integral_r2``, the variance guard of ``laplace_mc_chunks``) goes
+``quadrature_check_r2``, the variance guard of ``laplace_mc_chunks``) goes
 through ``algebra.require_negative_definite``.
 """
 
@@ -63,7 +63,6 @@ __all__ = [
     "laplace_exact",
     "laplace_mc_chunks",
     "laplace_mc",
-    "quadrature_integral_r2",
     "quadrature_check_r2",
     "identity_suite",
     "IDENTITY_NAMES",
@@ -78,7 +77,7 @@ SUPPORT_TOL = 1e-5  # rank_profile, psd_check: residual cut, relative to x_pp,
 GROWTH_TOL = 1e-15  # plus this times the draw's pivot growth (see _support_fold)
 ESS_FLOOR = 1000  # laplace_mc_chunks: fewest effective draws when rho > 1
 IDENTITY_TOL = 1e-9  # identity_suite: the worst relative error that passes
-QUAD_N_START = 12  # quadrature_integral_r2: first per-axis node count,
+QUAD_N_START = 12  # quadrature_check_r2: first per-axis node count,
 QUAD_N_MAX = 192  # the last one it may reach,
 QUAD_RTOL = 1e-8  # and the relative change of two successive estimates that stops it
 
@@ -274,7 +273,7 @@ def _gauss_rule(jacobi: bool, n: int, exponent: float):
 
 
 def _log_quadrature_r2(s, theta: SymElement):
-    """(s as a float pair, log of ``quadrature_integral_r2``), by the rule."""
+    """(s as a float pair, log of the cone integral of ``quadrature_check_r2``), by the rule."""
     s = np.asarray(s, dtype=float)
     if s.shape != (2,) or theta.r != 2:
         raise VerifyError("the quadrature oracle is specific to rank 2")
@@ -328,9 +327,12 @@ def _log_quadrature_r2(s, theta: SymElement):
     )
 
 
-def quadrature_integral_r2(s, theta: SymElement) -> float:
-    """Integral of Delta_{s-3/2}(x) e^{<theta,x>} over the cone.
+def quadrature_check_r2(s, theta: SymElement) -> float:
+    """Relative discrepancy between the cone integral of the rank-2 density
+    and its closed form, Gamma_Omega(s) Delta_s((-theta)^{-1}), both on the
+    log scale.
 
+    The integral is that of Delta_{s-3/2}(x) e^{<theta,x>} over the cone.
     Here x = [[a, b], [b, c]] ranges over the open rank-2 cone and the flat
     measure is the one induced by the trace inner product, i.e.
     dx = sqrt(2) da db dc.  With b = v sqrt(ac) and alpha = s2 - 3/2 the
@@ -344,15 +346,15 @@ def quadrature_integral_r2(s, theta: SymElement) -> float:
     and c^{s2-1} e^{-lambda_c c}, and Gauss-Jacobi(alpha, alpha) in v.  The
     rates are lambda_a = (1-rho)/2 (-theta11) and lambda_c =
     (1-rho)/2 (-theta22), with rho = |theta12| / sqrt(theta11 theta22) < 1
-    (the tilt is checked to be negative definite first).  The residual
+    (the tilt is checked to be negative definite once, for both sides).  The residual
     e^{(theta11+lambda_a) a + (theta22+lambda_c) c + 2 theta12 b} is then at
     most 1, since ((1+rho)/2)^2 theta11 theta22 >= theta12^2, and it is never
     the rule's own weight: a diagonal tilt keeps a factor e^{theta_ii a / 2}
     on each axis, so the oracle stays a genuine integration.  The weights'
     masses, the rates' powers and the residual's largest value are taken on
-    the log scale, so nothing overflows at any scale of s or theta; an
-    integral past the largest float is a ``QuadratureError``, and
-    ``quadrature_check_r2`` compares logs.
+    the log scale, so nothing overflows at any scale of s or theta, and the
+    two sides are compared as logs, so an integral past the largest float
+    is still checked.
 
     The per-axis node count doubles from ``QUAD_N_START`` until two successive
     estimates agree to ``QUAD_RTOL`` relative, else ``QuadratureError`` past
@@ -370,19 +372,6 @@ def quadrature_integral_r2(s, theta: SymElement) -> float:
     at theta = -I, (2000, 2000) at rho = 0.85) the weighted residual
     underflows at every node, which is a ``QuadratureError`` too.
     """
-    _, log_value = _log_quadrature_r2(s, theta)
-    try:
-        return math.exp(log_value)
-    except OverflowError:
-        raise QuadratureError(
-            f"the integral is exp({log_value:.6g}), past the largest float; "
-            "quadrature_check_r2 compares its log") from None
-
-
-def quadrature_check_r2(s, theta: SymElement) -> float:
-    """Relative discrepancy between the cone integral and its closed form,
-    Gamma_Omega(s) Delta_s((-theta)^{-1}), both on the log scale.  The tilt
-    is checked once, by the rule."""
     s, log_integral = _log_quadrature_r2(s, theta)
     log_closed = log_gamma_omega(s) + _log_laplace(s, theta, "tilt")
     return abs(math.expm1(log_integral - log_closed))
@@ -561,9 +550,9 @@ def _id_support_pivots(c):
 
 
 def _id_support_residual(c):
-    # an inactive residual, as a share of its x_qq, is 0 in exact arithmetic
+    # an inactive residual, as a share of |x_qq|, is 0 in exact arithmetic
     idle = ~c.active
-    return float(np.max(np.abs(c.support[:, idle]) / c.drawn[:, idle, idle]))
+    return float(np.max(np.abs(c.support[:, idle]) / np.abs(c.drawn[:, idle, idle])))
 
 
 _IDENTITIES = [
@@ -740,7 +729,7 @@ def _selftest_admissibility(seed, rounds):
     }
 
 
-def _selftest_quadrature(full: bool):
+def _selftest_quadrature():
     s_grid = [(2.0, 1.0), (2.0, 2.0), (1.5, 0.8)]
     th_grid = [
         np.array([[-1.0, 0.0], [0.0, -1.0]]),
@@ -749,12 +738,11 @@ def _selftest_quadrature(full: bool):
     ]
     points = []
     worst = 0.0
-    pairs = [(s, t) for s in s_grid for t in th_grid] if full \
-        else [(s_grid[0], th_grid[0])]
-    for s, t in pairs:
-        rel = quadrature_check_r2(np.array(s), SymElement(t))
-        worst = max(worst, rel)
-        points.append({"s": list(s), "theta_diag": np.diag(t).tolist(), "rel_err": rel})
+    for s in s_grid:
+        for t in th_grid:
+            rel = quadrature_check_r2(np.array(s), SymElement(t))
+            worst = max(worst, rel)
+            points.append({"s": list(s), "theta_diag": np.diag(t).tolist(), "rel_err": rel})
     closed = math.exp(log_gamma_omega([2.0, 1.0]))
     anchor_ok = abs(closed - math.sqrt(2.0 * math.pi) * math.sqrt(math.pi)) < 1e-12
     return {
@@ -840,22 +828,20 @@ def _selftest_identities(r_values, trials, seed):
 def run_selftest(r_values=(2, 3, 4, 5, 6), trials: int = 500, seed: int = 0) -> dict:
     """Run every oracle family at the scale ``trials`` sets; aggregate to one verdict.
 
-    Below 500 trials is the smoke scale: max(2000, 400 trials) draws per law
-    and one quadrature point, a couple of seconds at trials=50.  From 500
-    trials on, each law takes 200 000 draws and the quadrature its full
-    grid.  Each section reports its own ``elapsed_s``, and each seeded one
-    the ``seed`` it ran with, so a failing section can be replayed alone
-    through its ``_selftest_*`` function: a law through ``_selftest_law``
-    with its row of ``_LAWS``.  A section that raises fails with the run's
-    ``seed`` and its ``error`` ("<type>: <message>"); the rest run.
+    Each law takes min(200 000, max(2 000, 400 trials)) draws, so 200 000
+    from 500 trials on, and the quadrature always runs its full 3 x 3 grid.
+    Each section reports its own ``elapsed_s``, and each seeded one the
+    ``seed`` it ran with, so a failing section can be replayed alone through
+    its ``_selftest_*`` function: a law through ``_selftest_law`` with its row
+    of ``_LAWS``.  A section that raises fails with the run's ``seed`` and its
+    ``error`` ("<type>: <message>"); the rest run.
     """
     t0 = time.perf_counter()
-    smoke = trials < 500
-    n = max(2000, 400 * trials) if smoke else 200000
+    n = min(200_000, max(2_000, 400 * trials))
     runs = {
         "identities": lambda: _selftest_identities(r_values, trials, seed),
         "admissibility": lambda: _selftest_admissibility(seed, rounds=10000),
-        "quadrature": lambda: _selftest_quadrature(not smoke),
+        "quadrature": _selftest_quadrature,
         "rank_one_law": lambda: _selftest_law(seed, n, **_LAWS["rank_one_law"]),
         "generic_singular_law": lambda: _selftest_law(seed, n, **_LAWS["generic_singular_law"]),
         "determinism": lambda: _selftest_determinism(seed),

@@ -94,29 +94,6 @@ def test_constructor_mirrors_upper_and_rejects_non_square():
         with pytest.raises(al.ShapeMismatchError):
             SymElement(bad)
 
-# ---------------------------------------------------------------- norm
-
-
-def test_inner_norm_is_frobenius():
-    rng = np.random.default_rng(8)
-    x = random_sym(rng, 4)
-    assert_allclose(x.norm(), np.linalg.norm(x.matrix), rtol=1e-13)
-
-
-def test_norm_survives_extreme_scales():
-    # np.linalg.norm squares the entries, which overflows near 1e154 and
-    # underflows to 0 near 1e-162; only those norms are taken again
-    rng = np.random.default_rng(8)
-    for scale in (1e-150, 1.0, 1e150):
-        x = SymElement(scale * random_sym(rng, 4).matrix)
-        assert x.norm() == float(np.linalg.norm(x.matrix))
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        for c in (1e200, 1e-200, 1e-310):
-            got = SymElement(np.diag([c, -c])).norm()
-            assert got == pytest.approx(math.sqrt(2.0) * c, rel=1e-12)
-
-
 # ---------------------------------------------------------------- spectral
 
 
@@ -151,6 +128,19 @@ def test_require_negative_definite_margin():
     al.require_negative_definite(thin, _Refused, "x", margin=1e-4)
     with pytest.raises(_Refused):
         al.require_negative_definite(thin, _Refused, "x", margin=1e-3)
+    # the same rules where squaring an entry underflows or overflows: the
+    # norm of diag(-c, -c) is sqrt(2) c, to well within 1e-9, at every scale
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for c in (1e-310, 1e-200, 1e200):
+            thin = sym(np.diag([-c, -1e-3 * c]))
+            al.require_negative_definite(thin, _Refused, "x", margin=1e-4)
+            with pytest.raises(_Refused):
+                al.require_negative_definite(thin, _Refused, "x", margin=1e-3)
+            flat = sym(-c * np.eye(2))
+            al.require_negative_definite(flat, _Refused, "x", margin=(1 - 1e-9) / math.sqrt(2))
+            with pytest.raises(_Refused):
+                al.require_negative_definite(flat, _Refused, "x", margin=(1 + 1e-9) / math.sqrt(2))
 
 
 def test_require_negative_definite_at_extreme_scale():

@@ -739,6 +739,7 @@ def test_selftest_smoke(capsys):
     assert code == 0
     summary = json.loads(out)
     assert summary["pass"] is True
+    assert len(summary["sections"]["quadrature"]["points"]) == 9
     assert "self-test PASS" in err
 
 

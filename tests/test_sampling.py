@@ -507,8 +507,11 @@ def test_mean_under_unit_tilt_is_diagonal_s():
 
 def test_sample_riesz_rejects_bad_worker_count():
     spec = sp.RieszSpec.build(u=[1.0], count=2)
-    with pytest.raises(sp.SamplerError):
-        sp.sample_riesz(spec, workers=0)
+    for workers in (0, True):
+        with pytest.raises(sp.SamplerError):
+            sp.sample_riesz(spec, workers=workers)
+        with pytest.raises(sp.SamplerError):
+            sp.sample_chunks(spec, workers=workers)
 
 
 # ------------------------------------------------------------------- density

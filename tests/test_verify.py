@@ -367,7 +367,7 @@ def test_laplace_mc_fails_a_draw_with_a_non_finite_entry(wide_r8_batch, entry, v
 
 
 def test_quadrature_reproduces_gamma_integral():
-    got = vf.quadrature_integral_r2([2.0, 1.0], sym(-np.eye(2)))
+    got = math.exp(vf._log_quadrature_r2([2.0, 1.0], sym(-np.eye(2)))[1])
     assert got == pytest.approx(4.442882938158365, rel=1e-8)
 
 
@@ -444,10 +444,10 @@ def test_selftest_runs_without_scipy():
 
 def test_gauss_rules_are_cached_read_only():
     vf._gauss_rule.cache_clear()
-    vf.quadrature_integral_r2([2.0, 1.0], sym(-np.eye(2)))
+    vf.quadrature_check_r2([2.0, 1.0], sym(-np.eye(2)))
     first = vf._gauss_rule.cache_info()
     assert first.hits == 0 and first.misses > 0
-    vf.quadrature_integral_r2([2.0, 1.0], sym(-np.eye(2)))
+    vf.quadrature_check_r2([2.0, 1.0], sym(-np.eye(2)))
     again = vf._gauss_rule.cache_info()
     assert again.misses == first.misses and again.hits == first.misses
     for jacobi in (False, True):
@@ -483,32 +483,32 @@ def test_quadrature_at_large_scales_is_a_verdict_or_a_refusal(s, scale, converge
             vf.quadrature_check_r2(list(s), theta)
 
 
-def test_quadrature_integral_past_the_largest_float_is_refused():
+def test_quadrature_checks_an_integral_past_the_largest_float():
+    # the integral is about 1e1000: the check compares it with the closed form as logs
     theta = sym(-1e-100 * np.eye(2))
-    with pytest.raises(vf.QuadratureError, match="past the largest float"):
-        vf.quadrature_integral_r2([5.0, 5.0], theta)
+    assert vf._log_quadrature_r2([5.0, 5.0], theta)[1] > vf._LOG_MAX
     assert vf.quadrature_check_r2([5.0, 5.0], theta) <= 1e-6
 
 
 def test_quadrature_refuses_a_nearly_singular_correlation():
     # rho = 0.99: the rule must give up, not return a number
     with pytest.raises(vf.QuadratureError):
-        vf.quadrature_integral_r2([1.5, 1.2], sym([[-1.0, -0.99], [-0.99, -1.0]]))
+        vf.quadrature_check_r2([1.5, 1.2], sym([[-1.0, -0.99], [-0.99, -1.0]]))
 
 
 def test_quadrature_rejections(monkeypatch):
     with pytest.raises(vf.VerifyError):
-        vf.quadrature_integral_r2([0.0, 1.0], sym(-np.eye(2)))
+        vf.quadrature_check_r2([0.0, 1.0], sym(-np.eye(2)))
     with pytest.raises(vf.VerifyError):
-        vf.quadrature_integral_r2([1.0, 0.5], sym(-np.eye(2)))
+        vf.quadrature_check_r2([1.0, 0.5], sym(-np.eye(2)))
     with pytest.raises(vf.TiltError):
-        vf.quadrature_integral_r2([1.0, 1.0], sym(np.eye(2)))
+        vf.quadrature_check_r2([1.0, 1.0], sym(np.eye(2)))
     with pytest.raises(vf.VerifyError):
-        vf.quadrature_integral_r2([1.0, 1.0, 1.0], sym(-np.eye(3)))
+        vf.quadrature_check_r2([1.0, 1.0, 1.0], sym(-np.eye(3)))
     monkeypatch.setattr(vf, "QUAD_N_MAX", vf.QUAD_N_START)
     with pytest.raises(vf.QuadratureError):
         # a single rule evaluation can never certify convergence
-        vf.quadrature_integral_r2([1.0, 1.0], sym(-np.eye(2)))
+        vf.quadrature_check_r2([1.0, 1.0], sym(-np.eye(2)))
 
 
 def test_sampler_mean_matches_the_closed_form():
@@ -635,6 +635,27 @@ def test_identity_suite_reports_a_draw_off_the_cone(monkeypatch):
     assert {name for name, rep in reports.items() if not rep.passed} == {
         "run_placement", "support_pivots"}
     assert reports["support_pivots"].max_rel_error == math.inf
+
+
+def _negated_below_the_cut(true_draw_sum, plans, rng, out):
+    true_draw_sum(plans, rng, out)
+    out *= -1.0
+    idle = np.ones(out.shape[-1], dtype=bool)
+    for plan in plans:
+        idle[plan.start:plan.start + plan.width] = False
+    out[:, idle, idle] *= 1.0 + 1e-3
+
+
+def test_identity_suite_catches_a_negative_inactive_diagonal(monkeypatch):
+    # negative control: negated draws whose inactive diagonals sit a further
+    # 1e-3 |x_qq| below 0 leave a residual of about 1e-3 x_qq; as a share of
+    # the signed x_qq it would read -9.99e-4 and pass
+    _patch_draw_sum(monkeypatch, _negated_below_the_cut)
+    for r in (3, 4, 5):
+        reports = {rep.name: rep for rep in vf.identity_suite(r, trials=20, seed=0)}
+        residual = reports["support_residual"]
+        assert not residual.passed
+        assert residual.max_rel_error == pytest.approx(1e-3 / (1.0 + 1e-3), rel=1e-6)
 
 
 def test_identity_suite_catches_a_run_that_starts_one_index_early(monkeypatch):
