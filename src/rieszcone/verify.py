@@ -22,6 +22,8 @@ Every check here runs two genuinely independent routes and compares them:
   random batches: each of its nine identities puts ``algebra`` or ``sampling``
   code (elimination pivots, a tilt's run plans and their mean, the Bartlett
   factors and their sum, the support pass) against an independent LAPACK route.
+  The three cone identities run once per rank, over every split level's pivot
+  column at once; the six plan identities run once per split level.
 * ``rank_profile`` checks the almost-sure rank of singular draws, and
   ``psd_check`` that every draw is finite and positive semidefinite, both
   from ``_support_fold``: one support-aware elimination per ``CHUNK`` of the
@@ -441,28 +443,36 @@ def _chol_pivots(x):
     return np.diagonal(np.linalg.cholesky(x), axis1=1, axis2=2) ** 2
 
 
-def _cone_case(rng, r, n):
-    """The cone points that every split level of rank r reads, with their pivots
-    by the package and by LAPACK, each taken once.
+def _cone_identities(rng, r, n):
+    """The three cone identities' worst errors at rank r, in ``IDENTITY_NAMES`` order.
 
-    ``y``: n interior cone points; ``t``: n lower-triangular matrices with a diagonal
-    in [1/2, 2]; ``pivots``, ``reversed_pivots`` and ``tilted_pivots``: the
-    ``algebra._pivots`` of y, of J y J (J the index reversal) and of t y t^T;
-    ``ref_pivots`` and ``ref_reversed``: the ``_chol_pivots`` of y and of J y J.
+    n interior cone points y and n lower-triangular t with a diagonal in [1/2, 2] are
+    eliminated once, by ``algebra._pivots`` and by ``_chol_pivots``.  Split level l
+    in 1..r-1 reads one column of each, so the worst over all those columns is the
+    worst over the levels.
     """
     y = _gram(rng.standard_normal((n, r, r))) + 1e-3 * np.eye(r)
     t = np.tril(rng.standard_normal((n, r, r)), -1)
-    t[:, np.arange(r), np.arange(r)] = rng.uniform(0.5, 2.0, (n, r))
+    diag = rng.uniform(0.5, 2.0, (n, r))
+    t[:, np.arange(r), np.arange(r)] = diag
     flipped = y[:, ::-1, ::-1]
-    return SimpleNamespace(
-        y=y, t=t, pivots=algebra._pivots(y), reversed_pivots=algebra._pivots(flipped),
-        tilted_pivots=algebra._pivots(t @ y @ np.swapaxes(t, 1, 2)),
-        ref_pivots=_chol_pivots(y), ref_reversed=_chol_pivots(flipped))
+    ref = _chol_pivots(y)
+    return (
+        # columns 1..r-1: pivot l + 1 = Delta_{l+1} / Delta_l, y_ll's Schur complement
+        # against y[:l, :l]
+        _rel_error(algebra._pivots(y)[:, 1:], ref[:, 1:]),
+        # columns 1..r-1: pivot r+1-l of J y J is det y[l-1:, l-1:] / det y[l:, l:], a
+        # ratio of trailing minors of y, the identity behind log_laplace_exact's
+        # inverse-free closed form
+        _rel_error(algebra._pivots(flipped)[:, 1:], _chol_pivots(flipped)[:, 1:]),
+        # columns 0..r-2: Delta_k(t y t^T) = (t_11 ... t_kk)^2 Delta_k(y) for
+        # lower-triangular t, so pivot k of t y t^T is t_kk^2 times pivot k of y
+        _rel_error(algebra._pivots(t @ y @ np.swapaxes(t, 1, 2))[:, :-1],
+                   diag[:, :-1] ** 2 * ref[:, :-1]))
 
 
-def _identity_case(rng, cone, l):
-    """The random case that every identity reads at split level l: ``cone``'s fields,
-    shared by the levels (see ``_cone_case``), and the level's own plan case.
+def _identity_case(rng, r, n, l):
+    """The random plan case that the six plan identities read at split level l.
 
     ``plans``: the package plans, on ``theta``, a rotated tilt of condition at most 4,
     of a run at 0 of width l and, when r - l >= 2, of a run at l + 1 that fills the
@@ -472,7 +482,6 @@ def _identity_case(rng, cone, l):
     factor of the first run's raw draws; ``refs``: each run's ``_ref_factor``.  The
     helpers are looked up at call time, so a test can substitute a faulty one.
     """
-    n, r = cone.y.shape[:2]
     q = np.linalg.qr(rng.standard_normal((r, r)))[0]
     theta = SymElement(-(q * rng.uniform(0.5, 2.0, r)) @ q.T).matrix
     u, plans = np.zeros(r), []
@@ -485,29 +494,11 @@ def _identity_case(rng, cone, l):
     drawn = np.empty((n, r, r))
     sampling._draw_sum(plans, np.random.default_rng(key), drawn)
     return SimpleNamespace(
-        **vars(cone), r=r, l=l, theta=theta, u=u, active=u > 0.0, plans=plans, raws=raws,
+        r=r, l=l, theta=theta, u=u, active=u > 0.0, plans=plans, raws=raws,
         drawn=drawn, support=algebra._pivots(drawn, u > 0.0),
         factor=sampling._gram_factor(plans[0], *raws[0]),
         refs=[_ref_factor(theta[p.start:, p.start:], p.width, *raw)
               for p, raw in zip(plans, raws)])
-
-
-def _id_pivot_schur(c):
-    # pivot l + 1 = Delta_{l+1} / Delta_l: y_ll's Schur complement against y[:l, :l]
-    return _rel_error(c.pivots[:, c.l], c.ref_pivots[:, c.l])
-
-
-def _id_pivot_reversal(c):
-    # pivot r+1-l of J y J is det y[l-1:, l-1:] / det y[l:, l:], a ratio of trailing
-    # minors of y, the identity behind log_laplace_exact's inverse-free closed form
-    return _rel_error(c.reversed_pivots[:, c.r - c.l], c.ref_reversed[:, c.r - c.l])
-
-
-def _id_triangular_equivariance(c):
-    # Delta_k(t y t^T) = (t_11 ... t_kk)^2 Delta_k(y) for lower-triangular t, so
-    # pivot k of t y t^T is t_kk^2 times pivot k of y
-    k = c.l - 1
-    return _rel_error(c.tilted_pivots[:, k], c.t[:, k, k] ** 2 * c.ref_pivots[:, k])
 
 
 def _id_bartlett_pivots(c):
@@ -555,10 +546,7 @@ def _id_support_residual(c):
     return float(np.max(np.abs(c.support[:, idle]) / np.abs(c.drawn[:, idle, idle])))
 
 
-_IDENTITIES = [
-    ("pivot_schur", _id_pivot_schur),
-    ("pivot_reversal", _id_pivot_reversal),
-    ("triangular_equivariance", _id_triangular_equivariance),
+_IDENTITIES = [  # the plan identities; _cone_identities gives the other three
     ("bartlett_pivots", _id_bartlett_pivots),
     ("factor_gram", _id_factor_gram),
     ("plan_mean", _id_plan_mean),
@@ -567,34 +555,36 @@ _IDENTITIES = [
     ("support_residual", _id_support_residual),
 ]
 
-IDENTITY_NAMES = tuple(name for name, _ in _IDENTITIES)
+IDENTITY_NAMES = ("pivot_schur", "pivot_reversal", "triangular_equivariance",
+                  *(name for name, _ in _IDENTITIES))
 
 
 def identity_suite(r: int, trials: int = 500, seed: int = 0) -> list:
     """Run the nine structural identities at rank r over random batches.
 
     Each puts this package's ``algebra`` or ``sampling`` code against an
-    independent LAPACK route.  The rank draws its ``trials`` cone points from
-    ``default_rng([seed, r])``, with their three eliminations and two Cholesky
-    references, once (``_cone_case``); split level l in 1..r-1 adds its plan
-    case from ``default_rng([seed, r, l])`` (``_identity_case``), and all nine
-    read it, each cone identity its level's column of the shared pivots.  Each
-    reports its worst relative discrepancy over the levels, which passes up to
-    ``IDENTITY_TOL``; a NaN fails, and a draw off the cone on its active block
-    reads inf.  r >= 2, trials >= 1 and seed in [0, 2**64) must be integers,
-    else ``VerifyError``.
+    independent LAPACK route.  The three cone identities run once per rank, on
+    ``trials`` cone points from ``default_rng([seed, r])``, over every split
+    level's pivot column at once (``_cone_identities``); the six plan identities
+    run once per split level l in 1..r-1, on its plan case from
+    ``default_rng([seed, r, l])`` (``_identity_case``).  Each reports its worst
+    relative discrepancy over the levels, which passes up to ``IDENTITY_TOL``; a
+    NaN fails, and a draw off the cone on its active block reads inf.  r >= 2,
+    trials >= 1 and seed in [0, 2**64) must be integers, else ``VerifyError``.
     """
     if not (all(map(sampling._is_int, (r, trials, seed)))
             and r >= 2 and trials >= 1 and 0 <= seed < 1 << 64):
         raise VerifyError(
             "identity_suite needs integers r >= 2, trials >= 1 and seed in [0, 2**64), "
             f"got {r!r}, {trials!r} and {seed!r}")
-    cone = _cone_case(np.random.default_rng([seed, r]), r, trials)
-    cases = (_identity_case(np.random.default_rng([seed, r, l]), cone, l) for l in range(1, r))
-    errors = np.array([[check(case) for _, check in _IDENTITIES] for case in cases])
+    cases = (_identity_case(np.random.default_rng([seed, r, l]), r, trials, l)
+             for l in range(1, r))
+    plan_errors = np.array([[check(case) for _, check in _IDENTITIES] for case in cases])
+    errors = (*_cone_identities(np.random.default_rng([seed, r]), r, trials),
+              *plan_errors.max(axis=0))
     return [IdentityReport(name=name, r=r, trials=trials, max_rel_error=float(worst),
                            threshold=IDENTITY_TOL, passed=bool(worst <= IDENTITY_TOL))
-            for name, worst in zip(IDENTITY_NAMES, errors.max(axis=0))]
+            for name, worst in zip(IDENTITY_NAMES, errors)]
 
 
 # -- sample diagnostics ------------------------------------------------------

@@ -601,6 +601,27 @@ def test_identity_suite_catches_scaled_pivots(monkeypatch):
         assert _CONE_IDENTITIES <= _failed(r)
 
 
+@pytest.mark.parametrize("column, want", [
+    (0, {"triangular_equivariance"}),
+    (-1, {"pivot_schur", "pivot_reversal"}),
+], ids=["first", "last"])
+def test_identity_suite_reads_each_cone_column_it_checks(monkeypatch, column, want):
+    # negative control: one pivot column scaled by 1 + 1e-6 fails exactly the
+    # cone identities that read it: pivot_schur and pivot_reversal read columns
+    # 1..r-1, triangular_equivariance columns 0..r-2
+    true_pivots = algebra._pivots
+
+    def one_scaled(sym, active=None):
+        pivots = true_pivots(sym, active).copy()
+        if active is None:
+            pivots[:, column] *= 1.0 + 1e-6
+        return pivots
+
+    monkeypatch.setattr(algebra, "_pivots", one_scaled)
+    for r in (3, 4, 5):
+        assert _failed(r) & _CONE_IDENTITIES == want
+
+
 def _scaled_draws(factor):
     def draw_sum(true_draw_sum, plans, rng, out):
         true_draw_sum(plans, rng, out)
