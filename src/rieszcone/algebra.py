@@ -166,7 +166,8 @@ def _pivots(sym: np.ndarray, active=None):
     zero stays 0 and ends its matrix's elimination: every entry after it reads 0, as
     none of them is a pivot.  With a boolean mask ``active`` it steps at the active
     indices only; an inactive entry is the residual against them, and a zero pivot
-    over a nonzero column, which no PSD matrix has, reads -inf.  Returns (n, r).
+    over a nonzero column, which no PSD matrix has, reads -inf.  Returns an (n, r)
+    array of its own in Fortran order: each pivot index is one contiguous column.
     """
     r = sym.shape[1]
     a = sym.transpose(1, 2, 0).copy()
@@ -180,7 +181,7 @@ def _pivots(sym: np.ndarray, active=None):
             a[k, k + 1:, hit] = a[k + 1:, k:, hit] = 0.0
             piv = np.where(hit, 1.0, piv)
         a[k + 1:, k + 1:] -= a[k + 1:, k, None] * (a[None, k, k + 1:] / piv)
-    return np.diagonal(a)
+    return np.diagonal(a).copy(order="F")
 
 
 def log_generalized_power(x: SymElement, s) -> float:

@@ -15,9 +15,10 @@ Every check here runs two genuinely independent routes and compares them:
   needs nothing beyond numpy.  Those rates leave a bounded residual that is
   never the rule's own weight, so even a diagonal tilt is genuinely
   integrated.  The rule converges for rho up to about 0.85 whatever the
-  scaling of the diagonal, and for s up to about 100 per entry (less as rho
+  scaling of the tilt, and for s up to about 100 per entry (less as rho
   grows), and raises ``QuadratureError`` as rho nears 1 or s grows (see
-  ``quadrature_check_r2``).
+  ``quadrature_check_r2``).  It holds O(n^2) values at n nodes per axis,
+  contracting its n^3 residual a slab of nodes at a time.
 * ``identity_suite`` checks the code behind the sampler and its verdicts on
   random batches: each of its nine identities puts ``algebra`` or ``sampling``
   code (elimination pivots, a tilt's run plans and their mean, the Bartlett
@@ -82,6 +83,7 @@ IDENTITY_TOL = 1e-9  # identity_suite: the worst relative error that passes
 QUAD_N_START = 12  # quadrature_check_r2: first per-axis node count,
 QUAD_N_MAX = 192  # the last one it may reach,
 QUAD_RTOL = 1e-8  # and the relative change of two successive estimates that stops it
+QUAD_SLAB = 1 << 14  # entries of the residual it forms at once, whole a-rows of n^2 each
 
 
 class VerifyError(ValueError):
@@ -287,7 +289,7 @@ def _log_quadrature_r2(s, theta: SymElement):
     td = theta.matrix
     algebra.require_negative_definite(theta, TiltError, "tilt")
     t11, t22, t12 = float(td[0, 0]), float(td[1, 1]), float(td[0, 1])
-    rho = abs(t12) / math.sqrt(t11 * t22)
+    rho = abs(t12) / (math.sqrt(-t11) * math.sqrt(-t22))
     lam_a = 0.5 * (1.0 - rho) * -t11
     lam_c = 0.5 * (1.0 - rho) * -t22
     alpha = s2 - 1.5
@@ -304,16 +306,26 @@ def _log_quadrature_r2(s, theta: SymElement):
         xc, wc = _gauss_rule(False, n, s2 - 1.0)
         v, wv = _gauss_rule(True, n, alpha)
         a, c = xa / lam_a, xc / lam_c
-        root_ac = np.sqrt(np.multiply.outer(a, c))
-        # the one (n, n, n) array: the residual's exponent, less its largest
-        # value so that the residual's own scale cannot underflow, then the residual
-        f = np.multiply.outer(root_ac, 2.0 * t12 * v)
-        f += ((t11 + lam_a) * a)[:, None, None] + ((t22 + lam_c) * c)[None, :, None]
-        peak = float(f.max())
-        f -= peak
+        root_ac = np.multiply.outer(np.sqrt(a), np.sqrt(c))
+        w = 2.0 * t12 * v
+        base = ((t11 + lam_a) * a)[:, None] + ((t22 + lam_c) * c)[None, :]
+        # the residual's exponent at node (a, c, v) is root_ac w + base; rounding is
+        # monotone and root_ac >= 0, so its largest value sits at the largest w
+        peak = float((root_ac * w.max() + base).max())
+        # the residual, less that peak so that its own scale cannot underflow, is
+        # formed and contracted with the v weights a slab of a-nodes at a time
+        rows = max(1, QUAD_SLAB // (n * n))
+        f = np.empty((min(rows, n), n, n))
+        g = np.empty((n, n))
         with np.errstate(under="ignore"):
-            np.exp(f, out=f)
-        total = float(wa @ (f @ wv) @ wc)
+            for i in range(0, n, rows):
+                h = f[:min(rows, n - i)]
+                np.multiply(root_ac[i:i + rows, :, None], w, out=h)
+                h += base[i:i + rows, :, None]
+                h -= peak
+                np.exp(h, out=h)
+                np.matmul(h, wv, out=g[i:i + rows])
+        total = float(wa @ g @ wc)
         if not total > 0.0:
             raise QuadratureError(
                 f"the rule's weights and the residual underflow at every node for s = {s.tolist()}")
@@ -347,16 +359,26 @@ def quadrature_check_r2(s, theta: SymElement) -> float:
     Gauss-Laguerre rules in a and c, for the weights a^{s1-1} e^{-lambda_a a}
     and c^{s2-1} e^{-lambda_c c}, and Gauss-Jacobi(alpha, alpha) in v.  The
     rates are lambda_a = (1-rho)/2 (-theta11) and lambda_c =
-    (1-rho)/2 (-theta22), with rho = |theta12| / sqrt(theta11 theta22) < 1
+    (1-rho)/2 (-theta22), with rho = |theta12| / (sqrt(-theta11) sqrt(-theta22)) < 1
     (the tilt is checked to be negative definite once, for both sides).  The residual
     e^{(theta11+lambda_a) a + (theta22+lambda_c) c + 2 theta12 b} is then at
     most 1, since ((1+rho)/2)^2 theta11 theta22 >= theta12^2, and it is never
     the rule's own weight: a diagonal tilt keeps a factor e^{theta_ii a / 2}
     on each axis, so the oracle stays a genuine integration.  The weights'
     masses, the rates' powers and the residual's largest value are taken on
-    the log scale, so nothing overflows at any scale of s or theta, and the
-    two sides are compared as logs, so an integral past the largest float
-    is still checked.
+    the log scale, rho and sqrt(a c) as products of square roots, so nothing
+    over- or underflows at any scale of theta from 1e-300 to 1e300 (there a
+    tilt reads as it does unscaled) with s up to 10^5 per entry, and the two
+    sides are compared as logs, so an integral past the largest float is still
+    checked.
+
+    At n nodes per axis the residual has n^3 values, but they are never held
+    at once.  Rounding is monotone and sqrt(a c) >= 0, so the residual's
+    largest exponent is that at the largest coupling 2 theta12 v, taken on the
+    (n, n) grid of (a, c); the residual is then formed, exponentiated and
+    summed over v in slabs of whole a-rows, at most ``QUAD_SLAB`` values each.
+    The working memory is O(n^2), about 1.3 MiB at ``QUAD_N_MAX`` where one
+    tensor took 54 MiB, and every bit of the result is that of the one tensor.
 
     The per-axis node count doubles from ``QUAD_N_START`` until two successive
     estimates agree to ``QUAD_RTOL`` relative, else ``QuadratureError`` past
@@ -372,7 +394,10 @@ def quadrature_check_r2(s, theta: SymElement) -> float:
     (120, 120) and (100, 2) and refused (140, 140) and (140, 2); at rho = 0.33
     it converged at (80, 80) and refused (100, 100).  Further out (s = (10^6, 10^6)
     at theta = -I, (2000, 2000) at rho = 0.85) the weighted residual
-    underflows at every node, which is a ``QuadratureError`` too.
+    underflows at every node, which is a ``QuadratureError`` too.  A refusal
+    past ``QUAD_N_MAX`` evaluates every node count up to it: at rho = 0.95 that
+    took about 0.06 s with a 1.3 MiB tracemalloc peak (one BLAS thread, 2-core
+    x86-64 host), where the self-test's nine points take about 3 ms together.
     """
     s, log_integral = _log_quadrature_r2(s, theta)
     log_closed = log_gamma_omega(s) + _log_laplace(s, theta, "tilt")
@@ -622,14 +647,14 @@ def _support_fold(active, chunks):
     is PSD unless a d is below minus the cut or an x_pp is negative; its ratio is its
     most negative d or x_pp over its largest |x_pp|.  Finiteness is read from the
     whole chunk, as the elimination never reads between inactive indices.  Each
-    chunk's d and x are in Fortran order, so that the reductions over a draw's r
-    entries read contiguous columns.
+    chunk's d (as ``algebra._pivots`` returns it) and x are in Fortran order, so that
+    the reductions over a draw's r entries read contiguous columns.
     """
     hist = np.zeros(len(active) + 1, dtype=np.int64)
     finite, psd, worst = True, True, -math.inf
     with np.errstate(invalid="ignore", over="ignore"):  # a non-finite draw fails anyway
         for chunk in chunks:
-            d = np.asfortranarray(algebra._pivots(chunk, active))
+            d = algebra._pivots(chunk, active)
             x = np.asfortranarray(np.diagonal(chunk, axis1=1, axis2=2))
             cut = np.ones_like(d)
             np.divide(x, d, out=cut, where=active & (d > 0.0))

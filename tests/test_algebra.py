@@ -203,6 +203,26 @@ def test_minors_of_a_stack_match_one_matrix_at_a_time_bitwise(r):
         assert got.tobytes() == want.tobytes() == one.tobytes()
 
 
+@pytest.mark.parametrize("r", [1, 3, 8])
+@pytest.mark.parametrize("masked", [False, True])
+def test_pivots_own_their_data_in_fortran_order(r, masked):
+    # an (n, r) array of its own, not a view that keeps the (r, r, n) workspace alive
+    rng = np.random.default_rng(40 + r)
+    x = rng.standard_normal((64, r, r))
+    stack = x @ np.swapaxes(x, 1, 2) + np.eye(r)
+    active = np.arange(r) % 2 == 0 if masked else None
+    got = al._pivots(stack, active)
+    assert got.base is None and got.flags.owndata and got.flags.writeable
+    assert got.flags.f_contiguous and got.shape == (64, r)
+    assert np.array_equal(got[:, 0], stack[:, 0, 0])
+    if not masked:
+        assert got.tobytes() == np.array([_scalar_pivots(m) for m in stack]).tobytes()
+    kept = got.copy()
+    got *= 2.0
+    assert np.array_equal(got, 2.0 * kept)
+    assert np.array_equal(al._pivots(stack, active), kept)
+
+
 def test_minors_of_a_stack_fall_back_only_where_a_pivot_is_zero():
     first = [[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]]   # pivots 1 and 2 are 0
     second = [[1.0, 1.0, 0.0], [1.0, 1.0, 2.0], [0.0, 2.0, 5.0]]  # pivot 2 is 0

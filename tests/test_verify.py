@@ -7,6 +7,7 @@ import math
 import pathlib
 import subprocess
 import sys
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -399,12 +400,18 @@ def test_quadrature_sweep_of_random_tilts():
         assert vf.quadrature_check_r2(s, theta) <= 1e-6, (s, theta)
 
 
+GRID_TILT = np.array([[-1.5, -0.4], [-0.4, -1.0]])  # the self-test grid's rotated tilt
+
+
+def _grid_r2_laws():
+    """The self-test's 3 x 3 grid of (s, theta)."""
+    return [(s, sym(t)) for s in ([2.0, 1.0], [2.0, 2.0], [1.5, 0.8])
+            for t in (-np.eye(2), np.diag([-1.0, -2.0]), GRID_TILT)]
+
+
 def test_cached_gauss_rules_change_no_bit(monkeypatch):
     # the self-test's 3 x 3 grid, then the random sweep above
-    laws = [(s, sym(t)) for s in ([2.0, 1.0], [2.0, 2.0], [1.5, 0.8])
-            for t in ([[-1.0, 0.0], [0.0, -1.0]], [[-1.0, 0.0], [0.0, -2.0]],
-                      [[-1.5, -0.4], [-0.4, -1.0]])]
-    laws += list(_random_r2_laws())
+    laws = _grid_r2_laws() + list(_random_r2_laws())
     cached = [vf.quadrature_check_r2(s, theta) for s, theta in laws]
     # every rule again, now from the cache, and every rule fresh
     assert [vf.quadrature_check_r2(s, theta) for s, theta in laws] == cached
@@ -456,8 +463,7 @@ def test_gauss_rules_are_cached_read_only():
                 a[0] = 0.0
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
-@pytest.mark.parametrize("s, scale, converges", [
+LARGE_SCALE_ROWS = [
     # the Laguerre masses Gamma(s_i) are past the largest float, or their
     # product is: the rule's nodes sit too far from the integrand to converge
     ((200.0, 200.0), 1.0, False),
@@ -471,16 +477,81 @@ def test_gauss_rules_are_cached_read_only():
     ((5.0, 5.0), 1e100, True),
     ((5.0, 5.0), 1e-100, True),
     ((60.0, 60.0), 1e10, True),
-])
+    # tilts whose entries' products under- or overflow, -c I and c times the grid's
+    # rotated tilt: the correlation and sqrt(a c) are taken from square roots
+    *[((2.0, 2.0), c, True) for c in (1e200, 1e-200, 1e300, 1e-300)],
+    *[(s, c * GRID_TILT, True) for c in (1e200, 1e-200, 1e300, 1e-300)
+      for s in ((2.0, 2.0), (1.5, 0.8))],
+]
+
+
+def _scaled_tilt(scale):
+    """A ``LARGE_SCALE_ROWS`` tilt: -scale I for a number, else the matrix itself."""
+    return sym(-scale * np.eye(2) if np.ndim(scale) == 0 else scale)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("s, scale, converges", LARGE_SCALE_ROWS, ids=lambda v: (
+    f"grid{-v[1, 1]:g}" if isinstance(v, np.ndarray) else None))
 def test_quadrature_at_large_scales_is_a_verdict_or_a_refusal(s, scale, converges):
-    # taken on a linear scale, these rows ended in an OverflowError, a NaN,
-    # or an overflow warning and a refusal after every node count
-    theta = sym(-scale * np.eye(2))
+    # taken on a linear scale, the first eight rows ended in an OverflowError, a NaN,
+    # or an overflow warning and a refusal after every node count; with rho taken
+    # from the product theta11 theta22 and sqrt(a c) from the product a c, the last
+    # twelve raised a ZeroDivisionError, warned of an overflow, or lost the coupling
+    # term and read a discrepancy of 0.2
+    theta = _scaled_tilt(scale)
     if converges:
         assert vf.quadrature_check_r2(list(s), theta) <= 1e-6
     else:
         with pytest.raises(vf.QuadratureError):
             vf.quadrature_check_r2(list(s), theta)
+
+
+def _full_tensor_log_quadrature_r2(s, theta):
+    """``verify._log_quadrature_r2`` on valid input, its residual formed at each node
+    count as one (n, n, n) tensor: the reference that its slabs reproduce bit for bit."""
+    s1, s2 = float(s[0]), float(s[1])
+    td = theta.matrix
+    t11, t22, t12 = float(td[0, 0]), float(td[1, 1]), float(td[0, 1])
+    rho = abs(t12) / (math.sqrt(-t11) * math.sqrt(-t22))
+    lam_a = 0.5 * (1.0 - rho) * -t11
+    lam_c = 0.5 * (1.0 - rho) * -t22
+    alpha = s2 - 1.5
+    log_scale = ((2.0 * alpha + 1.5) * math.log(2.0) - s1 * math.log(lam_a)
+                 - s2 * math.log(lam_c) + math.lgamma(s1) + math.lgamma(s2)
+                 + 2.0 * math.lgamma(alpha + 1.0) - math.lgamma(2.0 * alpha + 2.0))
+    prev, n = None, vf.QUAD_N_START
+    while n <= vf.QUAD_N_MAX:
+        xa, wa = vf._gauss_rule(False, n, s1 - 1.0)
+        xc, wc = vf._gauss_rule(False, n, s2 - 1.0)
+        v, wv = vf._gauss_rule(True, n, alpha)
+        a, c = xa / lam_a, xc / lam_c
+        root_ac = np.multiply.outer(np.sqrt(a), np.sqrt(c))
+        f = np.multiply.outer(root_ac, 2.0 * t12 * v)
+        f += ((t11 + lam_a) * a)[:, None, None] + ((t22 + lam_c) * c)[None, :, None]
+        peak = float(f.max())
+        f -= peak
+        with np.errstate(under="ignore"):
+            np.exp(f, out=f)
+        log_total = log_scale + peak + math.log(float(wa @ (f @ wv) @ wc))
+        if prev is not None and abs(math.expm1(prev - log_total)) <= vf.QUAD_RTOL:
+            return (s1, s2), log_total
+        prev, n = log_total, 2 * n
+    raise vf.QuadratureError("the reference did not converge")
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_quadrature_slabs_match_the_full_tensor_bit_for_bit():
+    # the peak is taken on an (n, n) grid at the largest coupling weight, and the
+    # residual is contracted a slab of a-nodes at a time; each node's residual and
+    # each a-row's contraction over v are the same floating-point operations as in
+    # the one tensor, so (s, log integral) keeps every bit
+    laws = _grid_r2_laws() + list(_random_r2_laws())
+    laws += [(list(s), _scaled_tilt(scale)) for s, scale, converges in LARGE_SCALE_ROWS
+             if converges]
+    for s, theta in laws:
+        assert vf._log_quadrature_r2(s, theta) == _full_tensor_log_quadrature_r2(s, theta), (
+            s, theta.matrix.tolist())
 
 
 def test_quadrature_checks_an_integral_past_the_largest_float():
@@ -491,9 +562,16 @@ def test_quadrature_checks_an_integral_past_the_largest_float():
 
 
 def test_quadrature_refuses_a_nearly_singular_correlation():
-    # rho = 0.99: the rule must give up, not return a number
-    with pytest.raises(vf.QuadratureError):
-        vf.quadrature_check_r2([1.5, 1.2], sym([[-1.0, -0.99], [-0.99, -1.0]]))
+    # rho = 0.99: the rule must give up, not return a number, after every node count
+    # up to QUAD_N_MAX in O(n^2) memory (one (n, n, n) tensor would be 54 MiB at n = 192)
+    tracemalloc.start()
+    try:
+        with pytest.raises(vf.QuadratureError):
+            vf.quadrature_check_r2([1.5, 1.2], sym([[-1.0, -0.99], [-0.99, -1.0]]))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
 
 
 def test_quadrature_rejections(monkeypatch):
