@@ -103,7 +103,7 @@ def s_from_u(u, d: float = 1.0) -> np.ndarray:
 
 
 class GindikinParam(NamedTuple):
-    """An admissible parameter: s together with its recovered u coordinates.
+    """An admissible parameter: s and its recovered u coordinates, of one law.
 
     A named tuple, immutable like every record here: an oracle builds
     thousands of them, and a tuple costs a quarter of a frozen dataclass.
@@ -128,10 +128,10 @@ class GindikinParam(NamedTuple):
 def u_from_s(s, d: float = 1.0, zero_tol: float = 0.0) -> GindikinParam:
     """Invert the recursion, rejecting s that leave the admissible set.
 
-    Each recovered u_i with |u_i| <= zero_tol is snapped to exactly 0 before
-    the positivity indicator is evaluated (zero_tol = 0 keeps comparisons
-    exact).  A u_i below -zero_tol raises ``NotInGindikinSetError`` naming
-    the first offending 1-based index.
+    Each recovered u_i with |u_i| <= zero_tol is snapped to exactly 0, and s_i
+    with it to (d/2) #{m < i : u_m > 0}, before the positivity indicator is
+    read, so s and u name the law drawn.  A u_i below -zero_tol raises
+    ``NotInGindikinSetError`` naming the first 1-based index and the s given.
     """
     ss = _as_float_vector(s, "s")
     _check_d(d)
@@ -142,9 +142,11 @@ def u_from_s(s, d: float = 1.0, zero_tol: float = 0.0) -> GindikinParam:
     for i, si in enumerate(ss):
         ui = si - half_d * count
         if abs(ui) <= zero_tol:
+            if ui:
+                ss[i] = half_d * count
             ui = 0.0
-        if ui < 0:
-            raise NotInGindikinSetError(i + 1, ui, ss)
+        if ui < 0:  # named by the s given, not by the one snapped so far
+            raise NotInGindikinSetError(i + 1, ui, _as_float_vector(s, "s"))
         u.append(ui)
         if ui > 0:
             count += 1
@@ -266,9 +268,9 @@ def log_gamma_omega(s, *, d: float = 1.0) -> float:
 def membership_report(s=None, u=None, d: float = 1.0, zero_tol: float = 0.0) -> dict:
     """Full membership verdict as a JSON-ready dict.
 
-    Give exactly one of s or u.  On acceptance the report carries the
-    recovered coordinates and the complete block partition; on rejection it
-    carries in_xi = false plus the first offending index.
+    Give exactly one of s or u.  On acceptance the report carries the law's
+    coordinates (s as ``zero_tol`` snapped it) and its block partition; on
+    rejection, in_xi = false, the s given and the first offending index.
     """
     if (s is None) == (u is None):
         raise GindikinError("give exactly one of s or u")

@@ -182,9 +182,7 @@ def laplace_mc_chunks(spec: RieszSpec, chunks, zeta: SymElement,
     spec and 2 zeta - theta by the variance guard.  Those two make -zeta
     positive definite too, as -zeta = (-(2 zeta - theta) + (-theta)) / 2, and
     a zeta that rounding still spoils is a ``TiltError`` from its pivots.  s
-    is re-derived once with no tolerance, refusing an s whose negative u_p the
-    spec snapped to 0 (``zero_tol``): its closed form is not that of the law
-    drawn.
+    is the spec's, which a ``zero_tol`` snap set with u: that of the law drawn.
     """
     if isinstance(z_threshold, bool) or not (
             isinstance(z_threshold, numbers.Real) and 0.0 < z_threshold < math.inf):
@@ -195,7 +193,7 @@ def laplace_mc_chunks(spec: RieszSpec, chunks, zeta: SymElement,
     guard = SymElement(2.0 * zeta.matrix - theta.matrix)
     algebra.require_negative_definite(
         guard, VarianceGuardError, "2 zeta - theta (finite weight variance)")
-    s = u_from_s(spec.param.s).s
+    s = spec.param.s
     log_theta = _log_laplace(s, theta, "theta")
     log_ratio = _log_laplace(s, zeta, "zeta") - log_theta
     log1p_rho = _log_laplace(s, guard, "2 zeta - theta") - log_theta - 2.0 * log_ratio
@@ -286,6 +284,9 @@ def _log_quadrature_r2(s, theta: SymElement):
         raise VerifyError(
             f"need s1 > 0 and s2 > 1/2 for an integrable density, got {s.tolist()}"
         )
+    top = max(s1, s2) - 1.0
+    if top + 2.0 == top:  # the Laguerre diagonal 2k + s - 1 has lost its steps
+        raise QuadratureError(f"s = {s.tolist()} is past what the rule's recurrence resolves")
     td = theta.matrix
     algebra.require_negative_definite(theta, TiltError, "tilt")
     t11, t22, t12 = float(td[0, 0]), float(td[1, 1]), float(td[0, 1])
@@ -305,6 +306,9 @@ def _log_quadrature_r2(s, theta: SymElement):
         xa, wa = _gauss_rule(False, n, s1 - 1.0)
         xc, wc = _gauss_rule(False, n, s2 - 1.0)
         v, wv = _gauss_rule(True, n, alpha)
+        # eigh sorts the nodes, so the last one over its rate is the largest
+        if not (float(xa[-1]) / lam_a < math.inf and float(xc[-1]) / lam_c < math.inf):
+            raise QuadratureError(f"the rule's nodes over its rates overflow for s = {s.tolist()}")
         a, c = xa / lam_a, xc / lam_c
         root_ac = np.multiply.outer(np.sqrt(a), np.sqrt(c))
         w = 2.0 * t12 * v
@@ -394,7 +398,10 @@ def quadrature_check_r2(s, theta: SymElement) -> float:
     (120, 120) and (100, 2) and refused (140, 140) and (140, 2); at rho = 0.33
     it converged at (80, 80) and refused (100, 100).  Further out (s = (10^6, 10^6)
     at theta = -I, (2000, 2000) at rho = 0.85) the weighted residual
-    underflows at every node, which is a ``QuadratureError`` too.  A refusal
+    underflows at every node, which is a ``QuadratureError`` too, as are a
+    node over its rate past the largest float (from s = 10^8 at theta =
+    -1e-300 I) and an s whose Laguerre diagonal 2k + s - 1 no longer moves
+    with k (from about 10^16), where the rule would read a false 1.0.  A refusal
     past ``QUAD_N_MAX`` evaluates every node count up to it: at rho = 0.95 that
     took about 0.06 s with a 1.3 MiB tracemalloc peak (one BLAS thread, 2-core
     x86-64 host), where the self-test's nine points take about 3 ms together.

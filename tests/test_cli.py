@@ -12,7 +12,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from rieszcone import cli, sampling
+from rieszcone import cli, sampling, verify
 from rieszcone.sampling import CHUNK, RieszSpec
 
 
@@ -64,6 +64,9 @@ def test_check_zero_tol_flag(capsys):
     capsys.readouterr()
     code, rep, _ = run_json(capsys, "check", "--s", noisy, "--zero-tol", "1e-9")
     assert code == 0 and rep["u"] == [1.0, 0.0, 0.5]
+    # s_2 is snapped with u_2: the report names the law drawn, and its blocks sum to it
+    assert rep["s"] == [1.0, 0.5, 1.0]
+    assert rep["s_blocks"] == [[1.0, 0.5, 0.5], [0.0, 0.0, 0.5]]
 
 
 @pytest.mark.parametrize("argv", [
@@ -649,15 +652,15 @@ def test_verify_bad_zeta_exits_3(capsys):
 
 
 
-def test_verify_s_snapped_by_zero_tol_exits_2(capsys):
-    # u_2 = -1e-10 is snapped to 0 when the spec is built, but the closed form
-    # re-derives u from s without a tolerance and rejects it
-    code, out, err = run(capsys, "verify", "--s", "1,0.4999999999",
-                         "--zero-tol", "1e-9",
-                         "--zeta", '{"r":2,"data":[[-1.1,0],[0,-1.1]]}',
-                         "--n", "20")
-    assert code == 2 and out == ""
-    assert err.startswith("rieszcone verify: ") and len(err.splitlines()) == 1
+def test_verify_s_snapped_by_zero_tol_checks_the_snapped_law(capsys):
+    # u_2 = -1e-10 is snapped to 0, and s_2 with it: the closed form is that of
+    # s = (1, 0.5), the law drawn, so the ratio at -1.1 I is 1.1^-1.5
+    code, rep, _ = run_json(capsys, "verify", "--s", "1,0.4999999999",
+                            "--zero-tol", "1e-9",
+                            "--zeta", '{"r":2,"data":[[-1.1,0],[0,-1.1]]}',
+                            "--n", "20")
+    assert code == 0 and rep["pass"] is True
+    assert rep["exact"] == 1.1 ** -1.5
 
 # ------------------------------------------------------------------- density
 
@@ -713,7 +716,8 @@ def test_each_request_fact_is_derived_once(capsys, monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
-    for mod, name in ((sampling, "build_partition"), (sampling, "u_from_s"), (cli, "u_from_s")):
+    for mod, name in ((sampling, "build_partition"), (sampling, "u_from_s"), (cli, "u_from_s"),
+                      (verify, "u_from_s")):
         if hasattr(mod, name):
             monkeypatch.setattr(mod, name, counted(name, getattr(mod, name)))
     spec = RieszSpec.build(u=[1.2, 0.0, 0.7, 0.0], count=3)
@@ -723,6 +727,11 @@ def test_each_request_fact_is_derived_once(capsys, monkeypatch):
     calls.clear()
     code, _, _ = run(capsys, "density", "--s", "2.0,1.5", "--x", I_2)
     assert code == 0 and calls == ["u_from_s"]
+    # verify derives u once, when it builds the spec, and the probe reads its s
+    calls.clear()
+    code, _, _ = run(capsys, "verify", "--s", "1,0.4999999999", "--zero-tol", "1e-9",
+                     "--zeta", '{"r":2,"data":[[-1.1,0],[0,-1.1]]}', "--n", "20")
+    assert code == 0 and calls == ["u_from_s", "build_partition"]
 
 
 def test_density_rejects_other_multiplicities(capsys):

@@ -343,17 +343,20 @@ def ref_u_from_s(s, d=1.0, zero_tol=0.0):
     if not zero_tol >= 0:
         raise gk.GindikinError(f"zero_tol must be nonnegative, got {zero_tol}")
     u = np.empty_like(ss)
+    law = ss.copy()
     count = 0
     for i, si in enumerate(ss):
         ui = si - 0.5 * d * count
         if abs(ui) <= zero_tol:
+            if ui != 0.0:  # a snapped u_i takes s_i to the snapped law's own value
+                law[i] = 0.5 * d * count
             ui = 0.0
         if ui < 0:
             raise gk.NotInGindikinSetError(i + 1, float(ui), ss)
         u[i] = ui
         if ui > 0:
             count += 1
-    return gk.GindikinParam(r=len(ss), d=float(d), s=tuple(map(float, ss)),
+    return gk.GindikinParam(r=len(ss), d=float(d), s=tuple(map(float, law)),
                             u=tuple(map(float, u)))
 
 

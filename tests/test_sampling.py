@@ -8,6 +8,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy import stats
 from scipy.special import gammaln
@@ -15,7 +17,14 @@ from scipy.special import gammaln
 from rieszcone import cli
 from rieszcone import sampling as sp
 from rieszcone.algebra import SymElement
-from rieszcone.gindikin import GindikinError, log_gamma_omega, param_from_u
+from rieszcone.gindikin import (
+    GindikinError,
+    build_partition,
+    log_gamma_omega,
+    param_from_u,
+    s_from_u,
+    u_from_s,
+)
 
 
 def nd_tilt(r, seed=0, scale=1.0):
@@ -276,6 +285,34 @@ def test_spec_json_takes_s_or_u():
     for bad in ({"n": 3}, {"s": [1.0, 1.0], "u": [1.0, 1.0]}, {"s": [1.0], "u": [1.0, 1.0]}):
         with pytest.raises(sp.SamplerError):
             sp.RieszSpec.from_json_dict(bad)
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.integers(1, 8), st.integers(0, 2**32 - 1), st.sampled_from([0.5, 1.0, 2.0]),
+       st.booleans())
+def test_a_snapped_law_keeps_its_s_through_u_the_partition_and_the_spec(r, seed, d, dyadic):
+    # s misses the boundary by 2^-30 at each zero u, and zero_tol = 2^-20 snaps it back:
+    # the s kept is the snapped law's own, so no map downstream names another law
+    rng = np.random.default_rng(seed)
+    u = rng.integers(0, 161, size=r) / 32.0 if dyadic else rng.uniform(0.0, 5.0, size=r)
+    u[rng.random(size=r) < 0.4] = 0.0
+    s = s_from_u(u, d)
+    s[u == 0.0] += rng.choice([-2.0 ** -30, 2.0 ** -30], size=r)[u == 0.0]
+    param = u_from_s(s, d, zero_tol=2.0 ** -20)
+    assert u_from_s(param.s, d) == param
+    if dyadic:  # every sum is exact on the grid
+        total = np.zeros(r)
+        for block in build_partition(param).s_blocks:
+            total += block
+        assert tuple(total.tolist()) == param.s
+    if d == 1.0:
+        q, _ = np.linalg.qr(rng.standard_normal((r, r)))
+        m = -(q * np.geomspace(1.0, 1e3, r)) @ q.T
+        spec = sp.RieszSpec.build(s=s, theta=SymElement.from_dense(0.5 * (m + m.T)),
+                                  seed=seed, count=3, zero_tol=2.0 ** -20)
+        assert spec.param == param
+        back = sp.RieszSpec.from_json_dict(json.loads(json.dumps(spec.to_json_dict())))
+        assert back.param == param and back.digest() == spec.digest()
 
 
 def test_spec_json_requires_integers():

@@ -18,7 +18,6 @@ from scipy.special import roots_genlaguerre, roots_jacobi
 from rieszcone import algebra, cli, sampling as sp, verify as vf
 from rieszcone.algebra import SymElement
 from rieszcone.gindikin import (
-    NotInGindikinSetError,
     build_partition,
     param_from_u,
     s_from_u,
@@ -305,7 +304,7 @@ def test_laplace_mc_effective_sample_floor():
 def test_a_laplace_probe_checks_each_fact_once(wide_r8_batch, monkeypatch):
     # theta was checked when the spec was built and 2 zeta - theta is the
     # variance guard, which with theta makes -zeta positive definite too, so
-    # a probe runs one eigenvalue check and re-derives s once, with no tolerance
+    # a probe runs one eigenvalue check and reads s from the spec
     calls = {"spectral": 0, "u_from_s": 0}
 
     def counted(name, fn):
@@ -318,16 +317,16 @@ def test_a_laplace_probe_checks_each_fact_once(wide_r8_batch, monkeypatch):
     monkeypatch.setattr(vf, "u_from_s", counted("u_from_s", vf.u_from_s))
     zeta = SymElement(1.1 * wide_r8_batch.spec.theta.matrix)
     assert vf.laplace_mc(wide_r8_batch, zeta, z_threshold=5.0).passed
-    assert calls == {"spectral": 1, "u_from_s": 1}
+    assert calls == {"spectral": 1, "u_from_s": 0}
 
 
-def test_laplace_mc_refuses_an_s_admissible_only_by_zero_tol():
-    # u_2 = -1e-10 is snapped to 0 when the spec is built, so the law drawn
-    # is not the one s names; the probe refuses before reading a chunk
+def test_laplace_mc_checks_the_law_that_zero_tol_snaps_to():
+    # u_2 = -1e-10 is snapped to 0 when the spec is built, and s_2 to 1/2 with
+    # it, so the probe's closed form is that of the law drawn
     spec = RieszSpec.build(s=[1.0, 0.4999999999], zero_tol=1e-9, count=20)
-    assert spec.param.u == (1.0, 0.0)
-    with pytest.raises(NotInGindikinSetError, match="u_2"):
-        vf.laplace_mc_chunks(spec, iter(()), sym(-1.1 * np.eye(2)))
+    assert spec.param.u == (1.0, 0.0) and spec.param.s == (1.0, 0.5)
+    report = vf.laplace_mc(sample_riesz(spec), sym(-1.1 * np.eye(2)))
+    assert report.passed and report.exact == 1.1 ** -1.5
 
 
 def test_log_laplace_exact_is_finite_where_the_transform_overflows():
@@ -482,6 +481,13 @@ LARGE_SCALE_ROWS = [
     *[((2.0, 2.0), c, True) for c in (1e200, 1e-200, 1e300, 1e-300)],
     *[(s, c * GRID_TILT, True) for c in (1e200, 1e-200, 1e300, 1e-300)
       for s in ((2.0, 2.0), (1.5, 0.8))],
+    # s past what the rules resolve: the Laguerre diagonal 2k + s - 1 has lost its
+    # steps, or a node over its rate is past the largest float; unrefused, each
+    # reads a false discrepancy of 1.0 or warns of an overflow
+    *[(s, scale, False) for s in ((1e50, 2.0), (2.0, 1e50), (1e300, 1e300))
+      for scale in (1.0, GRID_TILT)],
+    ((1e8, 2.0), 1e-300, False),
+    ((2.0, 1e8), 1e-300, False),
 ]
 
 
