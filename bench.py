@@ -12,6 +12,13 @@ run length and the checkout's commit.  ``dirty`` is true when the checkout
 has uncommitted changes to tracked files, i.e. the numbers are for the
 working tree on top of ``commit``.  Repeat the command against two
 checkouts, alternating, to collect paired runs in one file.
+
+The run gets ``PYTHONDONTWRITEBYTECODE=1``, so that it leaves no bytecode
+behind and each of its workers compiles rieszcone, as in a fresh checkout.
+``pycache`` records whether ``src/rieszcone/__pycache__`` existed when the
+run started; if it did, the workers imported cached bytecode, which moves
+setup_s and peak_rss_mb, and a warning is printed.  Remove that directory
+before measuring.
 """
 
 from __future__ import annotations
@@ -33,7 +40,8 @@ def git(checkout, *args):
 def run_once(checkout, workload, seed):
     cmd = [sys.executable, os.path.join("perfbench", "run.py"), "--workload", workload,
            "--seed", str(seed), "--trace", "0"]
-    done = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
+    done = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True, env=env)
     if done.returncode != 0:
         sys.stderr.write(done.stderr)
         raise SystemExit(f"bench: {workload} exited with {done.returncode}")
@@ -54,16 +62,21 @@ def main(argv=None):
     commit = git(checkout, "rev-parse", "HEAD") or "unknown"
     dirty = bool(git(checkout, "status", "--porcelain", "--untracked-files=no"))
     path = os.path.join(HERE, f"BENCH_{args.label}.json")
+    cache = os.path.join(checkout, "src", "rieszcone", "__pycache__")
     for workload in args.workload or [w["name"] for w in declared["workloads"]]:
+        pycache = os.path.isdir(cache)
+        if pycache:
+            print(f"bench: warning: {cache} exists, so {workload} imports cached "
+                  "bytecode; remove it to measure as a fresh checkout", file=sys.stderr)
         result = run_once(checkout, workload, args.seed)
         try:
             with open(path) as fh:
                 doc = json.load(fh)
         except FileNotFoundError:
             doc = {"label": args.label, "runs": []}
-        doc["runs"].append({"commit": commit, "dirty": dirty, "workload": workload,
-                            "seed": args.seed, "seconds": declared["run_seconds"],
-                            "result": result})
+        doc["runs"].append({"commit": commit, "dirty": dirty, "pycache": pycache,
+                            "workload": workload, "seed": args.seed,
+                            "seconds": declared["run_seconds"], "result": result})
         with open(path + ".tmp", "w") as fh:
             json.dump(doc, fh, indent=1)
             fh.write("\n")

@@ -5,7 +5,8 @@ human prose goes to stderr.  Exit codes are scripting-stable:
 
 * 0  success
 * 1  a check or verification failed, a draw had a non-finite entry, the
-     reader of stdout went away (a broken pipe), or the x of ``density`` is
+     output could not be written (the reader of stdout went away, as
+     ``| head -1`` does, or the disk is full), or the x of ``density`` is
      off the open cone or of a rank other than the parameter's length
 * 2  parameter outside the admissible set, non-numeric or non-finite (in
      every command), or no density exists for it, or its log Gamma_Omega (or
@@ -65,7 +66,7 @@ EXIT_CODES = (
     (TiltError, EXIT_BAD_TILT),
     (VerifyError, EXIT_BAD_TILT),
     (SamplerError, EXIT_FAIL),
-    (BrokenPipeError, EXIT_FAIL),
+    (OSError, EXIT_FAIL),
 )
 
 
@@ -358,9 +359,10 @@ def cmd_density(args: argparse.Namespace, parser: _Parser) -> int:
 
 
 def cmd_selftest(args: argparse.Namespace, parser: _Parser) -> int:
-    r_values = (args.r,) if args.r is not None else (2, 3, 4, 5, 6)
-    summary = run_selftest(r_values=r_values, trials=args.trials, seed=args.seed)
-    print(json.dumps(summary, indent=2))
+    ranks = {} if args.r is None else {"r_values": (args.r,)}
+    summary = run_selftest(trials=args.trials, seed=args.seed, **ranks)
+    # flushed before the verdict, so that a failed write is the one stderr line
+    print(json.dumps(summary, indent=2), flush=True)
     verdict = "PASS" if summary["pass"] else "FAIL"
     print(f"self-test {verdict} in {summary['elapsed_s']}s", file=sys.stderr)
     return EXIT_OK if summary["pass"] else EXIT_FAIL
@@ -371,14 +373,14 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         code = args.run(args, parser)
-        # a reader that has gone raises here, not in the flush at exit
+        # output that cannot be written raises here, not in the flush at exit
         sys.stdout.flush()
         return code
     except tuple(cls for cls, _ in EXIT_CODES) as err:
         print(f"rieszcone {args.command}: {err}", file=sys.stderr)
-        if isinstance(err, BrokenPipeError):
-            # the reader has gone: what is still buffered goes nowhere, so
-            # that the flush at exit does not raise again
+        if isinstance(err, OSError):
+            # a failed write (a reader gone, a full disk): what is still
+            # buffered goes nowhere, so that the flush at exit does not raise again
             sys.stdout = open(os.devnull, "w")
         return next(code for cls, code in EXIT_CODES if isinstance(err, cls))
 

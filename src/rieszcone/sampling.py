@@ -243,10 +243,10 @@ def _check_draw_scale(core_chol, coupling, noise_chol, shapes) -> None:
 
 
 @functools.lru_cache(maxsize=None)
-def _strict_triangle(n: int, lower: bool):
-    """Read-only ``np.tril_indices(n, -1)`` (lower) or ``np.triu_indices(n, 1)``,
-    computed once per size: each call costs about 25 us, a chunk needs three."""
-    pair = np.tril_indices(n, -1) if lower else np.triu_indices(n, 1)
+def _strict_triangle(n: int):
+    """Read-only ``np.tril_indices(n, -1)``, computed once per size: each call
+    costs about 25 us, a chunk needs one per run and one for its mirror."""
+    pair = np.tril_indices(n, -1)
     for index in pair:
         index.flags.writeable = False
     return pair
@@ -300,7 +300,7 @@ def _gram_factor(plan: _BlockPlan, g, o, z) -> np.ndarray:
     t = np.zeros((w, n, w))
     diag = np.arange(w)
     t[diag, :, diag] = np.sqrt(g).T
-    rows, cols = _strict_triangle(w, lower=True)
+    rows, cols = _strict_triangle(w)
     t[rows, :, cols] = (o * np.sqrt(0.5)).T
     m = np.empty((w + plan.tail, n, w))
     m[:w] = _each_draw(plan.core_chol, t)
@@ -331,8 +331,8 @@ def _draw_sum(plans, rng: np.random.Generator, out: np.ndarray) -> None:
     # S S^T is symmetric in exact arithmetic, but nothing obliges a BLAS
     # product to round both triangles alike; mirroring the upper triangle
     # makes every stored draw symmetric bit for bit
-    rows, cols = _strict_triangle(r, lower=False)
-    out[:, cols, rows] = out[:, rows, cols]
+    rows, cols = _strict_triangle(r)
+    out[:, rows, cols] = out[:, cols, rows]
 
 
 # -- batched sampling -------------------------------------------------------
@@ -358,7 +358,7 @@ class RieszSpec:
     plans: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.param.d != 1.0:
+        if not self.param.samplable:
             raise NonSamplableError(
                 f"only multiplicity d = 1 is samplable, got d = {self.param.d}"
             )
@@ -413,8 +413,10 @@ class RieszSpec:
         """Spec from a JSON object that gives the parameter as "s" or "u".
 
         ``to_json_dict`` writes both, so an object with both is accepted
-        when they name the same parameter and refused otherwise.  A "theta"
-        that is not a finite symmetric matrix object is a ``TiltError``.
+        when they name the same parameter and refused otherwise.  A key that
+        ``to_json_dict`` does not write, or an "r" that is not the JSON
+        integer len(s), is a ``SamplerError``: nothing is dropped unread.  A
+        "theta" that is not a finite symmetric matrix object is a ``TiltError``.
         """
         if not isinstance(obj, dict) or ("s" not in obj and "u" not in obj):
             raise SamplerError('spec JSON must be an object with "s" or "u"')
@@ -430,14 +432,15 @@ class RieszSpec:
                 raise TiltError(f"cannot load theta: {err}") from err
         # seed and n go through unconverted, so that construction rejects
         # anything but a JSON integer instead of truncating it
-        return cls.build(
-            s=s,
-            u=u,
-            theta=theta,
-            seed=obj.get("seed", 0),
-            count=obj.get("n", 1),
-            d=d,
-        )
+        spec = cls.build(s=s, u=u, theta=theta, seed=obj.get("seed", 0),
+                         count=obj.get("n", 1), d=d)
+        extra = sorted(set(obj) - set(spec.to_json_dict()))
+        if extra:
+            raise SamplerError(f"spec JSON has keys that a spec does not write: {extra}")
+        r = obj.get("r", spec.param.r)
+        if not _is_int(r) or r != spec.param.r:
+            raise SamplerError(f'spec JSON gives "r" {r!r}, but s has length {spec.param.r}')
+        return spec
 
 
 def _exact_one_of(s, u, d: float):
@@ -585,29 +588,24 @@ def _write_chunks(fp, head: str, chunks, r: int, line: str, index: tuple,
     Draws are joined by ``sep``.  A non-finite entry is never a correct
     draw: its chunk raises ``SamplerError`` before any of it is written.
     Each slice of up to ``SLICE`` draws is one ``%`` fill of ``line``
-    repeated over the slice, a template built once per slice length, with
-    one ``repr`` per distinct entry and each draw's fields gathered by one
-    ``itemgetter`` call.  Only one slice's strings are held at a time, and
-    none while the next chunk is drawn.
+    repeated over the slice, with one ``repr`` per distinct entry and each
+    draw's fields gathered by one ``itemgetter`` call.  Only one slice's
+    strings are held at a time, and none while the next chunk is drawn.
     """
     rows, cols = np.triu_indices(r)
     m = len(rows)
     # csv, and every format at r = 1, takes the packed entries in order: the
     # gather is skipped there, as an itemgetter of one index returns no tuple
     gather = None if index == tuple(range(m)) else operator.itemgetter(*index)
-    templates = {}
 
     def fill(draws) -> str:
         # a function of its own, so that nothing of the slice is still held
         # while the next chunk is drawn
-        k = len(draws)
-        if k not in templates:
-            templates[k] = sep.join([line] * k)
         # float.__repr__ is what repr() and json.dumps call for a float
         fields = tuple(map(float.__repr__, draws[:, rows, cols].ravel().tolist()))
         if gather is not None:
             fields = tuple(chain.from_iterable(map(gather, zip(*[iter(fields)] * m))))
-        return templates[k] % fields
+        return sep.join([line] * len(draws)) % fields
 
     fp.write(head)
     lead, done = "", 0

@@ -714,18 +714,15 @@ def psd_check(batch: SampleBatch):
 # -- aggregated self-test ----------------------------------------------------
 
 
-def _dyadic_u(rng, r, scale=4.0, zero_frac=0.4):
-    u = rng.integers(0, int(scale * 1024) + 1, size=r) / 1024.0
-    u[rng.random(r) < zero_frac] = 0.0
-    return u
-
-
-def _selftest_admissibility(seed, rounds):
+def _selftest_admissibility(seed):
     """``rounds`` u -> s -> u round trips and s-block recompositions, exact on
     the dyadic u that one stream draws at once; the checks compare tuples."""
+    rounds = 10000
     rng = np.random.default_rng([seed, 101])
     ends = np.cumsum(rng.integers(1, 9, size=rounds)).tolist()
-    draws = _dyadic_u(rng, ends[-1]).tolist()
+    u = rng.integers(0, 4 * 1024 + 1, size=ends[-1]) / 1024.0
+    u[rng.random(ends[-1]) < 0.4] = 0.0
+    draws = u.tolist()
     ok_roundtrip = True
     ok_recompose = True
     for begin, end in zip([0] + ends, ends):
@@ -862,7 +859,7 @@ def run_selftest(r_values=(2, 3, 4, 5, 6), trials: int = 500, seed: int = 0) -> 
     n = min(200_000, max(2_000, 400 * trials))
     runs = {
         "identities": lambda: _selftest_identities(r_values, trials, seed),
-        "admissibility": lambda: _selftest_admissibility(seed, rounds=10000),
+        "admissibility": lambda: _selftest_admissibility(seed),
         "quadrature": _selftest_quadrature,
         "rank_one_law": lambda: _selftest_law(seed, n, **_LAWS["rank_one_law"]),
         "generic_singular_law": lambda: _selftest_law(seed, n, **_LAWS["generic_singular_law"]),

@@ -315,6 +315,23 @@ def test_sample_spec_file_with_u(capsys, tmp_path):
         assert code == 2 and out == "" and "sequence of numbers" in err, obj
 
 
+def test_sample_spec_file_with_a_key_it_would_drop_exits_64(capsys, tmp_path):
+    # each of these was read as another request: "N" as n = 1, "zero_tol" as
+    # no snap, an "r" of 3 as the rank of s; a JSON true or 2.0 is no rank
+    spec_file = tmp_path / "spec.json"
+    for obj in ({"s": [1, 1], "N": 5000}, {"s": [1, 1], "zero_tol": 0.5},
+                {"s": [1, 1], "r": 3}, {"s": [1, 1], "r": 2.0}, {"u": [1], "r": True}):
+        spec_file.write_text(json.dumps(obj))
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["sample", "--spec", str(spec_file)])
+        assert exc.value.code == 64, obj
+        assert "bad spec file" in capsys.readouterr().err, obj
+    # an "r" that is len(s), as every header's spec holds, is read
+    spec_file.write_text(json.dumps({"s": [1, 1], "r": 2, "n": 3}))
+    code, out, _ = run(capsys, "sample", "--spec", str(spec_file))
+    assert code == 0 and len(out.splitlines()) == 4
+
+
 def test_sample_tiny_u_is_sampled(capsys):
     # u_2 = 1e-300 is admissible; its gamma shape no longer rounds to 0
     code, out, _ = run(capsys, "sample", "--u", "1,1e-300", "--n", str(CHUNK + 3))
@@ -822,6 +839,66 @@ def test_sample_into_a_closed_pipe_exits_1(n, lines_read):
     assert proc.wait() == 1
     assert len(err.splitlines()) == 1 and err.startswith("rieszcone sample: ")
     assert "Broken pipe" in err and "Traceback" not in err
+
+
+ENOSPC_LINE = f"[Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}"
+
+
+class _FullDisk(io.StringIO):
+    """A stdout on a full disk: every write fails with ENOSPC."""
+
+    def write(self, text):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+
+@pytest.mark.parametrize("argv", [
+    ("sample", "--u", "1,1", "--n", "10"),
+    ("check", "--s", "1,1"),
+    ("selftest", "--r", "2", "--trials", "1"),
+])
+def test_a_stdout_that_cannot_be_written_exits_1_with_one_line(capsys, monkeypatch, argv):
+    # any failed write, not only a broken pipe, is one stderr line and exit 1;
+    # stdout is then parked on os.devnull, so the flush at exit has nothing to raise
+    monkeypatch.setattr(sys, "stdout", _FullDisk())
+    code = cli.main(list(argv))
+    parked = sys.stdout
+    assert parked.name == os.devnull
+    parked.close()
+    assert code == 1
+    assert capsys.readouterr().err.splitlines() == [f"rieszcone {argv[0]}: {ENOSPC_LINE}"]
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("argv, to_stdout", [
+    (("sample", "--u", "1,1", "--n", "10", "--out", "/dev/full"), False),
+    (("sample", "--u", "1,1", "--n", "10"), True),
+    (("check", "--s", "1,1"), True),
+])
+def test_a_full_device_exits_1_without_a_traceback(argv, to_stdout):
+    with open("/dev/full" if to_stdout else os.devnull, "w") as out:
+        proc = subprocess.run([sys.executable, "-m", "rieszcone.cli", *argv],
+                              stdout=out, stderr=subprocess.PIPE, text=True)
+    assert proc.returncode == 1
+    assert proc.stderr.splitlines() == [f"rieszcone {argv[0]}: {ENOSPC_LINE}"]
+
+
+def test_sample_out_whose_write_fails_mid_run_keeps_the_target(capsys, monkeypatch, tmp_path):
+    path = tmp_path / "draws.ndjson"
+    path.write_bytes(b"old bytes\n")
+
+    def full_after_a_line(spec, chunks, fp):
+        fp.write("a line that reached the temporary file\n")
+        fp.flush()
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    monkeypatch.setattr(sys, "stdout", sys.stdout)  # restored after main parks it
+    monkeypatch.setattr(cli, "write_ndjson", full_after_a_line)
+    code = cli.main(["sample", "--s", "1,1", "--n", "3", "--out", str(path)])
+    sys.stdout.close()
+    out, err = capsys.readouterr()
+    assert code == 1 and out == ""
+    assert err.splitlines() == [f"rieszcone sample: {ENOSPC_LINE}"]
+    assert list(tmp_path.iterdir()) == [path] and path.read_bytes() == b"old bytes\n"
 
 
 def test_console_script_is_wired():

@@ -315,6 +315,41 @@ def test_a_snapped_law_keeps_its_s_through_u_the_partition_and_the_spec(r, seed,
         assert back.param == param and back.digest() == spec.digest()
 
 
+@settings(deadline=None, max_examples=200)
+@given(st.integers(1, 8), st.integers(0, 2**32 - 1), st.booleans(), st.floats(0.0, 8.0))
+def test_a_random_spec_reads_back_through_json_with_its_digest(r, seed, from_s, log_cond):
+    # each u_p is 0 or log-uniform in [1e-3, 10], and the tilt's condition
+    # number reaches 1e8: the spec's JSON keeps the law, the digest and every bit of theta
+    rng = np.random.default_rng(seed)
+    u = 10.0 ** rng.uniform(-3.0, 1.0, size=r)
+    u[rng.random(size=r) < 0.3] = 0.0
+    q, _ = np.linalg.qr(rng.standard_normal((r, r)))
+    m = -(q * np.geomspace(1.0, 10.0 ** log_cond, r)) @ q.T
+    param = {"s": s_from_u(u).tolist()} if from_s else {"u": u.tolist()}
+    spec = sp.RieszSpec.build(**param, theta=SymElement.from_dense(0.5 * (m + m.T)),
+                              seed=seed, count=3)
+    back = sp.RieszSpec.from_json_dict(json.loads(json.dumps(spec.to_json_dict())))
+    assert back.param == spec.param and back.digest() == spec.digest()
+    assert back.theta.matrix.tobytes() == spec.theta.matrix.tobytes()
+
+
+def test_spec_json_reads_exactly_the_keys_it_writes():
+    spec = sp.RieszSpec.build(u=[1.2, 0.0, 0.7], theta=nd_tilt(3), seed=5, count=4)
+    obj = spec.to_json_dict()
+    assert sp.RieszSpec.from_json_dict(obj).digest() == spec.digest()
+    # every key it writes is read, each on its own beside the parameter
+    for key in obj:
+        assert sp.RieszSpec.from_json_dict({"u": obj["u"], key: obj[key]}).param == spec.param
+    # and no other key: each of these would be dropped unread
+    for key in ("N", "R", "zero_tol", "count", "workers", "partition", "spec", ""):
+        with pytest.raises(sp.SamplerError, match="does not write"):
+            sp.RieszSpec.from_json_dict({**obj, key: obj["n"]})
+    # "r" is read as a check: the JSON integer len(s), and nothing else
+    for r in (2, 4, 3.0, "3", True, None):
+        with pytest.raises(sp.SamplerError, match='"r"'):
+            sp.RieszSpec.from_json_dict({**obj, "r": r})
+
+
 def test_spec_json_requires_integers():
     base = {"s": [1.0, 1.0], "seed": 3, "n": 2}
     assert sp.RieszSpec.from_json_dict(base).count == 2
