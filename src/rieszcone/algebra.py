@@ -88,8 +88,7 @@ class SymElement:
     @staticmethod
     def from_dense(arr) -> "SymElement":
         a = np.asarray(arr, dtype=float)
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:
-            raise ShapeMismatchError(f"expected a square matrix, got shape {a.shape}")
+        x = SymElement(a)  # checks the shape
         if a.size == 0:
             raise AlgebraError("rank must be a positive integer, got 0")
         if not np.all(np.isfinite(a)):
@@ -99,7 +98,7 @@ class SymElement:
             raise NotSymmetricError(
                 f"matrix is not symmetric: max |a - a^T| = {asym:.3e} > {SYMMETRY_TOL:.1e}"
             )
-        return SymElement(a)
+        return x
 
     @staticmethod
     def from_json_dict(obj) -> "SymElement":
@@ -121,9 +120,6 @@ class SymElement:
 
     def to_json_dict(self) -> dict:
         return {"r": self.r, "data": self.matrix.tolist()}
-
-    def __repr__(self):
-        return f"SymElement(r={self.r}, data={self.matrix.tolist()})"
 
 
 # -- eigenvalues -------------------------------------------------------------
@@ -190,7 +186,8 @@ def log_generalized_power(x: SymElement, s) -> float:
     Defined on the open cone, where every elimination pivot p_k is positive;
     ``PowerDomainError`` anywhere else.  No minor is formed, so the value
     holds at any scale of x and for entries that span more than the float
-    range.
+    range.  A sum past the float range is +-inf or NaN, without a warning:
+    the caller decides whether to refuse it.
     """
     s = np.asarray(s, dtype=float)
     if s.shape != (x.r,):
@@ -200,4 +197,5 @@ def log_generalized_power(x: SymElement, s) -> float:
     if not (piv > 0.0).all():
         k = int(np.argmin(piv > 0.0))
         raise PowerDomainError(k + 1, float(piv[k]))
-    return float(s @ np.log(piv))
+    with np.errstate(over="ignore", invalid="ignore"):
+        return float(s @ np.log(piv))

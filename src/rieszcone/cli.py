@@ -5,9 +5,10 @@ human prose goes to stderr.  Exit codes are scripting-stable:
 
 * 0  success
 * 1  a check or verification failed, a draw had a non-finite entry, the
-     output could not be written (the reader of stdout went away, as
-     ``| head -1`` does, or the disk is full), or the x of ``density`` is
-     off the open cone or of a rank other than the parameter's length
+     output or the ``--help`` text could not be written (the reader of
+     stdout went away, as ``| head -1`` does, or the disk is full), or the x
+     of ``density`` is off the open cone or of a rank other than the
+     parameter's length
 * 2  parameter outside the admissible set, non-numeric or non-finite (in
      every command), or no density exists for it, or its log Gamma_Omega (or
      the log density) is past the largest float
@@ -16,20 +17,19 @@ human prose goes to stderr.  Exit codes are scripting-stable:
      singular for positive pivots, too small for the sampler's inverse of it
      to be finite, the variance guard rejected the requested reweighting
      (infinite weight variance, or too few effective draws), or the
-     transform ratio is past the largest float
+     transform ratio or the log of a transform is past the largest float
 * 64 malformed command line
 
 The parser states which flags a command needs or refuses together, and each
 subcommand names its ``cmd_*`` function as ``run``.  Commands raise; ``main``
 alone turns a library error into its code, through the ordered table
 ``EXIT_CODES``, and prints it as the one stderr line
-``rieszcone <command>: <error>``.
+``rieszcone <command>: <error>`` (``rieszcone: <error>`` for help output).
 """
 
 from __future__ import annotations
 
 import argparse
-import errno
 import functools
 import json
 import os
@@ -75,11 +75,17 @@ _FLAG_DEFAULTS = {"n": 100, "seed": 0, "d": 1.0, "zero_tol": 0.0}
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse with the usage exit remapped from 2 to 64."""
+    """argparse with the usage exit remapped from 2 to 64, and a help text
+    that cannot be written raising its ``OSError``, which argparse swallows."""
 
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
+
+    def print_help(self, file=None):
+        file = sys.stdout if file is None else file
+        file.write(self.format_help())
+        file.flush()
 
 
 def _float_list(text: str):
@@ -268,8 +274,6 @@ def _write_out(path: str, write, parser: _Parser) -> None:
         st = None
     except OSError as err:
         parser.error(f"cannot open --out {path}: {err.strerror}")
-    if st is not None and stat.S_ISDIR(st.st_mode):
-        parser.error(f"cannot open --out {path}: {os.strerror(errno.EISDIR)}")
     replace = st is None or (
         stat.S_ISREG(st.st_mode) and st.st_nlink == 1
         and (st.st_uid, st.st_gid) == (os.geteuid(), os.getegid())
@@ -301,10 +305,10 @@ def _write_out(path: str, write, parser: _Parser) -> None:
 def cmd_sample(args: argparse.Namespace, parser: _Parser) -> int:
     spec = _build_spec(args, parser)
     write = {"ndjson": write_ndjson, "json": write_json, "csv": write_csv}[args.format]
-    draw_s, n_chunks = 0.0, 0
+    draw_s = 0.0
 
     def timed_chunks():
-        nonlocal draw_s, n_chunks
+        nonlocal draw_s
         chunks = sample_chunks(spec, workers=args.workers)
         while True:
             t0 = time.perf_counter()
@@ -312,7 +316,6 @@ def cmd_sample(args: argparse.Namespace, parser: _Parser) -> int:
             draw_s += time.perf_counter() - t0
             if chunk is None:
                 return
-            n_chunks += 1
             yield chunk
 
     t0 = time.perf_counter()
@@ -328,7 +331,7 @@ def cmd_sample(args: argparse.Namespace, parser: _Parser) -> int:
             "spec_digest": spec.digest(),
             "n": spec.count,
             "chunk": CHUNK,
-            "chunks": n_chunks,
+            "chunks": -(-spec.count // CHUNK),
             "workers": args.workers,
             "draw_s": draw_s,
             "write_s": total_s - draw_s,
@@ -370,14 +373,16 @@ def cmd_selftest(args: argparse.Namespace, parser: _Parser) -> int:
 
 def main(argv=None) -> int:
     parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = None
     try:
+        args = parser.parse_args(argv)  # --help writes here
         code = args.run(args, parser)
         # output that cannot be written raises here, not in the flush at exit
         sys.stdout.flush()
         return code
     except tuple(cls for cls, _ in EXIT_CODES) as err:
-        print(f"rieszcone {args.command}: {err}", file=sys.stderr)
+        where = "rieszcone" if args is None else f"rieszcone {args.command}"
+        print(f"{where}: {err}", file=sys.stderr)
         if isinstance(err, OSError):
             # a failed write (a reader gone, a full disk): what is still
             # buffered goes nowhere, so that the flush at exit does not raise again

@@ -146,7 +146,7 @@ def u_from_s(s, d: float = 1.0, zero_tol: float = 0.0) -> GindikinParam:
                 ss[i] = half_d * count
             ui = 0.0
         if ui < 0:  # named by the s given, not by the one snapped so far
-            raise NotInGindikinSetError(i + 1, ui, _as_float_vector(s, "s"))
+            raise NotInGindikinSetError(i + 1, ui, s)
         u.append(ui)
         if ui > 0:
             count += 1

@@ -194,10 +194,6 @@ class _BlockPlan:
     coupling: np.ndarray     # Theta_12 (-Theta_0)^{-1}, shape (width, tail)
     noise_chol: np.ndarray   # L with L L^T = (1/2)(-Theta_0)^{-1}
 
-    @property
-    def n_tri(self) -> int:
-        return self.width * (self.width - 1) // 2
-
 
 def _plan_block(theta_dense: np.ndarray, start: int, width: int,
                 shapes: np.ndarray) -> _BlockPlan:
@@ -255,7 +251,7 @@ def _strict_triangle(n: int):
 def _draw_block(plan: _BlockPlan, rng: np.random.Generator, size: int):
     """Raw stream draws for ``size`` samples of one run, in the pinned order."""
     g = np.stack([sample_gamma(s, rng, size) for s in plan.shapes], axis=-1)
-    o = rng.standard_normal((size, plan.n_tri))
+    o = rng.standard_normal((size, plan.width * (plan.width - 1) // 2))
     z = rng.standard_normal((size, plan.tail, plan.width))
     return g, o, z
 
@@ -578,7 +574,7 @@ def _draw_template(r: int, dumps) -> tuple[str, tuple]:
     field = {(int(i), int(j)): k for k, (i, j) in enumerate(zip(rows, cols))}
     index = tuple(field[min(i, j), max(i, j)] for i in range(r) for j in range(r))
     text = dumps({"r": r, "data": [["@"] * r for _ in range(r)]})
-    return text.replace("%", "%%").replace('"@"', "%s"), index
+    return text.replace('"@"', "%s"), index
 
 
 def _write_chunks(fp, head: str, chunks, r: int, line: str, index: tuple,

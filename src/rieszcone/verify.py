@@ -108,7 +108,8 @@ def log_laplace_exact(s, theta: SymElement) -> float:
     index reversal, pivot k of y^{-1} is 1 / pivot r+1-k of J y J, so with no
     inverse log Delta_s(y^{-1}) = -log Delta_{s*}(J y J), s* = (s_r, ..., s_1)
     (Faraut-Koranyi, ch. VII).  A tilt too close to singular for positive
-    pivots is a ``TiltError`` too, which names the index of the failing pivot.
+    pivots is a ``TiltError`` too, which names the index of the failing pivot,
+    and a log transform past the float range is a ``VerifyError``.
     """
     param = u_from_s(s, d=1.0)
     if param.r != theta.r:
@@ -119,14 +120,18 @@ def log_laplace_exact(s, theta: SymElement) -> float:
 
 def _log_laplace(s: tuple, theta: SymElement, what: str) -> float:
     """The pivot path of ``log_laplace_exact``, for an s and theta the caller
-    has checked; pivots too small for it are a ``TiltError`` naming ``what``."""
+    has checked; pivots too small for it are a ``TiltError`` naming ``what``,
+    and a value past the float range a ``VerifyError``."""
     try:
-        return -algebra.log_generalized_power(SymElement(-theta.matrix[::-1, ::-1]), s[::-1])
+        value = -algebra.log_generalized_power(SymElement(-theta.matrix[::-1, ::-1]), s[::-1])
     except algebra.PowerDomainError as exc:
         raise TiltError(
             f"{what} is too close to singular for its closed form: index "
             f"{theta.r + 1 - exc.pivot} has pivot {exc.value:.6e}, eliminating "
             "from the last index") from None
+    if not math.isfinite(value):
+        raise VerifyError(f"the log transform at {what} is {value}, past the float range")
+    return value
 
 
 def laplace_exact(s, theta: SymElement) -> float:
@@ -175,8 +180,8 @@ def laplace_mc_chunks(spec: RieszSpec, chunks, zeta: SymElement,
     whose relative weight variance rho = L(2 zeta - theta) L(theta) /
     L(zeta)^2 - 1 exceeds 1 and leaves count / (1 + rho) < ``ESS_FLOOR``
     effective draws (Kong 1992; Owen, *Monte Carlo theory, methods and
-    examples*, ch. 9), and a ``VerifyError`` one whose exact ratio is past
-    the largest float.
+    examples*, ch. 9), and a ``VerifyError`` one whose exact ratio, or the
+    log of one of its three transforms, is past the largest float.
 
     Each fact behind the three closed forms is checked once: theta by the
     spec and 2 zeta - theta by the variance guard.  Those two make -zeta

@@ -66,6 +66,14 @@ def test_rejects_empty_matrix():
         SymElement.from_json_dict({"r": 0, "data": []})
 
 
+def test_from_dense_checks_the_shape_before_the_size_and_the_entries():
+    with pytest.raises(al.ShapeMismatchError, match="expected a square matrix"):
+        SymElement.from_dense([[np.nan, 0.0, 1.0], [0.0, 0.0, 1.0]])
+    with pytest.raises(al.AlgebraError, match="rank must be a positive integer") as exc:
+        SymElement.from_dense(np.zeros((0, 0)))
+    assert type(exc.value) is al.AlgebraError
+
+
 def test_lower_triangle_mirrors_upper_bitwise():
     # the upper triangle wins, signed zeros included
     x = SymElement.from_dense([[1.0, -0.0, 2.0], [0.0, 3.0, 4.0 + 5e-13], [2.0, 4.0, 5.0]])
@@ -266,6 +274,16 @@ def test_generalized_power_translation():
         al.log_generalized_power(x, s) + al.log_generalized_power(x, m),
         rtol=1e-11,
     )
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_a_log_power_past_the_float_range_is_inf_or_nan_without_a_warning():
+    # 1e308 log 1e300 overflows; with 1e308 log 1e-300 beside it, the sum
+    # is inf or NaN, as the order of the dot product decides
+    assert al.log_generalized_power(sym([[1e300]]), [1e308]) == math.inf
+    assert al.log_generalized_power(sym([[1e-300]]), [1e308]) == -math.inf
+    assert not math.isfinite(
+        al.log_generalized_power(sym(np.diag([1e300, 1e-300])), [1e308, 1e308]))
 
 
 def test_generalized_power_domain():

@@ -500,6 +500,29 @@ def test_sample_out_that_cannot_be_opened_exits_64(capsys, monkeypatch, tmp_path
     assert list(tmp_path.iterdir()) == []
 
 
+def test_sample_out_at_a_symlink_loop_or_a_link_to_a_directory_exits_64(
+        capsys, monkeypatch, tmp_path):
+    def no_draws(spec, workers=1):
+        raise AssertionError("drew samples for an --out that cannot be written")
+
+    monkeypatch.setattr(cli, "sample_chunks", no_draws)
+    loop, back = tmp_path / "loop", tmp_path / "back"
+    loop.symlink_to(back)
+    back.symlink_to(loop)
+    folder, link = tmp_path / "folder", tmp_path / "to-folder"
+    folder.mkdir()
+    link.symlink_to(folder)
+    for path, reason in ((loop, errno.ELOOP), (link, errno.EISDIR)):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["sample", "--s", "1,1", "--n", "3", "--out", str(path)])
+        assert exc.value.code == 64
+        err = capsys.readouterr().err
+        assert err.splitlines()[-1] == (
+            f"rieszcone: error: cannot open --out {path}: {os.strerror(reason)}")
+    assert sorted(tmp_path.iterdir()) == sorted([loop, back, folder, link])
+    assert loop.is_symlink() and back.is_symlink() and list(folder.iterdir()) == []
+
+
 def test_sample_out_that_cannot_be_renamed_into_place_exits_64(capsys, monkeypatch, tmp_path):
     path = tmp_path / "draws.ndjson"
     path.write_bytes(b"old bytes\n")
@@ -606,6 +629,21 @@ def test_verify_ratio_past_the_largest_float_exits_3(capsys):
                    "past the largest float\n")
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_verify_log_transform_past_the_float_range_exits_3(capsys, monkeypatch):
+    # log Delta_s((-theta)^{-1}) = -1e308 log 1e300 is past the float range:
+    # one stderr line, not a warning and a report of NaN, before any chunk is read
+    def no_chunks(spec, workers=1):
+        raise AssertionError("read a chunk")
+        yield
+
+    monkeypatch.setattr(cli, "sample_chunks", no_chunks)
+    code, out, err = run(capsys, "verify", "--s", "1e308", "--theta", _diag_json(-1e300, 1),
+                         "--zeta", _diag_json(-1.1e300, 1), "--n", "2000")
+    assert code == 3 and out == ""
+    assert err == "rieszcone verify: the log transform at theta is -inf, past the float range\n"
+
+
 def test_verify_at_large_s_reports_finite_numbers(capsys):
     # the transforms themselves overflow a float here, their ratio does not
     code, out, err = run(capsys, "verify", "--s", "400,400",
@@ -688,6 +726,14 @@ def test_density_value(capsys):
     assert code == 0
     want = 0.5 * math.log(4.0) - 0.5 * math.log(2 * math.pi)
     assert rep["log_density"] == pytest.approx(want, rel=1e-12)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_density_whose_log_power_is_past_the_float_range_exits_2(capsys):
+    # (2.5e305 - 1) log 5e-324 is past the float range: one line, no warning
+    code, out, err = run(capsys, "density", "--s", "2.5e305", "--x", _diag_json(5e-324, 1))
+    assert code == 2 and out == ""
+    assert err == "rieszcone density: log density -inf at x: past the largest float\n"
 
 
 def test_density_refuses_singular_parameter(capsys):
@@ -880,6 +926,42 @@ def test_a_full_device_exits_1_without_a_traceback(argv, to_stdout):
                               stdout=out, stderr=subprocess.PIPE, text=True)
     assert proc.returncode == 1
     assert proc.stderr.splitlines() == [f"rieszcone {argv[0]}: {ENOSPC_LINE}"]
+
+
+@pytest.mark.parametrize("argv", [("--help",), ("sample", "--help")])
+def test_help_that_cannot_be_written_exits_1_with_one_line(capsys, monkeypatch, argv):
+    # argparse swallows the OSError of its own help output; this help raises it,
+    # inside main's try, before any command exists to name
+    monkeypatch.setattr(sys, "stdout", _FullDisk())
+    code = cli.main(list(argv))
+    parked = sys.stdout
+    assert parked.name == os.devnull
+    parked.close()
+    assert code == 1
+    assert capsys.readouterr().err.splitlines() == [f"rieszcone: {ENOSPC_LINE}"]
+
+
+@pytest.mark.parametrize("argv", [("--help",), ("sample", "--help")])
+def test_help_to_a_writable_stdout_exits_0(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(list(argv))
+    out, err = capsys.readouterr()
+    assert exc.value.code == 0 and err == ""
+    assert out.startswith(" ".join(["usage: rieszcone", *argv[:-1]]))
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("unbuffered", [False, True])
+@pytest.mark.parametrize("argv", [("--help",), ("sample", "--help")])
+def test_help_on_a_full_device_exits_1_with_one_line(argv, unbuffered):
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    with open("/dev/full", "w") as out:
+        proc = subprocess.run([sys.executable, "-m", "rieszcone.cli", *argv],
+                              stdout=out, stderr=subprocess.PIPE, text=True, env=env)
+    assert proc.returncode == 1
+    assert proc.stderr.splitlines() == [f"rieszcone: {ENOSPC_LINE}"]
 
 
 def test_sample_out_whose_write_fails_mid_run_keeps_the_target(capsys, monkeypatch, tmp_path):

@@ -333,6 +333,26 @@ def test_a_random_spec_reads_back_through_json_with_its_digest(r, seed, from_s, 
     assert back.theta.matrix.tobytes() == spec.theta.matrix.tobytes()
 
 
+@settings(deadline=None, max_examples=100)
+@given(st.integers(1, 8), st.integers(0, 2**32 - 1), st.floats(0.0, 8.0))
+def test_random_laws_stream_finite_symmetric_chunks_that_make_up_the_batch(r, seed, log_cond):
+    # each u_p is 0 or log-uniform in [1e-3, 10], and the tilt's condition
+    # number reaches 1e8; two chunks, the second partial
+    rng = np.random.default_rng(seed)
+    u = 10.0 ** rng.uniform(-3.0, 1.0, size=r)
+    u[rng.random(size=r) < 0.3] = 0.0
+    q, _ = np.linalg.qr(rng.standard_normal((r, r)))
+    m = -(q * np.geomspace(1.0, 10.0 ** log_cond, r)) @ q.T
+    spec = sp.RieszSpec.build(u=u.tolist(), theta=SymElement.from_dense(0.5 * (m + m.T)),
+                              seed=seed, count=sp.CHUNK + 37)
+    chunks = list(sp.sample_chunks(spec))
+    for chunk in chunks:
+        assert np.isfinite(chunk).all()
+        assert chunk.tobytes() == np.ascontiguousarray(chunk.swapaxes(1, 2)).tobytes()
+    batch = sp.sample_riesz(spec).matrices
+    assert np.concatenate(chunks).tobytes() == batch.tobytes()
+
+
 def test_spec_json_reads_exactly_the_keys_it_writes():
     spec = sp.RieszSpec.build(u=[1.2, 0.0, 0.7], theta=nd_tilt(3), seed=5, count=4)
     obj = spec.to_json_dict()

@@ -336,6 +336,15 @@ def test_log_laplace_exact_is_finite_where_the_transform_overflows():
         800.0 * math.log(4.0), rel=1e-14)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("s, scale, value", [([1e308], 1e300, "-inf"),
+                                             ([1e308, 1e308], 1e-300, "inf")])
+def test_log_laplace_exact_refuses_a_value_past_the_float_range(s, scale, value):
+    with pytest.raises(vf.VerifyError,
+                       match=f"^the log transform at tilt is {value}, past the float range$"):
+        vf.log_laplace_exact(s, sym(-scale * np.eye(len(s))))
+
+
 def test_laplace_exact_refuses_a_value_past_the_largest_float():
     # Delta_s(10 I) = 10^1600, about e^3684.1: the error gives the log value
     theta = sym(-0.1 * np.eye(4))
