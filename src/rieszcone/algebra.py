@@ -57,7 +57,7 @@ class PowerDomainError(AlgebraError):
 
 @lru_cache(maxsize=None)
 def _strict_lower(r: int) -> np.ndarray:
-    """Read-only boolean mask of the entries below the diagonal, r x r."""
+    """Read-only r x r mask below the diagonal, for ``SymElement`` and the sampler."""
     mask = np.tri(r, r, -1, dtype=bool)
     mask.flags.writeable = False
     return mask

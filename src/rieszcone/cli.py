@@ -323,9 +323,8 @@ def cmd_sample(args: argparse.Namespace, parser: _Parser) -> int:
         write(spec, timed_chunks(), sys.stdout)
     else:
         _write_out(args.out, lambda fh: write(spec, timed_chunks(), fh), parser)
-    total_s = time.perf_counter() - t0
-    if args.out is not None:
         print(f"wrote {spec.count} samples to {args.out}", file=sys.stderr)
+    total_s = time.perf_counter() - t0
     if args.stats:
         print(json.dumps({
             "spec_digest": spec.digest(),

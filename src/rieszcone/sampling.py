@@ -238,16 +238,6 @@ def _check_draw_scale(core_chol, coupling, noise_chol, shapes) -> None:
             f"the headroom {DRAW_HEADROOM:g} passes the largest float")
 
 
-@functools.lru_cache(maxsize=None)
-def _strict_triangle(n: int):
-    """Read-only ``np.tril_indices(n, -1)``, computed once per size: each call
-    costs about 25 us, a chunk needs one per run and one for its mirror."""
-    pair = np.tril_indices(n, -1)
-    for index in pair:
-        index.flags.writeable = False
-    return pair
-
-
 def _draw_block(plan: _BlockPlan, rng: np.random.Generator, size: int):
     """Raw stream draws for ``size`` samples of one run, in the pinned order."""
     g = np.stack([sample_gamma(s, rng, size) for s in plan.shapes], axis=-1)
@@ -296,8 +286,7 @@ def _gram_factor(plan: _BlockPlan, g, o, z) -> np.ndarray:
     t = np.zeros((w, n, w))
     diag = np.arange(w)
     t[diag, :, diag] = np.sqrt(g).T
-    rows, cols = _strict_triangle(w)
-    t[rows, :, cols] = (o * np.sqrt(0.5)).T
+    t.swapaxes(0, 1)[:, algebra._strict_lower(w)] = o * np.sqrt(0.5)
     m = np.empty((w + plan.tail, n, w))
     m[:w] = _each_draw(plan.core_chol, t)
     m[w:] = (_each_draw(plan.coupling.T, m[:w])
@@ -327,8 +316,8 @@ def _draw_sum(plans, rng: np.random.Generator, out: np.ndarray) -> None:
     # S S^T is symmetric in exact arithmetic, but nothing obliges a BLAS
     # product to round both triangles alike; mirroring the upper triangle
     # makes every stored draw symmetric bit for bit
-    rows, cols = _strict_triangle(r)
-    out[:, rows, cols] = out[:, cols, rows]
+    below = algebra._strict_lower(r)
+    out[:, below] = out.swapaxes(1, 2)[:, below]
 
 
 # -- batched sampling -------------------------------------------------------

@@ -175,19 +175,20 @@ def laplace_mc_chunks(spec: RieszSpec, chunks, zeta: SymElement,
     A draw with an inf or NaN entry makes them NaN, and the report fails.
     Before any chunk is read, a ``VerifyError`` refuses a ``z_threshold`` that
     is not a finite number above 0 (a bool is not one), and
-    ``VarianceGuardError`` a probe with
-    -(2 zeta - theta) not positive definite (infinite weight variance), or
-    whose relative weight variance rho = L(2 zeta - theta) L(theta) /
-    L(zeta)^2 - 1 exceeds 1 and leaves count / (1 + rho) < ``ESS_FLOOR``
-    effective draws (Kong 1992; Owen, *Monte Carlo theory, methods and
-    examples*, ch. 9), and a ``VerifyError`` one whose exact ratio, or the
-    log of one of its three transforms, is past the largest float.
+    ``VarianceGuardError`` a probe with -g not positive definite, g = zeta -
+    theta/2 (infinite weight variance), or whose relative weight variance
+    rho = 2^(-sum s) L(g) L(theta) / L(zeta)^2 - 1 exceeds 1 and leaves
+    count / (1 + rho) < ``ESS_FLOOR`` effective draws (Kong 1992; Owen,
+    *Monte Carlo theory, methods and examples*, ch. 9), and a ``VerifyError``
+    one whose exact ratio or the log of one of its three transforms is past
+    the largest float, or whose log(1 + rho) sums terms too large for floats
+    to resolve it.  g = (2 zeta - theta)/2 overflows for no finite zeta.
 
     Each fact behind the three closed forms is checked once: theta by the
-    spec and 2 zeta - theta by the variance guard.  Those two make -zeta
-    positive definite too, as -zeta = (-(2 zeta - theta) + (-theta)) / 2, and
-    a zeta that rounding still spoils is a ``TiltError`` from its pivots.  s
-    is the spec's, which a ``zero_tol`` snap set with u: that of the law drawn.
+    spec and g by the variance guard.  Those two make -zeta positive definite
+    too, as -zeta = -g + (-theta)/2, and a zeta that rounding still spoils is
+    a ``TiltError`` from its pivots.  s is the spec's, which a ``zero_tol``
+    snap set with u: that of the law drawn.
     """
     if isinstance(z_threshold, bool) or not (
             isinstance(z_threshold, numbers.Real) and 0.0 < z_threshold < math.inf):
@@ -195,14 +196,21 @@ def laplace_mc_chunks(spec: RieszSpec, chunks, zeta: SymElement,
     theta = spec.theta
     if zeta.r != theta.r:
         raise VerifyError("zeta rank does not match the spec")
-    guard = SymElement(2.0 * zeta.matrix - theta.matrix)
+    guard = SymElement(zeta.matrix - 0.5 * theta.matrix)
     algebra.require_negative_definite(
-        guard, VarianceGuardError, "2 zeta - theta (finite weight variance)")
+        guard, VarianceGuardError, "zeta - theta/2 (finite weight variance)")
     s = spec.param.s
     log_theta = _log_laplace(s, theta, "theta")
     log_ratio = _log_laplace(s, zeta, "zeta") - log_theta
-    log1p_rho = _log_laplace(s, guard, "2 zeta - theta") - log_theta - 2.0 * log_ratio
-    ess = spec.count * math.exp(-log1p_rho)
+    log_guard = _log_laplace(s, guard, "zeta - theta/2")
+    log1p_rho = log_guard - sum(s) * math.log(2.0) - log_theta - 2.0 * log_ratio
+    # rho >= 0, but rounding moves log1p_rho by about eps times its terms' size: refused
+    # where 1e-14 of that size (45 ulps) reaches log 2, as at s near 1e119
+    size = abs(log_guard) + sum(s) + abs(log_theta) + 2.0 * abs(log_ratio)
+    if not size < math.log(2.0) / 1e-14:
+        raise VerifyError(f"the weights' log(1 + rho) sums terms of size {size:.3g}, "
+                          "past what floats resolve")
+    ess = spec.count * math.exp(-max(log1p_rho, 0.0))
     if log1p_rho > math.log(2.0) and ess < ESS_FLOOR:
         raise VarianceGuardError(
             f"too few effective draws: the weights' relative variance is "
@@ -446,8 +454,8 @@ def _gram(m):
 
 @functools.lru_cache(maxsize=None)
 def _below_diagonal(w: int):
-    """Read-only ``np.tril_indices(w, -1)``, once per width: a call costs about
-    25 us.  Kept apart from ``sampling._strict_triangle``, which it checks."""
+    """Read-only ``np.tril_indices(w, -1)`` for ``_ref_factor``, once per width: a
+    call costs about 25 us.  Kept apart from ``algebra._strict_lower``, which it checks."""
     pair = np.tril_indices(w, -1)
     for index in pair:
         index.flags.writeable = False
@@ -498,10 +506,10 @@ def _cone_identities(rng, r, n):
         # columns 1..r-1: pivot l + 1 = Delta_{l+1} / Delta_l, y_ll's Schur complement
         # against y[:l, :l]
         _rel_error(algebra._pivots(y)[:, 1:], ref[:, 1:]),
-        # columns 1..r-1: pivot r+1-l of J y J is det y[l-1:, l-1:] / det y[l:, l:], a
-        # ratio of trailing minors of y, the identity behind log_laplace_exact's
-        # inverse-free closed form
-        _rel_error(algebra._pivots(flipped)[:, 1:], _chol_pivots(flipped)[:, 1:]),
+        # columns 1..r-1: pivot k of y^{-1} is 1 / pivot r+1-k of J y J, with J the index
+        # reversal, the identity behind log_laplace_exact's inverse-free closed form
+        _rel_error(1.0 / algebra._pivots(flipped)[:, :0:-1],
+                   _chol_pivots(np.linalg.inv(y))[:, :-1]),
         # columns 0..r-2: Delta_k(t y t^T) = (t_11 ... t_kk)^2 Delta_k(y) for
         # lower-triangular t, so pivot k of t y t^T is t_kk^2 times pivot k of y
         _rel_error(algebra._pivots(t @ y @ np.swapaxes(t, 1, 2))[:, :-1],
@@ -838,15 +846,14 @@ def _selftest_determinism(seed):
 
 def _selftest_identities(r_values, trials, seed):
     ident = {}
-    ident_pass = True
     for r in r_values:
         reports = identity_suite(r, trials=trials, seed=seed)
         ident[str(r)] = {rep.name: rep.max_rel_error for rep in reports}
         failed = [rep.name for rep in reports if not rep.passed]
         if failed:
-            ident_pass = False
             ident[str(r)]["failed"] = failed
-    return {"pass": ident_pass, "seed": seed, "trials": trials, "max_rel_err": ident}
+    return {"pass": not any("failed" in errors for errors in ident.values()),
+            "seed": seed, "trials": trials, "max_rel_err": ident}
 
 
 def run_selftest(r_values=(2, 3, 4, 5, 6), trials: int = 500, seed: int = 0) -> dict:

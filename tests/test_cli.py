@@ -1,3 +1,5 @@
+import contextlib
+import csv
 import errno
 import hashlib
 import io
@@ -8,9 +10,12 @@ import stat
 import subprocess
 import sys
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rieszcone import cli, sampling, verify
 from rieszcone.sampling import CHUNK, RieszSpec
@@ -644,6 +649,59 @@ def test_verify_log_transform_past_the_float_range_exits_3(capsys, monkeypatch):
     assert err == "rieszcone verify: the log transform at theta is -inf, past the float range\n"
 
 
+def _no_chunks(spec, workers=1):
+    raise AssertionError("read a chunk")
+    yield
+
+
+def _guard_argv(s, theta, zeta, n):
+    return lambda: ["verify", "--s", ",".join(map(str, s)), "--n", str(n),
+                    "--theta", _diag_json(-theta, len(s)), "--zeta", _diag_json(-zeta, len(s))]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("argv, line", [
+    # 2 zeta overflows at zeta_22 = -1.7e308, but the guard zeta - theta/2 does not:
+    # the probe's own refusal
+    (lambda: ["verify", "--u", "1,1", "--n", "600",
+              "--zeta", '{"r":2,"data":[[-1,0],[0,-1.7e308]]}'],
+     "too few effective draws: the weights' relative variance is exp(1064) - 1, so 600 "
+     "draws are worth 0, below ESS_FLOOR = 1000"),
+    # at r = 480, s_k = 3.8e305, theta = -2.2 I and zeta = 0.8 theta each log transform
+    # is finite and the draws' scale is inside the headroom, but sum(s) log 2 is not:
+    # log1p rho, about 1.2e307, cannot be formed in floats
+    (_guard_argv([3.8e305] * 480, 2.2, 0.8 * 2.2, 2),
+     "the weights' log(1 + rho) sums terms of size inf, past what floats resolve"),
+    # rounding in terms near 1e119 swamps log1p rho: at zeta one ulp from theta it read
+    # -1.8e103, and exp(1.8e103) raised an OverflowError
+    (_guard_argv([1e115, 1e119], 5.0, 5.000000000000001, 600),
+     "the weights' log(1 + rho) sums terms of size 3.53e+119, past what floats resolve"),
+], ids=["zeta_near_the_largest_float", "sum_s_log_2_past_the_float_range",
+        "rounding_swamps_log1p_rho"])
+def test_verify_guard_at_extreme_scales_exits_3_with_one_line(capsys, monkeypatch, argv, line):
+    # one stderr line, no warning, before any chunk is read
+    monkeypatch.setattr(cli, "sample_chunks", _no_chunks)
+    code, out, err = run(capsys, *argv())
+    assert code == 3 and out == ""
+    assert err == f"rieszcone verify: {line}\n"
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_verify_whose_rounding_reads_log1p_rho_far_below_0_reads_its_draws(capsys):
+    # s = 1e10 at a tilt of condition 5e9, and zeta = (1 + 1e-6) theta: rho is about
+    # 0.03, but rounding read log(1 + rho) near -1 800, and exp(1 800) raised an
+    # OverflowError.  rho >= 0, so the guard reads it as 0 and the draws are read;
+    # the same rounding in the log ratio still decides the report, which is not checked
+    theta = np.array([[-65860763.17760214, -431165709.8217592, -372485169.2567593],
+                      [-431165709.8217592, -2825652306.504397, -2440905358.3368545],
+                      [-372485169.2567593, -2440905358.3368545, -2108557641.9961195]])
+    code, out, err = run(capsys, "verify", "--s", "1e10,1e10,1e10", "--n", "600",
+                         "--theta", json.dumps({"r": 3, "data": theta.tolist()}),
+                         "--zeta", json.dumps({"r": 3, "data": ((1 + 1e-6) * theta).tolist()}))
+    assert code in (0, 1) and err == ""
+    assert json.loads(out)["n"] == 600
+
+
 def test_verify_at_large_s_reports_finite_numbers(capsys):
     # the transforms themselves overflow a float here, their ratio does not
     code, out, err = run(capsys, "verify", "--s", "400,400",
@@ -990,3 +1048,127 @@ def test_console_script_is_wired():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["in_xi"] is True
+
+
+# ------------------------------------------------------ the contract as a property
+
+# the special values, the Gindikin gaps 0.25 and 0.75 among them, and log-uniform
+# magnitudes, across the float range and near 1
+_VALUES = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, 1e-300, 1.7e308, -1.0, -5e-324, -1.7e308, 0.25, 0.75]),
+    st.floats(-300.0, 300.0).map(lambda e: 10.0 ** e),
+    st.floats(-3.0, 3.0).map(lambda e: 10.0 ** e))
+_MALFORMED = ["{", "{}", "[]", "null", '{"r": 2}', '{"r": 2, "data": [[1, 0], [0]]}',
+              '{"r": "2", "data": [[-1, 0], [0, -1]]}', '{"r": 1, "data": [["x"]]}',
+              '{"r": 2, "data": [[-1, 0], [0, NaN]]}', '{"r": 2, "data": [[-1, 0.5], [0, -1]]}']
+
+
+def _rank(draw, r):
+    """Mostly the command's rank r, sometimes another."""
+    return r if draw(st.integers(0, 7)) else draw(st.integers(1, 4))
+
+
+def _vector(draw, flag, r):
+    size = _rank(draw, r)
+    values = draw(st.lists(_VALUES, min_size=size, max_size=size))
+    return f"{flag}={','.join(map(repr, values))}"
+
+
+def _matrix(draw, sign, r):
+    """A diagonal of ``sign`` times magnitudes, a rotated matrix of condition up to
+    1e14 scaled by 10^+-300, or malformed JSON text."""
+    kind = draw(st.sampled_from(["diagonal", "rotated", "malformed"]))
+    r = _rank(draw, r)
+    if kind == "malformed":
+        return draw(st.sampled_from(_MALFORMED))
+    if kind == "diagonal":
+        return sign * np.diag(draw(st.lists(_VALUES, min_size=r, max_size=r)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    q = np.linalg.qr(rng.standard_normal((r, r)))[0]
+    scale = 10.0 ** draw(st.floats(-300.0, 300.0))
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        m = sign * (q * (scale * np.geomspace(1.0, 10.0 ** draw(st.floats(0.0, 14.0)), r))) @ q.T
+        return 0.5 * (m + m.T)  # symmetric bit for bit at any scale
+
+
+def _json(m):
+    return m if isinstance(m, str) else json.dumps({"r": len(m), "data": m.tolist()})
+
+
+def _option(draw, name, values):
+    return [f"{name}={draw(st.sampled_from(values))}"] if draw(st.integers(0, 3)) == 0 else []
+
+
+@st.composite
+def _argv(draw):
+    """check, sample, verify or density, with vectors, tilts and points mostly of one rank.
+    A zeta is a drawn tilt or 1 to 1.5 times theta (or -I), a probe that the guard can pass."""
+    command = draw(st.sampled_from(["check", "sample", "verify", "density"]))
+    r = draw(st.integers(1, 4))
+    flag = "--s" if command == "density" else draw(st.sampled_from(["--s", "--u"]))
+    argv = [command, _vector(draw, flag, r),
+            *_option(draw, "--d", ["1", "0.5", "2", "0", "-1", "nan"]),
+            *_option(draw, "--zero-tol", ["0", "1e-3", "0.3", "-1", "nan", "1e308"])]
+    if command == "density":
+        return argv + [f"--x={_json(_matrix(draw, +1.0, r))}"]
+    if command == "check":
+        return argv
+    theta = _matrix(draw, -1.0, r) if draw(st.booleans()) else None
+    if theta is not None:
+        argv.append(f"--theta={_json(theta)}")
+    if command == "sample":
+        return argv + [*_option(draw, "--n", ["1", "3", "0"]),
+                       *_option(draw, "--format", ["ndjson", "json", "csv"])]
+    if draw(st.booleans()):
+        zeta = _matrix(draw, -1.0, r)
+    else:
+        base = -np.eye(r) if theta is None or isinstance(theta, str) else theta
+        with np.errstate(over="ignore"):
+            zeta = draw(st.floats(1.0, 1.5)) * base
+    return argv + [f"--zeta={_json(zeta)}", *_option(draw, "--n", ["2", "50", "600"])]
+
+
+def _finite_float(text):
+    value = float(text)
+    assert math.isfinite(value), text
+    return value
+
+
+def _no_constant(name):
+    raise AssertionError(f"{name} in a 0 exit's output")
+
+
+def _parse_finite(argv, out):
+    """Every document of a 0 exit's stdout, parsed, with finite numbers only."""
+    if argv[0] != "sample" or "--format=json" in argv:
+        documents = [out]
+    elif "--format=csv" in argv:
+        rows = list(csv.reader(io.StringIO(out)))
+        assert len(rows) >= 2
+        return [[_finite_float(cell) for cell in row] for row in rows[1:]]
+    else:
+        documents = out.splitlines()
+    return [json.loads(doc, parse_float=_finite_float, parse_constant=_no_constant)
+            for doc in documents]
+
+
+@settings(deadline=None, max_examples=200)
+@given(_argv())
+def test_every_command_line_keeps_the_exit_code_contract(argv):
+    # check, sample, verify and density over special and extreme vectors, tilts
+    # and points, and malformed JSON: a documented exit code, no exception and no
+    # warning, one stderr line on a failure other than usage, and a 0 exit's
+    # stdout parses with finite numbers only
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(), contextlib.redirect_stdout(out), \
+            contextlib.redirect_stderr(err):
+        warnings.simplefilter("error")
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    assert code in (0, 1, 2, 3, 64), (argv, code)
+    if code not in (0, 64):
+        assert err.getvalue().count("\n") <= 1, (argv, err.getvalue())
+    if code == 0:
+        assert _parse_finite(argv, out.getvalue())

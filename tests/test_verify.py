@@ -694,6 +694,21 @@ def test_identity_suite_catches_scaled_pivots(monkeypatch):
         assert _CONE_IDENTITIES <= _failed(r)
 
 
+def test_identity_suite_catches_a_closed_form_that_drops_the_reversal(monkeypatch):
+    # negative control: the package side of pivot_reversal eliminates y where it
+    # should eliminate J y J; the flipped stack is the one view with negative strides
+    true_pivots = algebra._pivots
+
+    def unflipped(sym, active=None):
+        if sym.strides[1] < 0:
+            sym = sym[:, ::-1, ::-1]
+        return true_pivots(sym, active)
+
+    monkeypatch.setattr(algebra, "_pivots", unflipped)
+    for r in (3, 4, 5):
+        assert _failed(r) & _CONE_IDENTITIES == {"pivot_reversal"}
+
+
 @pytest.mark.parametrize("column, want", [
     (0, {"triangular_equivariance"}),
     (-1, {"pivot_schur", "pivot_reversal"}),
